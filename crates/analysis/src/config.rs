@@ -10,34 +10,17 @@
 
 use std::thread;
 
-use pmcs_core::{BackendKind, AUDIT_ENV_VAR};
+use pmcs_core::AUDIT_ENV_VAR;
 
 /// Environment variable naming the worker-thread count (CLI edge only;
 /// an explicit `--jobs` flag wins).
 pub const JOBS_ENV_VAR: &str = "PMCS_JOBS";
-
-/// Environment variable selecting the LP backend for MILP-based analysis
-/// (`dense` or `revised`; CLI edge only, an explicit `--lp-backend` flag
-/// wins). Unset means the analysis keeps its default exact-engine base
-/// and the MILP engine, where used, runs its dense reference backend.
-pub const LP_BACKEND_ENV_VAR: &str = "PMCS_LP_BACKEND";
 
 /// Environment variable naming the number of adversarial release plans
 /// to cross-validate per schedulable set (CLI edge only; an explicit
 /// `--cross-validate` flag wins). `0` (the default) disables
 /// cross-validation.
 pub const CROSS_VALIDATE_ENV_VAR: &str = "PMCS_CROSS_VALIDATE";
-
-/// Environment variable naming the worker count of the exact engine's
-/// branch-and-bound rescue path (CLI edge only; an explicit `--bnb-jobs`
-/// flag wins). `0` (the default) disables branch-and-bound: windows that
-/// exhaust the memo budget fall back to the safe cap instead.
-pub const BNB_JOBS_ENV_VAR: &str = "PMCS_BNB_JOBS";
-
-/// Environment variable naming the slot depth up to which the
-/// branch-and-bound rescue additionally prunes with LP-relaxation bounds
-/// (CLI edge only; an explicit `--bnb-lp-depth` flag wins).
-pub const BNB_LP_DEPTH_ENV_VAR: &str = "PMCS_BNB_LP_DEPTH";
 
 /// Environment variable enabling certificate emission (`1`/`true`; CLI
 /// edge only, an explicit `--emit-certs` flag wins). When on, every
@@ -70,11 +53,6 @@ pub struct AnalysisConfig {
     /// Memoization-entry budget of the exact engine (the solver limit:
     /// roughly bounds per-window memory and time).
     pub max_states: usize,
-    /// `Some(kind)` replaces the exact-engine base of the stack with the
-    /// MILP engine on that LP backend ([`BackendKind::Revised`] enables
-    /// presolve, incremental RHS updates and warm starts). `None` (the
-    /// default) keeps the exact combinatorial engine.
-    pub lp_backend: Option<BackendKind>,
     /// Number of adversarial release plans to simulate per schedulable
     /// set, checking observed worst responses against the analytical WCRT
     /// bounds (`0` disables cross-validation).
@@ -83,15 +61,6 @@ pub struct AnalysisConfig {
     /// set (outside the timed regions) and validate it with the
     /// independent `pmcs-cert` checker.
     pub emit_certs: bool,
-    /// Worker threads of the exact engine's parallel branch-and-bound
-    /// rescue for windows that exhaust the memo budget (`0` disables the
-    /// rescue; the engine then reports its safe fallback cap). Ignored —
-    /// forced off — when `emit_certs` is set, because branch-and-bound
-    /// results carry no replayable DP table to certify.
-    pub bnb_jobs: usize,
-    /// Slot depth up to which branch-and-bound nodes additionally prune
-    /// with LP-relaxation bounds (`0` disables LP bounding).
-    pub bnb_lp_depth: usize,
 }
 
 impl Default for AnalysisConfig {
@@ -101,11 +70,8 @@ impl Default for AnalysisConfig {
             cache: true,
             audit: false,
             max_states: pmcs_core::engine::DEFAULT_MAX_STATES,
-            lp_backend: None,
             cross_validate: 0,
             emit_certs: false,
-            bnb_jobs: 0,
-            bnb_lp_depth: 0,
         }
     }
 }
@@ -123,16 +89,10 @@ pub struct CliOverrides {
     pub audit: Option<bool>,
     /// `--max-states N`.
     pub max_states: Option<usize>,
-    /// `--lp-backend dense|revised`.
-    pub lp_backend: Option<BackendKind>,
     /// `--cross-validate N`.
     pub cross_validate: Option<usize>,
     /// `--emit-certs`.
     pub emit_certs: Option<bool>,
-    /// `--bnb-jobs N`.
-    pub bnb_jobs: Option<usize>,
-    /// `--bnb-lp-depth N`.
-    pub bnb_lp_depth: Option<usize>,
 }
 
 impl AnalysisConfig {
@@ -164,11 +124,6 @@ impl AnalysisConfig {
                 .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
                 .unwrap_or(defaults.audit)
         });
-        let lp_backend = cli.lp_backend.or_else(|| {
-            std::env::var(LP_BACKEND_ENV_VAR)
-                .ok()
-                .and_then(|v| BackendKind::parse(&v))
-        });
         let cross_validate = cli
             .cross_validate
             .or_else(|| {
@@ -182,32 +137,13 @@ impl AnalysisConfig {
                 .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
                 .unwrap_or(defaults.emit_certs)
         });
-        let bnb_jobs = cli
-            .bnb_jobs
-            .or_else(|| {
-                std::env::var(BNB_JOBS_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(defaults.bnb_jobs);
-        let bnb_lp_depth = cli
-            .bnb_lp_depth
-            .or_else(|| {
-                std::env::var(BNB_LP_DEPTH_ENV_VAR)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(defaults.bnb_lp_depth);
         AnalysisConfig {
             jobs,
             cache: cli.cache.unwrap_or(defaults.cache),
             audit,
             max_states: cli.max_states.unwrap_or(defaults.max_states).max(1),
-            lp_backend,
             cross_validate,
             emit_certs,
-            bnb_jobs,
-            bnb_lp_depth,
         }
     }
 
@@ -223,13 +159,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// A copy with the MILP base engine on the given LP backend
-    /// (`None` restores the exact-engine base).
-    pub fn with_lp_backend(mut self, backend: Option<BackendKind>) -> Self {
-        self.lp_backend = backend;
-        self
-    }
-
     /// A copy with a different number of cross-validation plans per
     /// schedulable set (`0` disables cross-validation).
     pub fn with_cross_validate(mut self, plans: usize) -> Self {
@@ -240,13 +169,6 @@ impl AnalysisConfig {
     /// A copy with certificate emission enabled or disabled.
     pub fn with_emit_certs(mut self, emit: bool) -> Self {
         self.emit_certs = emit;
-        self
-    }
-
-    /// A copy with the branch-and-bound rescue enabled on `jobs` workers
-    /// (`0` disables it).
-    pub fn with_bnb_jobs(mut self, jobs: usize) -> Self {
-        self.bnb_jobs = jobs;
         self
     }
 }
@@ -271,28 +193,15 @@ mod tests {
             cache: Some(false),
             audit: Some(true),
             max_states: Some(7),
-            lp_backend: Some(BackendKind::Revised),
             cross_validate: Some(5),
             emit_certs: Some(true),
-            bnb_jobs: Some(2),
-            bnb_lp_depth: Some(3),
         });
         assert_eq!(cfg.jobs, 3);
         assert!(!cfg.cache);
         assert!(cfg.audit);
         assert_eq!(cfg.max_states, 7);
-        assert_eq!(cfg.lp_backend, Some(BackendKind::Revised));
         assert_eq!(cfg.cross_validate, 5);
         assert!(cfg.emit_certs);
-        assert_eq!(cfg.bnb_jobs, 2);
-        assert_eq!(cfg.bnb_lp_depth, 3);
-    }
-
-    #[test]
-    fn lp_backend_defaults_to_none() {
-        assert_eq!(AnalysisConfig::default().lp_backend, None);
-        let cfg = AnalysisConfig::default().with_lp_backend(Some(BackendKind::Dense));
-        assert_eq!(cfg.lp_backend, Some(BackendKind::Dense));
     }
 
     #[test]
@@ -320,14 +229,6 @@ mod tests {
     #[test]
     fn cross_validate_defaults_off() {
         assert_eq!(AnalysisConfig::default().cross_validate, 0);
-    }
-
-    #[test]
-    fn bnb_defaults_off() {
-        let cfg = AnalysisConfig::default();
-        assert_eq!(cfg.bnb_jobs, 0);
-        assert_eq!(cfg.bnb_lp_depth, 0);
-        assert_eq!(AnalysisConfig::default().with_bnb_jobs(4).bnb_jobs, 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! place, from one [`AnalysisConfig`], as plain decorator layers:
 //!
 //! ```text
-//! CachedEngine           (cfg.cache — window-level delay-bound memo)
+//! SharedCachedEngine     (cfg.cache — window-level delay-bound memo)
 //!   └─ AuditedEngine     (cfg.audit — cross-check vs audited MILP)
 //!        └─ ExactEngine  (always — memoized-DP base, cfg.max_states)
 //! ```
@@ -20,11 +20,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pmcs_core::bnb::BnbConfig;
+use pmcs_core::cache::DEFAULT_CAPACITY;
 use pmcs_core::wcrt::DelayBound;
 use pmcs_core::{
-    BackendKind, CacheStats, CachedEngine, CoreError, DelayEngine, ExactEngine, MilpEngine,
-    SharedCachedEngine, SharedDelayCache, SolverStats, WindowModel,
+    CacheStats, CoreError, DelayEngine, ExactEngine, MilpEngine, SharedCachedEngine,
+    SharedDelayCache, SolverStats, WindowModel,
 };
 
 use crate::config::AnalysisConfig;
@@ -48,24 +48,6 @@ pub trait StackEngine: DelayEngine + Send {
 impl StackEngine for ExactEngine {
     fn solver_stats(&self) -> SolverStats {
         self.solver_stats()
-    }
-}
-
-impl StackEngine for MilpEngine {
-    fn solver_stats(&self) -> SolverStats {
-        self.solver_stats()
-    }
-}
-
-impl<E: StackEngine> StackEngine for CachedEngine<E> {
-    fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.stats();
-        stats.merge(self.inner().cache_stats());
-        stats
-    }
-
-    fn solver_stats(&self) -> SolverStats {
-        self.inner().solver_stats()
     }
 }
 
@@ -102,7 +84,8 @@ impl StackEngine for Box<dyn StackEngine> {
 
 /// Decorator that cross-checks every delay bound against the paper's
 /// MILP formulation solved in audited mode (exact rational arithmetic,
-/// see [`pmcs_milp::audit`]).
+/// see [`pmcs_milp::audit`]). The MILP pipeline shares nothing with the
+/// exact DP engine it checks but the [`WindowModel`].
 ///
 /// * Both bounds exact → they must agree tick-for-tick.
 /// * Inner bound inexact (budget fallback) → it must still dominate the
@@ -173,21 +156,6 @@ impl<E: StackEngine> StackEngine for AuditedEngine<E> {
     }
 }
 
-/// Effort gate for the MILP stack base: windows whose formulation has
-/// more integral variables than this are not solved — the engine
-/// substitutes the formulation's deterministic safe delay cap instead
-/// (see `MilpEngine::bin_budget`). Calibrated on the Figure 2 workloads,
-/// where windows below this size solve in at most a few thousand
-/// branch-and-bound nodes and windows above it exhaust any node budget
-/// (the big-M relaxation cannot prune the symmetric placement tree).
-const MILP_BASE_BIN_BUDGET: usize = 60;
-
-/// Node budget backstop for gated sweeps: generous headroom over the
-/// worst observed node count (< 2 000) for windows under
-/// [`MILP_BASE_BIN_BUDGET`], so both LP backends solve every admitted
-/// window to proven optimality and agree on every verdict.
-const MILP_BASE_MAX_NODES: usize = 20_000;
-
 /// The assembled engine stack: a boxed pile of [`StackEngine`] layers
 /// built by [`EngineStack::build`] from one [`AnalysisConfig`].
 ///
@@ -196,99 +164,38 @@ const MILP_BASE_MAX_NODES: usize = 20_000;
 /// per worker (see [`AnalysisContext`](crate::AnalysisContext)).
 pub struct EngineStack {
     engine: Box<dyn StackEngine>,
-    layers: &'static str,
+    layers: String,
 }
 
 impl EngineStack {
-    /// Assembles the stack described by `cfg` with a private (per-stack)
-    /// window cache when `cfg.cache` is on.
-    ///
-    /// `cfg.lp_backend` picks the base: `None` keeps the exact
-    /// combinatorial engine, `Some(kind)` substitutes the MILP engine on
-    /// that LP backend (with the revised backend this is the incremental
-    /// presolve-once / warm-start pipeline).
+    /// Assembles the stack described by `cfg`; the window-cache layer
+    /// (when `cfg.cache` is on) gets a private one-shard cache.
     pub fn build(cfg: &AnalysisConfig) -> Self {
-        Self::assemble(cfg, None)
+        let private = SharedDelayCache::with_config(1, DEFAULT_CAPACITY);
+        Self::build_with_cache(cfg, Arc::new(private))
     }
 
     /// Like [`build`](EngineStack::build), but the window-cache layer
-    /// (when `cfg.cache` is on) reads and writes `shared` instead of a
-    /// private map, so every stack handed the same `Arc` — bench workers,
-    /// server threads — shares one warm cache. Bounds are
-    /// content-addressed, so results are identical either way; only
-    /// hit/miss telemetry depends on who solved a window first. With
-    /// `cfg.cache` off the `Arc` is ignored.
+    /// (when `cfg.cache` is on) reads and writes `shared`, so every stack
+    /// handed the same `Arc` — bench workers, server threads — shares one
+    /// warm cache. Bounds are content-addressed, so results are
+    /// identical either way; only hit/miss telemetry depends on who
+    /// solved a window first. With `cfg.cache` off the `Arc` is ignored.
     pub fn build_with_cache(cfg: &AnalysisConfig, shared: Arc<SharedDelayCache>) -> Self {
-        Self::assemble(cfg, Some(shared))
-    }
-
-    fn assemble(cfg: &AnalysisConfig, shared: Option<Arc<SharedDelayCache>>) -> Self {
-        // The audited (but uncached) pile plus its layer names with and
-        // without the cache wrapper; the cache layer itself is decided
-        // once, below, so private and shared caching cannot drift.
-        let (inner, plain, cached): (Box<dyn StackEngine>, &'static str, &'static str) =
-            match cfg.lp_backend {
-                None => {
-                    let mut base = ExactEngine::with_max_states(cfg.max_states);
-                    // Branch-and-bound rescues are exact but carry no
-                    // replayable DP table, so certificate runs force the
-                    // rescue off and keep the certifiable fallback cap.
-                    let bnb = cfg.bnb_jobs > 0 && !cfg.emit_certs;
-                    if bnb {
-                        base = base.with_branch_and_bound(BnbConfig {
-                            jobs: cfg.bnb_jobs,
-                            lp_depth: cfg.bnb_lp_depth,
-                            ..BnbConfig::default()
-                        });
-                    }
-                    match (cfg.audit, bnb) {
-                        (false, false) => (Box::new(base) as _, "exact", "cached(exact)"),
-                        (false, true) => (Box::new(base) as _, "exact+bnb", "cached(exact+bnb)"),
-                        (true, false) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(exact)",
-                            "cached(audited(exact))",
-                        ),
-                        (true, true) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(exact+bnb)",
-                            "cached(audited(exact+bnb))",
-                        ),
-                    }
-                }
-                Some(kind) => {
-                    let mut base = MilpEngine::new()
-                        .with_backend(kind)
-                        .with_bin_budget(Some(MILP_BASE_BIN_BUDGET));
-                    base.limits.max_nodes = MILP_BASE_MAX_NODES;
-                    match (cfg.audit, kind) {
-                        (false, BackendKind::Dense) => {
-                            (Box::new(base) as _, "milp:dense", "cached(milp:dense)")
-                        }
-                        (false, BackendKind::Revised) => {
-                            (Box::new(base) as _, "milp:revised", "cached(milp:revised)")
-                        }
-                        (true, BackendKind::Dense) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(milp:dense)",
-                            "cached(audited(milp:dense))",
-                        ),
-                        (true, BackendKind::Revised) => (
-                            Box::new(AuditedEngine::new(base)) as _,
-                            "audited(milp:revised)",
-                            "cached(audited(milp:revised))",
-                        ),
-                    }
-                }
-            };
-        let (engine, layers): (Box<dyn StackEngine>, &'static str) = match (cfg.cache, shared) {
-            (false, _) => (inner, plain),
-            (true, None) => (Box::new(CachedEngine::new(inner)) as _, cached),
-            (true, Some(shared)) => (
-                Box::new(SharedCachedEngine::new(inner, shared)) as _,
-                cached,
-            ),
-        };
+        // Each layer wraps the pile once and names itself around the
+        // name of what it wraps, so the description cannot drift from
+        // the composition.
+        let mut engine: Box<dyn StackEngine> =
+            Box::new(ExactEngine::with_max_states(cfg.max_states));
+        let mut layers = String::from("exact");
+        if cfg.audit {
+            engine = Box::new(AuditedEngine::new(engine));
+            layers = format!("audited({layers})");
+        }
+        if cfg.cache {
+            engine = Box::new(SharedCachedEngine::new(engine, shared));
+            layers = format!("cached({layers})");
+        }
         EngineStack { engine, layers }
     }
 
@@ -303,8 +210,8 @@ impl EngineStack {
     }
 
     /// Human-readable layer composition, outermost first.
-    pub fn layers(&self) -> &'static str {
-        self.layers
+    pub fn layers(&self) -> &str {
+        &self.layers
     }
 }
 
@@ -322,17 +229,15 @@ impl fmt::Debug for EngineStack {
     }
 }
 
-/// Builds the MILP engine the way the stack would: solver limits at
-/// their defaults, audited mode from `cfg.audit`, LP backend from
-/// `cfg.lp_backend` (the dense reference backend when unset). The
-/// `pmcs-audit` CLI uses this instead of assembling engines by hand.
+/// Builds the MILP engine `cfg` asks for: solver limits at their
+/// defaults, audited mode from `cfg.audit`. The `pmcs-audit` CLI uses
+/// this instead of assembling engines by hand.
 pub fn milp_engine(cfg: &AnalysisConfig) -> MilpEngine {
-    let engine = if cfg.audit {
+    if cfg.audit {
         MilpEngine::audited()
     } else {
         MilpEngine::new()
-    };
-    engine.with_backend(cfg.lp_backend.unwrap_or_default())
+    }
 }
 
 #[cfg(test)]
@@ -421,29 +326,36 @@ mod tests {
     }
 
     #[test]
-    fn layer_descriptions_match_configuration() {
-        let cfg = AnalysisConfig {
-            cache: true,
-            audit: true,
-            ..AnalysisConfig::default()
-        };
-        assert_eq!(EngineStack::build(&cfg).layers(), "cached(audited(exact))");
-        assert!(format!("{:?}", EngineStack::build(&cfg)).contains("cached"));
+    fn layer_names_follow_the_wrapping_order() {
+        for (cache, audit, expected) in [
+            (false, false, "exact"),
+            (true, false, "cached(exact)"),
+            (false, true, "audited(exact)"),
+            (true, true, "cached(audited(exact))"),
+        ] {
+            let cfg = AnalysisConfig {
+                cache,
+                audit,
+                ..AnalysisConfig::default()
+            };
+            let stack = EngineStack::build(&cfg);
+            assert_eq!(stack.layers(), expected);
+            assert!(format!("{stack:?}").contains(expected));
+        }
     }
 
     #[test]
-    fn bnb_stacks_agree_and_certificate_runs_force_the_rescue_off() {
+    fn shared_cache_is_reused_across_stacks() {
+        let cfg = AnalysisConfig::default();
+        let shared = Arc::new(SharedDelayCache::default());
+        let a = EngineStack::build_with_cache(&cfg, Arc::clone(&shared));
+        let b = EngineStack::build_with_cache(&cfg, Arc::clone(&shared));
         let w = demo_window();
-        let reference = ExactEngine::default()
-            .max_total_delay(&w)
-            .expect("engine result");
-        let cfg = AnalysisConfig::default().with_bnb_jobs(2).with_cache(false);
-        let stack = EngineStack::build(&cfg);
-        assert_eq!(stack.layers(), "exact+bnb");
-        let bound = stack.max_total_delay(&w).expect("stack result");
-        assert_eq!(bound.delay, reference.delay);
-        let certifying = EngineStack::build(&cfg.with_emit_certs(true));
-        assert_eq!(certifying.layers(), "exact", "emit-certs must drop bnb");
+        let first = a.max_total_delay(&w).expect("stack result");
+        let second = b.max_total_delay(&w).expect("stack result");
+        assert_eq!(first.delay, second.delay);
+        assert_eq!(b.cache_stats().hits, 1, "the second stack hits");
+        assert_eq!(shared.len(), 1);
     }
 
     #[test]
@@ -457,75 +369,24 @@ mod tests {
     }
 
     #[test]
-    fn milp_engine_honors_lp_backend() {
-        assert_eq!(
-            milp_engine(&AnalysisConfig::default()).backend,
-            BackendKind::Dense
-        );
-        let cfg = AnalysisConfig {
-            lp_backend: Some(BackendKind::Revised),
-            ..AnalysisConfig::default()
-        };
-        assert_eq!(milp_engine(&cfg).backend, BackendKind::Revised);
-    }
-
-    #[test]
-    fn milp_based_stacks_agree_with_the_exact_base() {
-        let w = demo_window();
-        let reference = ExactEngine::default()
-            .max_total_delay(&w)
-            .expect("engine result");
-        for backend in [BackendKind::Dense, BackendKind::Revised] {
-            let cfg = AnalysisConfig {
-                lp_backend: Some(backend),
-                ..AnalysisConfig::default()
-            };
-            let stack = EngineStack::build(&cfg);
-            let bound = stack.max_total_delay(&w).expect("stack result");
-            assert_eq!(bound.delay, reference.delay, "stack {}", stack.layers());
-        }
-    }
-
-    #[test]
-    fn milp_layer_strings_name_the_backend() {
-        for (cache, audit, backend, expected) in [
-            (true, false, BackendKind::Dense, "cached(milp:dense)"),
-            (false, false, BackendKind::Revised, "milp:revised"),
-            (
-                true,
-                true,
-                BackendKind::Revised,
-                "cached(audited(milp:revised))",
-            ),
-        ] {
-            let cfg = AnalysisConfig {
-                cache,
-                audit,
-                lp_backend: Some(backend),
-                ..AnalysisConfig::default()
-            };
-            assert_eq!(EngineStack::build(&cfg).layers(), expected);
-        }
-    }
-
-    #[test]
     fn solver_stats_flow_through_the_stack() {
-        let cfg = AnalysisConfig {
-            lp_backend: Some(BackendKind::Revised),
-            cache: false,
-            ..AnalysisConfig::default()
-        };
-        let stack = EngineStack::build(&cfg);
-        assert!(stack.solver_stats().is_empty());
-        let _ = stack.max_total_delay(&demo_window()).expect("stack result");
-        let stats = stack.solver_stats();
-        assert!(stats.lp_solves > 0, "stats not threaded: {stats}");
-        // The exact base reports its search nodes through the same shape.
         let exact = EngineStack::build(&AnalysisConfig {
             cache: false,
             ..AnalysisConfig::default()
         });
+        assert!(exact.solver_stats().is_empty());
         let _ = exact.max_total_delay(&demo_window()).expect("stack result");
         assert!(exact.solver_stats().bb_nodes > 0);
+        // The audit layer adds its reference MILP's LP effort.
+        let audited = EngineStack::build(&AnalysisConfig {
+            cache: false,
+            audit: true,
+            ..AnalysisConfig::default()
+        });
+        let _ = audited
+            .max_total_delay(&demo_window())
+            .expect("stack result");
+        let stats = audited.solver_stats();
+        assert!(stats.lp_solves > 0, "stats not threaded: {stats}");
     }
 }

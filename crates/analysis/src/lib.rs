@@ -16,7 +16,7 @@
 //!                        │                 │
 //!        EngineStack::build (per worker)   │
 //!                        ▼                 ▼
-//!   CachedEngine ▸ AuditedEngine ▸ ExactEngine     Registry::standard()
+//! SharedCachedEngine ▸ AuditedEngine ▸ ExactEngine  Registry::standard()
 //!                        │                 │
 //!                        └── AnalysisContext ── Analyzer::analyze_with
 //!                                          │
@@ -61,7 +61,6 @@ pub use analyzer::{AnalysisContext, Analyzer};
 pub use approaches::{NpsAnalyzer, ProposedAnalyzer, WpAnalyzer, WpMilpAnalyzer};
 pub use config::{
     AnalysisConfig, CliOverrides, CROSS_VALIDATE_ENV_VAR, EMIT_CERTS_ENV_VAR, JOBS_ENV_VAR,
-    LP_BACKEND_ENV_VAR,
 };
 pub use cross_validate::{
     cross_validate, cross_validate_bounds, cross_validate_bounds_in, cross_validate_report,

@@ -2,7 +2,7 @@
 //! differentials (contention-free and `M = 1` platforms are
 //! byte-identical to the legacy single-core path, down to cache
 //! counters and certificates), zero-refutation cross-validation of a
-//! regulated two-core platform on every LP backend, a negative test
+//! regulated two-core platform, a negative test
 //! showing the arbiter refutes a deliberately weakened inflation
 //! bound, and a property test that simulated bus service times never
 //! exceed the analytical inflation.
@@ -14,7 +14,7 @@ use pmcs_analysis::{
     ContentionAware, ProposedAnalyzer, RefutationKind,
 };
 use pmcs_cert::{encode_certificate_set, CertificateSet, UpperProof};
-use pmcs_core::{certify_task_set, BackendKind, ExactEngine, Inflation};
+use pmcs_core::{certify_task_set, ExactEngine, Inflation};
 use pmcs_model::{BusModel, CoreId, Phase, Platform, TaskId, TaskSet, Time};
 use pmcs_sim::bus::TransferReq;
 use pmcs_workload::{adversarial_specs, TaskSetConfig, TaskSetGenerator};
@@ -115,28 +115,17 @@ fn two_core_platform() -> Platform {
 }
 
 #[test]
-fn two_core_cross_validation_is_clean_on_every_backend() {
+fn two_core_cross_validation_is_clean() {
     let platform = two_core_platform();
-    let backends = [None, Some(BackendKind::Dense), Some(BackendKind::Revised)];
-    for backend in backends {
-        let cfg = AnalysisConfig::default().with_lp_backend(backend);
-        let ctx = AnalysisContext::new(&cfg);
-        let pv = cross_validate_platform(&platform, "proposed", 2, 0x5eed_0001, &ctx)
-            .expect("platform validation");
-        assert!(
-            pv.schedulable(),
-            "backend {backend:?}: inflated sets should be schedulable in this regime"
-        );
-        assert!(
-            pv.transfers_checked > 0,
-            "backend {backend:?}: the bus layer never ran"
-        );
-        assert!(
-            pv.clean(),
-            "backend {backend:?}: refutations: {:?}",
-            pv.refutations()
-        );
-    }
+    let ctx = AnalysisContext::new(&AnalysisConfig::default());
+    let pv = cross_validate_platform(&platform, "proposed", 2, 0x5eed_0001, &ctx)
+        .expect("platform validation");
+    assert!(
+        pv.schedulable(),
+        "inflated sets should be schedulable in this regime"
+    );
+    assert!(pv.transfers_checked > 0, "the bus layer never ran");
+    assert!(pv.clean(), "refutations: {:?}", pv.refutations());
 }
 
 /// Two starved cores colliding on the bus: the hard-regulation arbiter

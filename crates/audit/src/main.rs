@@ -108,8 +108,6 @@ OPTIONS:
                      (partition)                           [default: first-fit]
     --period <P>     bus replenishment period in ticks (partition)
     --budget <Q>     uniform per-core bus budget in ticks (partition)
-    --lp-backend <B> LP backend: dense | revised (milp/analyze/simulate;
-                     beats PMCS_LP_BACKEND)
     --corrupt <K>    cert emit: corrupt the bundle before printing
     --out <FILE>     cert emit: write the bundle here instead of stdout
     -h, --help       print this help
@@ -152,7 +150,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positionals: Vec<String> = Vec::new();
     let mut opts = Options::default();
-    let mut cli = CliOverrides::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -160,17 +157,6 @@ fn main() -> ExitCode {
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
-            }
-            "--lp-backend" => {
-                let Some(value) = it.next() else {
-                    eprintln!("error: --lp-backend requires dense|revised");
-                    return ExitCode::FAILURE;
-                };
-                let Some(kind) = pmcs_core::BackendKind::parse(value) else {
-                    eprintln!("error: unknown LP backend {value:?}; use dense|revised");
-                    return ExitCode::FAILURE;
-                };
-                cli.lp_backend = Some(kind);
             }
             "--seed" | "--tasks" | "--util" | "--plans" | "--cores" | "--heuristic"
             | "--period" | "--budget" | "--corrupt" | "--out" => {
@@ -241,9 +227,9 @@ fn main() -> ExitCode {
     }
 
     // Resolve the typed analysis configuration exactly once, at the CLI
-    // edge: environment knobs (PMCS_AUDIT, PMCS_JOBS, PMCS_LP_BACKEND)
-    // are honored here and nowhere deeper in the stack.
-    let cfg = AnalysisConfig::resolve(&cli);
+    // edge: environment knobs (PMCS_AUDIT, PMCS_JOBS) are honored here
+    // and nowhere deeper in the stack.
+    let cfg = AnalysisConfig::resolve(&CliOverrides::default());
 
     if !matches!(command.as_deref(), Some("cert") | Some("serve-replay")) && positionals.len() > 1 {
         eprintln!("error: unexpected argument {:?}\n\n{USAGE}", positionals[1]);
@@ -372,9 +358,9 @@ fn corrupt_copy_in(result: &SimResult) -> Option<(SimResult, pmcs_model::JobId)>
 fn cmd_milp(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     let set = demo_set(opts);
     let engine = milp_engine(cfg);
-    // The audit always verifies against the original problem, so the
-    // backend choice only changes how the candidate solution is found.
-    let solver = Solver::new().with_backend(cfg.lp_backend.unwrap_or_default());
+    // The audit always verifies against the original problem, not the
+    // presolved one the solver actually searched.
+    let solver = Solver::new();
     let mut failed = false;
 
     for task in set.iter() {

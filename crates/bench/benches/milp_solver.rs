@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pmcs_core::window::{test_task, WindowCase, WindowModel};
 use pmcs_core::{DelayEngine, ExactEngine, MilpEngine};
-use pmcs_milp::{Cmp, LinExpr, Problem, Simplex, Solver};
+use pmcs_milp::{Cmp, LinExpr, Problem, RevisedSimplex, Solver};
 use pmcs_model::{TaskId, TaskSet, Time};
 
 fn window(n_tasks: u32, t: i64) -> WindowModel {
@@ -46,8 +46,13 @@ fn bench_lp(c: &mut Criterion) {
             obj += LinExpr::from(*v);
         }
         p.set_objective(obj);
+        let bounds: Vec<(f64, f64)> = p.vars().map(|v| p.var_bounds(v)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(size), &p, |b, p| {
-            b.iter(|| Simplex::new().solve(p).unwrap());
+            b.iter(|| {
+                RevisedSimplex::default()
+                    .solve_with_bounds(p, &bounds, None)
+                    .unwrap()
+            });
         });
     }
     group.finish();

@@ -5,21 +5,15 @@
 //! ```text
 //! cargo run --release -p pmcs-bench --bin fig2 -- <a|b|c|d|e|f|all> \
 //!     [--sets N] [--seed S] [--jobs N] [--no-cache] [--audit] \
-//!     [--lp-backend dense|revised] [--cross-validate N] [--baseline] \
-//!     [--emit-certs]
+//!     [--cross-validate N] [--baseline] [--emit-certs]
 //! ```
 //!
 //! Execution knobs resolve through `AnalysisConfig::resolve` at this CLI
 //! edge (flag > environment > default): `--jobs N` beats `PMCS_JOBS`
-//! beats all cores, `--audit` beats `PMCS_AUDIT`, `--lp-backend` beats
-//! `PMCS_LP_BACKEND`; results are byte-identical for every thread count.
-//! `--no-cache` disables the window-level delay-bound cache.
-//! `--lp-backend` swaps the engine-stack base from the exact
-//! combinatorial engine to the MILP engine on the named LP backend;
-//! `revised` additionally reruns every inset on the dense reference
-//! backend, asserts the rows are identical, and records the dense vs.
-//! revised wall-clock comparison plus warm-start statistics in
-//! `BENCH_fig2.json`. `--cross-validate N` (or `PMCS_CROSS_VALIDATE`)
+//! beats all cores, `--audit` beats `PMCS_AUDIT`; results are
+//! byte-identical for every thread count. `--no-cache` disables the
+//! window-level delay-bound cache. `--cross-validate N` (or
+//! `PMCS_CROSS_VALIDATE`)
 //! simulates every analyzed set under `N` adversarial release plans per
 //! approach, validates the traces, and checks observed worst responses
 //! against the analytical WCRT bounds; any refutation is printed as a
@@ -48,7 +42,7 @@ use pmcs_bench::{
     ascii_chart, certify_sweep, fig2_inset, sweep_with, write_csv, CertSummary, Fig2Inset,
     PerfPoint, PerfRecord,
 };
-use pmcs_core::{BackendKind, CacheStats, SolverStats};
+use pmcs_core::{CacheStats, SolverStats};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,13 +75,6 @@ fn main() {
             }
             "--no-cache" => cli.cache = Some(false),
             "--audit" => cli.audit = Some(true),
-            "--lp-backend" => {
-                let v = it.next().expect("--lp-backend needs dense|revised");
-                cli.lp_backend = Some(
-                    BackendKind::parse(v)
-                        .unwrap_or_else(|| panic!("unknown LP backend '{v}'; use dense|revised")),
-                );
-            }
             "--cross-validate" => {
                 cli.cross_validate = Some(
                     it.next()
@@ -126,16 +113,12 @@ fn main() {
         let inset_started = Instant::now();
         let points = fig2_inset(inset);
         println!(
-            "=== Figure 2({}) — {} [{} sets/point, seed {seed}, {} jobs, cache {}, engine {}] ===",
+            "=== Figure 2({}) — {} [{} sets/point, seed {seed}, {} jobs, cache {}] ===",
             inset.letter(),
             inset.description(),
             sets_per_point,
             cfg.jobs,
             if cfg.cache { "on" } else { "off" },
-            match cfg.lp_backend {
-                Some(kind) => kind.name(),
-                None => "exact",
-            },
         );
         let outcome = sweep_with(&points, sets_per_point, seed, &registry, &cfg);
         println!(
@@ -195,62 +178,10 @@ fn main() {
     perf.extra_num("sets_per_point", sets_per_point as f64);
     perf.extra_num("analysis_failures", failures as f64);
     perf.extra_str("cache_enabled", if cfg.cache { "yes" } else { "no" });
-    perf.extra_str(
-        "engine",
-        match cfg.lp_backend {
-            Some(kind) => kind.name(),
-            None => "exact",
-        },
-    );
     for (label, stats) in &solver_by_label {
         perf.extra_solver(&format!("solver_{label}"), *stats);
     }
     perf.extra_sim(&sim);
-
-    if cfg.lp_backend == Some(BackendKind::Revised) {
-        // Differential rerun on the dense reference backend: the revised
-        // pipeline (presolve + warm starts) must not change a single row,
-        // and the wall-clock comparison goes into the perf record.
-        let dense_cfg = cfg.clone().with_lp_backend(Some(BackendKind::Dense));
-        let dense_started = Instant::now();
-        let mut dense_solver = SolverStats::default();
-        for (inset, rows) in &rows_by_inset {
-            let points = fig2_inset(*inset);
-            let dense = sweep_with(&points, sets_per_point, seed, &registry, &dense_cfg);
-            assert_eq!(
-                &dense.rows,
-                rows,
-                "fig2{}: dense and revised LP backends must produce identical rows",
-                inset.letter()
-            );
-            for stats in &dense.solver {
-                dense_solver.merge(*stats);
-            }
-        }
-        let dense_secs = dense_started.elapsed().as_secs_f64();
-        let revised_secs = perf.wall_secs;
-        let revised_total =
-            solver_by_label
-                .iter()
-                .fold(SolverStats::default(), |mut acc, (_, s)| {
-                    acc.merge(*s);
-                    acc
-                });
-        perf.extra_num("dense_secs", dense_secs);
-        perf.extra_num("revised_secs", revised_secs);
-        perf.extra_num(
-            "dense_vs_revised_speedup",
-            dense_secs / revised_secs.max(1e-9),
-        );
-        perf.extra_solver("solver_dense_total", dense_solver);
-        perf.extra_solver("solver_revised_total", revised_total);
-        println!(
-            "dense backend rerun: {dense_secs:.1}s vs revised {revised_secs:.1}s \
-             ({:.2}× speedup, warm-start hit rate {:.0}%, rows identical)",
-            dense_secs / revised_secs.max(1e-9),
-            revised_total.warm_hit_rate() * 100.0,
-        );
-    }
 
     if baseline {
         // Rerun single-threaded and uncached for the speedup record, and

@@ -6,7 +6,7 @@
 //! cargo run --release -p pmcs-bench --bin multicore -- \
 //!     [--cores M] [--sets N] [--seed S] [--period TICKS] \
 //!     [--util U] [--gamma G] [--jobs N] [--no-cache] \
-//!     [--lp-backend dense|revised] [--cross-validate N]
+//!     [--cross-validate N]
 //! ```
 //!
 //! Sweeps per-core regulation budgets (fractions of the fair share
@@ -33,7 +33,6 @@ use pmcs_bench::report::text_table;
 use pmcs_bench::{
     ascii_chart, sweep_multicore, write_csv, MulticoreConfig, PerfPoint, PerfRecord, SweepRow,
 };
-use pmcs_core::BackendKind;
 use pmcs_model::Time;
 
 fn main() {
@@ -100,13 +99,6 @@ fn main() {
                 );
             }
             "--no-cache" => cli.cache = Some(false),
-            "--lp-backend" => {
-                let v = it.next().expect("--lp-backend needs dense|revised");
-                cli.lp_backend = Some(
-                    BackendKind::parse(v)
-                        .unwrap_or_else(|| panic!("unknown LP backend '{v}'; use dense|revised")),
-                );
-            }
             "--cross-validate" => {
                 plans_flag = Some(
                     it.next()
@@ -197,13 +189,6 @@ fn main() {
     perf.extra_str(
         "cache_enabled",
         if mc.analysis.cache { "yes" } else { "no" },
-    );
-    perf.extra_str(
-        "engine",
-        match mc.analysis.lp_backend {
-            Some(kind) => kind.name(),
-            None => "exact",
-        },
     );
     perf.extra_solver("solver_total", out.solver);
     perf.extra_sim(&out.sim);

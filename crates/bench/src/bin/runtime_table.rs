@@ -28,13 +28,11 @@
 //! nonzero.
 //!
 //! Usage: `cargo run --release -p pmcs-bench --bin runtime_table -- \
-//!     [--sets N] [--n N] [--jobs N] [--bnb-jobs N] [--bnb-lp-depth N] \
-//!     [--no-cache] [--cross-validate N] [--emit-certs]`
+//!     [--sets N] [--n N] [--jobs N] [--no-cache] [--cross-validate N] \
+//!     [--emit-certs]`
 //!
 //! `--n N` restricts the sweep to the configurations with exactly `N`
 //! tasks per set (repeatable); the default sweeps n ∈ {4, 6, 8, 10, 12}.
-//! `--bnb-jobs N` enables the exact engine's parallel branch-and-bound
-//! rescue on `N` workers for windows that exhaust the memo budget.
 //!
 //! `--sets N` is the *base* sample count: configurations with n ≤ 6
 //! analyze `N` sets each, n = 8 analyzes `max(1, N/8)`, and n ≥ 10
@@ -92,20 +90,6 @@ fn main() {
             "--n" => only_n.push(args.next().and_then(|v| v.parse().ok()).expect("--n N")),
             "--jobs" => {
                 cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
-            }
-            "--bnb-jobs" => {
-                cli.bnb_jobs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--bnb-jobs N"),
-                );
-            }
-            "--bnb-lp-depth" => {
-                cli.bnb_lp_depth = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--bnb-lp-depth N"),
-                );
             }
             "--no-cache" => cli.cache = Some(false),
             "--cross-validate" => {
@@ -260,7 +244,6 @@ fn main() {
         .collect::<Vec<_>>()
         .join(" ");
     perf.extra_str("max_states_schedule", &memo_schedule);
-    perf.extra_num("bnb_jobs", cfg.bnb_jobs as f64);
     perf.extra_num("analysis_failures", failures as f64);
     perf.extra_str("cache_enabled", if cfg.cache { "yes" } else { "no" });
     perf.extra_sim(&sim);

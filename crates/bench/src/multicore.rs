@@ -54,7 +54,7 @@ pub struct MulticoreConfig {
     /// Adversarial plans per schedulable first-fit partition
     /// (`0` disables cross-validation).
     pub plans: usize,
-    /// Engine-stack configuration (jobs, cache, LP backend, …).
+    /// Engine-stack configuration (jobs, cache, audit, …).
     pub analysis: AnalysisConfig,
 }
 

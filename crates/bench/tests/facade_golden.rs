@@ -11,7 +11,9 @@
 use pmcs_analysis::{AnalysisConfig, Registry};
 use pmcs_baselines::{NpsAnalysis, WpAnalysis};
 use pmcs_bench::{csv_string, fig2_inset, sweep_with, Fig2Inset, SweepPoint, SweepRow};
-use pmcs_core::{analyze_task_set, CachedEngine, DelayEngine, ExactEngine};
+use std::sync::Arc;
+
+use pmcs_core::{analyze_task_set, DelayEngine, ExactEngine, SharedCachedEngine, SharedDelayCache};
 use pmcs_workload::{derive_seed, TaskSetGenerator};
 
 /// The pre-refactor `evaluate_set`, reproduced exactly — note the
@@ -29,7 +31,10 @@ fn legacy_evaluate_set(set: &pmcs_model::TaskSet, engine: &impl DelayEngine) -> 
 /// The pre-refactor single-threaded sweep loop: one cached engine reused
 /// across all sets, win counts per point, ratios over `sets_per_point`.
 fn legacy_sweep(points: &[SweepPoint], sets_per_point: usize, base_seed: u64) -> Vec<SweepRow> {
-    let engine = CachedEngine::new(ExactEngine::default());
+    let engine = SharedCachedEngine::new(
+        ExactEngine::default(),
+        Arc::new(SharedDelayCache::default()),
+    );
     points
         .iter()
         .enumerate()

@@ -129,7 +129,7 @@ pub struct CertWindowTask {
 /// Task identifiers are deliberately absent — the window's meaning is
 /// fully determined by phase durations, markings, priorities, and
 /// budgets, matching the content addressing of the production
-/// `DelayCache`.
+/// `SharedDelayCache`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertWindow {
     /// Analysis case.

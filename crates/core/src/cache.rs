@@ -9,8 +9,10 @@
 //! window length only through the per-task job budgets `η_j(t) + 1`, which
 //! plateau between iterations — so their bounds can be memoized.
 //!
-//! [`CachedEngine`] wraps any [`DelayEngine`] with a [`DelayCache`]: a map
-//! from a canonical [`WindowKey`] to the engine's [`DelayBound`]. The key
+//! [`SharedCachedEngine`] wraps any [`DelayEngine`] with a
+//! [`SharedDelayCache`]: a sharded map from a canonical [`WindowKey`] to
+//! the engine's [`DelayBound`], shared by every engine handed the same
+//! `Arc` (a one-shard cache serves a single engine privately). The key
 //! captures exactly the data a delay engine may consume (case, interval
 //! count, per-task phases/budgets/markings, boundary terms) and *nothing
 //! else* — task identifiers are deliberately excluded, and priorities are
@@ -37,13 +39,13 @@
 //!
 //! Two windows with equal keys are indistinguishable to a correct engine,
 //! so serving a memoized [`DelayBound`] never changes analysis results;
-//! `CachedEngine` is property-tested against its inner engine in
+//! `SharedCachedEngine` is property-tested against its inner engine in
 //! `tests/cache_consistency.rs`. The only observable difference is the
 //! `nodes` effort counter of a hit (the stored value is returned).
 //!
 //! [`promotion_affects`]: crate::schedulability::promotion_affects
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -147,7 +149,7 @@ impl WindowKey {
     }
 }
 
-/// Hit/miss/eviction counters of a [`DelayCache`] or [`SharedDelayCache`].
+/// Hit/miss/eviction counters of a [`SharedDelayCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -191,162 +193,6 @@ impl fmt::Display for CacheStats {
             self.misses,
             self.hit_rate() * 100.0
         )
-    }
-}
-
-/// Memo of window delay bounds, keyed by [`WindowKey`].
-///
-/// Entries never go stale (keys are content-addressed), so the only
-/// eviction is a wholesale [`clear`](DelayCache::clear) when the entry
-/// budget is exceeded — a rare event that bounds memory without
-/// affecting results.
-#[derive(Debug, Clone)]
-pub struct DelayCache {
-    map: HashMap<WindowKey, DelayBound>,
-    stats: CacheStats,
-    max_entries: usize,
-}
-
-impl Default for DelayCache {
-    fn default() -> Self {
-        DelayCache::with_capacity(1 << 20)
-    }
-}
-
-impl DelayCache {
-    /// Creates a cache that clears itself after `max_entries` entries.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        DelayCache {
-            map: HashMap::new(),
-            stats: CacheStats::default(),
-            max_entries: max_entries.max(1),
-        }
-    }
-
-    /// Looks up a window, counting the outcome.
-    pub fn get(&mut self, key: &WindowKey) -> Option<DelayBound> {
-        match self.map.get(key) {
-            Some(&b) => {
-                self.stats.hits += 1;
-                Some(b)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a bound, clearing the map first if the budget is exhausted.
-    pub fn insert(&mut self, key: WindowKey, bound: DelayBound) {
-        if self.map.len() >= self.max_entries {
-            self.stats.evictions += self.map.len() as u64;
-            self.map.clear();
-        }
-        self.map.insert(key, bound);
-    }
-
-    /// Current hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of memoized windows.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` iff no window is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops all entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
-/// A [`DelayEngine`] adapter that memoizes bounds in a [`DelayCache`].
-///
-/// Works with any inner engine ([`ExactEngine`](crate::ExactEngine),
-/// [`MilpEngine`](crate::MilpEngine), audited or not). The cache lives
-/// behind a `RefCell`, so a `CachedEngine` is single-threaded by design;
-/// parallel drivers give each worker its own instance (results are
-/// identical either way because keys are content-addressed).
-///
-/// # Example
-///
-/// ```
-/// use pmcs_core::{analyze_task_set, CachedEngine, ExactEngine};
-/// use pmcs_core::window::test_task;
-/// use pmcs_model::TaskSet;
-///
-/// let set = TaskSet::new(vec![
-///     test_task(0, 10, 2, 2, 100, 0, false),
-///     test_task(1, 20, 4, 4, 200, 1, false),
-/// ])?;
-/// let engine = CachedEngine::new(ExactEngine::default());
-/// let report = analyze_task_set(&set, &engine)?;
-/// assert!(report.schedulable());
-/// // The fixed point's confirming iteration re-solves a window the
-/// // cache already holds.
-/// assert!(engine.stats().hits > 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct CachedEngine<E> {
-    inner: E,
-    cache: RefCell<DelayCache>,
-}
-
-impl<E> CachedEngine<E> {
-    /// Wraps an engine with a default-capacity cache.
-    pub fn new(inner: E) -> Self {
-        CachedEngine {
-            inner,
-            cache: RefCell::new(DelayCache::default()),
-        }
-    }
-
-    /// Wraps an engine with an entry-budgeted cache.
-    pub fn with_capacity(inner: E, max_entries: usize) -> Self {
-        CachedEngine {
-            inner,
-            cache: RefCell::new(DelayCache::with_capacity(max_entries)),
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Current hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.borrow().stats()
-    }
-
-    /// Number of memoized windows.
-    pub fn cached_windows(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    /// Drops all memoized windows (counters are kept).
-    pub fn clear(&self) {
-        self.cache.borrow_mut().clear();
-    }
-}
-
-impl<E: DelayEngine> DelayEngine for CachedEngine<E> {
-    fn max_total_delay(&self, window: &WindowModel) -> Result<DelayBound, CoreError> {
-        let key = WindowKey::of(window);
-        if let Some(bound) = self.cache.borrow_mut().get(&key) {
-            return Ok(bound);
-        }
-        let bound = self.inner.max_total_delay(window)?;
-        self.cache.borrow_mut().insert(key, bound);
-        Ok(bound)
     }
 }
 
@@ -397,10 +243,11 @@ impl Shard {
 ///
 /// The map is split into N mutex-guarded shards; a lookup hashes the
 /// [`WindowKey`], locks only the owning shard, and never blocks traffic
-/// to other shards. Unlike [`DelayCache`]'s wholesale clear, each shard
-/// evicts its least-recently-used *half* when its entry budget is
-/// exceeded, so a long-running server keeps its hottest window shapes
-/// warm indefinitely.
+/// to other shards. Each shard evicts its least-recently-used *half* when
+/// its entry budget is exceeded, so a long-running server keeps its
+/// hottest window shapes warm indefinitely. A one-shard cache
+/// (`with_config(1, DEFAULT_CAPACITY)`) is the private cache of a single
+/// engine stack.
 ///
 /// Sharing is sound for the same reason per-worker caching is: keys are
 /// content-addressed, so a bound stored by one thread is exactly the
@@ -421,9 +268,12 @@ pub struct SharedDelayCache {
 /// Default shard count of a [`SharedDelayCache`].
 pub const DEFAULT_SHARDS: usize = 16;
 
+/// Default total entry budget of a [`SharedDelayCache`].
+pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
 impl Default for SharedDelayCache {
     fn default() -> Self {
-        SharedDelayCache::with_config(DEFAULT_SHARDS, 1 << 20)
+        SharedDelayCache::with_config(DEFAULT_SHARDS, DEFAULT_CAPACITY)
     }
 }
 
@@ -531,13 +381,36 @@ impl SharedDelayCache {
 
 /// A [`DelayEngine`] adapter memoizing bounds in a [`SharedDelayCache`].
 ///
-/// The cloneable successor of [`CachedEngine`] for multi-threaded
-/// drivers: every worker wraps its own inner engine around one shared
+/// Works with any inner engine ([`ExactEngine`](crate::ExactEngine),
+/// [`MilpEngine`](crate::MilpEngine), audited or not). Multi-threaded
+/// drivers wrap each worker's own inner engine around one shared
 /// `Arc<SharedDelayCache>`, so a window solved by any worker is a hit
 /// for all of them. Each adapter additionally keeps *local* hit/miss/
 /// eviction counters (its own lookups only); parallel drivers merge
 /// those per-worker locals, which sums to exactly the shared cache's
 /// own [`SharedDelayCache::stats`] — counting each lookup once.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use pmcs_core::{analyze_task_set, ExactEngine, SharedCachedEngine, SharedDelayCache};
+/// use pmcs_core::window::test_task;
+/// use pmcs_model::TaskSet;
+///
+/// let set = TaskSet::new(vec![
+///     test_task(0, 10, 2, 2, 100, 0, false),
+///     test_task(1, 20, 4, 4, 200, 1, false),
+/// ])?;
+/// let cache = Arc::new(SharedDelayCache::default());
+/// let engine = SharedCachedEngine::new(ExactEngine::default(), cache);
+/// let report = analyze_task_set(&set, &engine)?;
+/// assert!(report.schedulable());
+/// // The fixed point's confirming iteration re-solves a window the
+/// // cache already holds.
+/// assert!(engine.stats().hits > 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
 pub struct SharedCachedEngine<E> {
     inner: E,
@@ -676,12 +549,19 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn private_engine() -> SharedCachedEngine<ExactEngine> {
+        SharedCachedEngine::new(
+            ExactEngine::default(),
+            Arc::new(SharedDelayCache::with_config(1, DEFAULT_CAPACITY)),
+        )
+    }
+
     #[test]
-    fn cached_engine_hits_and_agrees() {
+    fn one_shard_cache_hits_and_agrees() {
         let set = set3();
         let w = window(&set, 2, WindowCase::Nls, 150);
         let plain = ExactEngine::default();
-        let cached = CachedEngine::new(ExactEngine::default());
+        let cached = private_engine();
         let reference = plain.max_total_delay(&w).expect("engine result");
         let first = cached.max_total_delay(&w).expect("engine result");
         let second = cached.max_total_delay(&w).expect("engine result");
@@ -692,21 +572,29 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(cached.cached_windows(), 1);
+        assert_eq!(cached.shared().len(), 1);
+        assert_eq!(cached.shared().shard_count(), 1);
     }
 
     #[test]
-    fn capacity_exhaustion_clears_but_stays_correct() {
+    fn capacity_exhaustion_evicts_but_stays_correct() {
         let set = set3();
-        let cached = CachedEngine::with_capacity(ExactEngine::default(), 1);
+        let cached = SharedCachedEngine::new(
+            ExactEngine::default(),
+            Arc::new(SharedDelayCache::with_config(1, 2)),
+        );
         let w1 = window(&set, 2, WindowCase::Nls, 101);
-        let w2 = window(&set, 2, WindowCase::Nls, 250);
         let b1 = cached.max_total_delay(&w1).expect("engine result");
-        let _ = cached.max_total_delay(&w2).expect("engine result");
-        // w1 was evicted by the clear; re-solving must still agree.
+        for t in [201, 301] {
+            let _ = cached.max_total_delay(&window(&set, 2, WindowCase::Nls, t));
+        }
+        // w1 was the least recently used entry and got evicted;
+        // re-solving must still agree.
+        assert_eq!(cached.stats().evictions, 1);
         let again = cached.max_total_delay(&w1).expect("engine result");
         assert_eq!(b1.delay, again.delay);
-        assert!(cached.cached_windows() <= 1);
+        assert_eq!(cached.stats().misses, 4);
+        assert!(cached.shared().len() <= 2);
     }
 
     #[test]

@@ -282,7 +282,7 @@ pub fn certify_task_set(
 
     // Window certificates are deduplicated by content hash: across
     // fixed-point iterations and greedy rounds the same window recurs
-    // constantly (this mirrors `CachedEngine`, but keyed on the *recorded*
+    // constantly (this mirrors `SharedCachedEngine`, but keyed on the *recorded*
     // window, not the canonicalized cache key).
     let mut seen_windows: HashMap<u64, (i64, bool)> = HashMap::new();
     let mut seen_wcrts: HashSet<(u32, Vec<u32>)> = HashSet::new();

@@ -76,8 +76,6 @@ use crate::error::CoreError;
 use crate::wcrt::{DelayBound, DelayEngine};
 use crate::window::WindowModel;
 
-pub mod bnb;
-
 /// One slot decision in the execution sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Choice {
@@ -164,14 +162,9 @@ pub struct ExactEngine {
     /// Solves that exhausted a search budget and degraded to the safe
     /// fallback cap (reported as `dp_fallbacks`).
     fallbacks: std::cell::Cell<u64>,
-    /// Optional branch-and-bound rescue for windows the DP cannot
-    /// memoize; see [`ExactEngine::with_branch_and_bound`].
-    bnb: Option<crate::bnb::BnbConfig>,
     /// `false` disables the interchangeability classes (differential
     /// testing only); see [`ExactEngine::without_symmetry_breaking`].
     symmetry: bool,
-    /// Cumulative effort of the branch-and-bound rescue path.
-    bnb_stats: RefCell<pmcs_milp::SolverStats>,
 }
 
 /// Prints the budget-exhaustion warning once per process; every further
@@ -202,7 +195,6 @@ impl Default for ExactEngine {
 impl Clone for ExactEngine {
     fn clone(&self) -> Self {
         let mut e = ExactEngine::with_max_states(self.max_states);
-        e.bnb = self.bnb.clone();
         e.symmetry = self.symmetry;
         e
     }
@@ -223,8 +215,6 @@ impl ExactEngine {
             scratch: RefCell::new(Scratch::default()),
             nodes: std::cell::Cell::new(0),
             fallbacks: std::cell::Cell::new(0),
-            bnb: None,
-            bnb_stats: RefCell::new(pmcs_milp::SolverStats::default()),
             symmetry: true,
         }
     }
@@ -240,40 +230,21 @@ impl ExactEngine {
         self
     }
 
-    /// Enables the branch-and-bound rescue path: windows whose DP search
-    /// exceeds its memoization budget are re-solved exactly by a
-    /// depth-first branch-and-bound with admissible suffix bounds, an
-    /// optional LP-relaxation bounding stage, and (with `jobs > 1`)
-    /// parallel subtree workers sharing an atomic incumbent. Only when
-    /// that search *also* exhausts its node budget does the engine fall
-    /// back to the coarse safe cap.
-    ///
-    /// Note that branch-and-bound results are exact but **not
-    /// certifiable**: certificate emission replays the memoized DP table,
-    /// which by construction does not exist for these windows. Drivers
-    /// that emit certificates must leave this path disabled.
-    pub fn with_branch_and_bound(mut self, cfg: crate::bnb::BnbConfig) -> Self {
-        self.bnb = Some(cfg);
-        self
-    }
-
     /// The memoization-entry budget.
     pub fn max_states(&self) -> usize {
         self.max_states
     }
 
     /// Cumulative solver effort across every solve so far: the DP search
-    /// nodes plus any branch-and-bound rescue effort, surfaced in the same
-    /// [`SolverStats`](pmcs_milp::SolverStats) shape the MILP engines
-    /// report so engine stacks aggregate uniformly.
+    /// nodes and budget fallbacks, surfaced in the same
+    /// [`SolverStats`](pmcs_milp::SolverStats) shape the MILP engine
+    /// reports so engine stacks aggregate uniformly.
     pub fn solver_stats(&self) -> pmcs_milp::SolverStats {
-        let mut stats = pmcs_milp::SolverStats {
+        pmcs_milp::SolverStats {
             bb_nodes: self.nodes.get(),
             dp_fallbacks: self.fallbacks.get(),
             ..pmcs_milp::SolverStats::default()
-        };
-        stats.merge(*self.bnb_stats.borrow());
-        stats
+        }
     }
 
     /// Solves `w` while recording the full memo table and an optimal
@@ -363,26 +334,12 @@ impl DelayEngine for ExactEngine {
                 nodes: search.nodes,
             }),
             None => {
-                let dp_nodes = search.nodes;
-                let fallback = search.fallback_bound();
-                drop(scratch);
-                if let Some(cfg) = &self.bnb {
-                    if let Some(run) = crate::bnb::solve_window(w, cfg) {
-                        self.nodes.set(self.nodes.get() + run.stats.bb_nodes);
-                        self.bnb_stats.borrow_mut().merge(run.stats);
-                        return Ok(DelayBound {
-                            delay: Time::from_ticks(run.value),
-                            exact: true,
-                            nodes: dp_nodes + run.stats.bb_nodes,
-                        });
-                    }
-                }
                 self.fallbacks.set(self.fallbacks.get() + 1);
                 warn_fallback_once();
                 Ok(DelayBound {
-                    delay: Time::from_ticks(fallback),
+                    delay: Time::from_ticks(search.fallback_bound()),
                     exact: false,
-                    nodes: dp_nodes,
+                    nodes: search.nodes,
                 })
             }
         }
@@ -1135,8 +1092,7 @@ impl<'a> Search<'a> {
     ///
     /// At `k = 0` this is the engine's coarse fallback bound (`prev` and
     /// `prev2` are idle and the extra charges reduce to the window-start
-    /// `max_u` boundary); the branch-and-bound search uses it as its
-    /// pruning bound at every depth.
+    /// `max_u` boundary).
     fn suffix_cap(&self, k: usize, prev: Choice, prev2: Choice) -> i64 {
         let m = self.s.exec.len();
         let max_demand = (0..m)

@@ -12,7 +12,7 @@ use pmcs_model::{ModelError, TaskId};
 pub enum CoreError {
     /// Underlying model error (unknown task, invalid set, …).
     Model(ModelError),
-    /// The MILP backend failed.
+    /// The MILP solver failed.
     Milp(MilpError),
     /// The fixed-point iteration failed to converge within the iteration
     /// cap without proving a deadline miss (should not happen for sane

@@ -29,9 +29,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use pmcs_milp::{
-    presolve, AuditReport, AuditedOutcome, BackendKind, BasisStore, BasisStoreStats, Cmp, Limits,
-    LinExpr, MilpError, MilpSolution, Objective, PresolveOutcome, Problem, Solver, SolverStats,
-    Var,
+    presolve, AuditReport, AuditedOutcome, BasisStore, BasisStoreStats, Cmp, Limits, LinExpr,
+    MilpError, MilpSolution, Objective, PresolveOutcome, Problem, Solver, SolverStats, Var,
 };
 use pmcs_model::Time;
 
@@ -65,14 +64,6 @@ pub struct MilpEngine {
     /// arithmetic and a refuted answer is an error. Off by default;
     /// callers honoring [`AUDIT_ENV_VAR`] set it explicitly.
     pub audit: bool,
-    /// LP backend for the relaxations. [`BackendKind::Dense`] (the
-    /// default) keeps the reference pipeline: every round rebuilds and
-    /// solves the full problem on the dense tableau. [`BackendKind::Revised`]
-    /// enables the incremental path: the window program is presolved once
-    /// per structure, across fixed-point rounds only the `C7_j` budget-row
-    /// right-hand sides are mutated in place, and each re-solve warm-starts
-    /// from the previous round's root basis.
-    pub backend: BackendKind,
     /// Effort gate: windows whose formulation has more than this many
     /// integral variables are not solved at all — the engine returns the
     /// formulation's deterministic safe delay cap (`N · M`, an upper
@@ -80,16 +71,15 @@ pub struct MilpEngine {
     ///
     /// The big-M placement formulation has an LP relaxation too weak to
     /// prune its highly symmetric branch-and-bound tree, so large windows
-    /// are intractable for *any* LP backend (the paper solves them with
-    /// CPLEX's cut generation, which this reproduction does not have).
-    /// The gate keeps bounded-effort sweeps deterministic: whether a
-    /// window is solved depends only on the problem, never on the
-    /// backend, so `dense` and `revised` produce identical verdicts by
-    /// construction. `None` (the default) never gates — the historical
-    /// behavior for validation-sized windows.
+    /// are intractable for a plain branch & bound (the paper solves them
+    /// with CPLEX's cut generation, which this reproduction does not
+    /// have). The gate keeps bounded-effort runs deterministic: whether a
+    /// window is solved depends only on the problem, never on the search.
+    /// `None` (the default) never gates — the historical behavior for
+    /// validation-sized windows.
     pub bin_budget: Option<usize>,
     /// Presolved programs and warm-start bases reused across solves of
-    /// structurally identical windows (revised backend only). The store
+    /// structurally identical windows (unaudited solves only). The store
     /// is session-scoped: it answers for the last
     /// [`DEFAULT_STORE_ENTRIES`](pmcs_milp::basis_store::DEFAULT_STORE_ENTRIES)
     /// distinct structures, so repeated window shapes across *queries*
@@ -113,13 +103,6 @@ impl MilpEngine {
             audit: true,
             ..Self::default()
         }
-    }
-
-    /// Selects the LP backend (see the `backend` field).
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Sets the effort gate (see the `bin_budget` field).
@@ -147,18 +130,14 @@ impl MilpEngine {
     }
 
     fn solve(&self, problem: &Problem) -> Result<MilpSolution, CoreError> {
-        let solver = Solver::with_limits(self.limits.clone()).with_backend(self.backend);
         if !self.audit {
-            if self.backend == BackendKind::Revised {
-                return self.solve_incremental(problem);
-            }
-            return Ok(solver.solve(problem)?);
+            return self.solve_incremental(problem);
         }
         // Audited solves always run the full pipeline: `Solver::solve`
         // restores through the inverse transforms before the audit checks
         // the answer against the original problem, so a presolve bug is a
         // refutation, never a silent shift.
-        let audited = solver.solve_audited(problem)?;
+        let audited = Solver::with_limits(self.limits.clone()).solve_audited(problem)?;
         if audited.report.failed() {
             return Err(audit_error(&audited.report));
         }
@@ -200,7 +179,7 @@ impl MilpEngine {
             store.insert(fingerprint, program);
         }
         let entry = store.entry_mut(fingerprint).expect("populated above");
-        let solver = Solver::with_limits(self.limits.clone()).with_backend(BackendKind::Revised);
+        let solver = Solver::with_limits(self.limits.clone());
         let solved = solver.solve_program(&entry.program, entry.basis.as_ref())?;
         if solved.basis.is_some() {
             entry.basis = solved.basis;
@@ -208,8 +187,8 @@ impl MilpEngine {
         Ok(solved.solution)
     }
 
-    /// Presolve/basis reuse counters of the structure store (revised
-    /// backend only; all zeros otherwise).
+    /// Presolve/basis reuse counters of the structure store (unaudited
+    /// solves only; all zeros for an audited engine).
     pub fn basis_store_stats(&self) -> BasisStoreStats {
         self.store.borrow().stats()
     }
@@ -289,7 +268,8 @@ impl DelayEngine for MilpEngine {
             // Node limit hit: fall back to the formulation's own cap, not
             // the search's remaining-tree bound. Both are safe upper
             // bounds, but the cap is a function of the problem alone, so
-            // every LP backend reports the same (conservative) delay.
+            // the reported (conservative) delay never depends on how far
+            // the search got.
             (f.delay_cap, false)
         };
         // All durations are integer ticks, so the optimum is integral;
@@ -405,11 +385,6 @@ pub(crate) struct Formulation {
     /// `Δ_k` at its slot cap ([`SlotCaps::delay_cap_ticks`]). Used as the
     /// safe fallback delay when a solve is gated or hits its node limit.
     pub(crate) delay_cap: f64,
-    /// Plain/urgent execution variables per (task, slot); kept so the
-    /// branch-and-bound LP bounding can pin a search prefix through
-    /// variable bounds.
-    pub(crate) e: VarGrid,
-    pub(crate) le: VarGrid,
 }
 
 impl Formulation {
@@ -721,8 +696,6 @@ impl Formulation {
         Formulation {
             problem: p,
             delay_cap: caps.delay_cap_ticks() as f64,
-            e,
-            le,
         }
     }
 }
@@ -817,7 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn effort_gate_returns_the_deterministic_cap_for_both_backends() {
+    fn effort_gate_returns_the_deterministic_cap() {
         let w = window(
             vec![
                 test_task(0, 10, 1, 1, 10_000, 0, false),
@@ -827,17 +800,11 @@ mod tests {
             WindowCase::Nls,
             12,
         );
-        // A zero budget gates every window; the bound must not depend on
-        // the backend (it is computed from the formulation, not a search).
-        let gated: Vec<DelayBound> = [BackendKind::Dense, BackendKind::Revised]
+        // A zero budget gates every window; the bound is computed from the
+        // formulation, not a search, so plain and audited engines agree.
+        let gated: Vec<DelayBound> = [MilpEngine::new(), MilpEngine::audited()]
             .into_iter()
-            .map(|k| {
-                MilpEngine::new()
-                    .with_backend(k)
-                    .with_bin_budget(Some(0))
-                    .max_total_delay(&w)
-                    .unwrap()
-            })
+            .map(|e| e.with_bin_budget(Some(0)).max_total_delay(&w).unwrap())
             .collect();
         assert_eq!(gated[0].delay, gated[1].delay);
         assert!(!gated[0].exact && gated[0].nodes == 0);
@@ -872,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn revised_backend_matches_dense_and_warm_starts() {
+    fn incremental_path_matches_the_audited_pipeline_and_warm_starts() {
         let tasks = || {
             vec![
                 test_task(0, 10, 2, 2, 100, 0, false),
@@ -880,47 +847,30 @@ mod tests {
                 test_task(2, 30, 5, 5, 300, 2, true),
             ]
         };
-        let dense = MilpEngine::default();
-        let revised = MilpEngine::default().with_backend(BackendKind::Revised);
+        let audited = MilpEngine::audited();
+        let incremental = MilpEngine::default();
         // Several window lengths: structure changes as n grows, and the
         // repeat of each length exercises the fingerprint-reuse path the
         // fixed-point iteration takes once budgets stabilize.
         for t in [10, 25, 25, 50, 50] {
             let w = window(tasks(), 0, WindowCase::Nls, t);
-            let a = dense.max_total_delay(&w).unwrap();
-            let b = revised.max_total_delay(&w).unwrap();
+            let a = audited.max_total_delay(&w).unwrap();
+            let b = incremental.max_total_delay(&w).unwrap();
             assert_eq!(a.delay, b.delay, "t={t}");
             assert_eq!(a.exact, b.exact, "t={t}");
         }
-        let stats = revised.solver_stats();
+        let stats = incremental.solver_stats();
         assert!(stats.lp_solves > 0);
         assert!(
             stats.warm_start_hits > 0,
             "repeated structures must warm-start: {stats}"
         );
-        assert!(
-            dense.solver_stats().warm_start_attempts == 0,
-            "dense reference path never warm-starts"
+        assert_eq!(
+            audited.basis_store_stats(),
+            BasisStoreStats::default(),
+            "audited solves always run the full pipeline"
         );
-        assert!(dense.solver_stats().bb_nodes > 0);
-    }
-
-    #[test]
-    fn audited_revised_backend_is_certified() {
-        let w = window(
-            vec![
-                test_task(0, 10, 2, 2, 100, 0, false),
-                test_task(1, 20, 4, 4, 200, 1, false),
-            ],
-            0,
-            WindowCase::Nls,
-            20,
-        );
-        let audited = MilpEngine::audited().with_backend(BackendKind::Revised);
-        let plain = MilpEngine::default();
-        let a = audited.max_total_delay(&w).unwrap();
-        let b = plain.max_total_delay(&w).unwrap();
-        assert_eq!(a.delay, b.delay);
+        assert!(audited.solver_stats().bb_nodes > 0);
     }
 
     #[test]

@@ -60,13 +60,10 @@ pub mod session;
 pub mod wcrt;
 pub mod window;
 
-pub use cache::{
-    CacheStats, CachedEngine, DelayCache, SharedCachedEngine, SharedDelayCache, WindowKey,
-};
+pub use cache::{CacheStats, SharedCachedEngine, SharedDelayCache, WindowKey};
 pub use certify::{certify_task_set, certify_window_dp, certify_window_milp};
 pub use chains::{chain_latency, ChainActivation, TaskChain};
 pub use contention::Inflation;
-pub use engine::bnb;
 pub use engine::ExactEngine;
 pub use error::CoreError;
 pub use formulation::{MilpEngine, AUDIT_ENV_VAR};
@@ -75,7 +72,7 @@ pub use partitioning::{
     analyze_platform, assign_budgets, partition, partition_regulated, BudgetAttempt, BudgetSearch,
     Heuristic, PartitionError, Partitioning,
 };
-pub use pmcs_milp::{BackendKind, SolverStats};
+pub use pmcs_milp::SolverStats;
 pub use protocol::{ProtocolRule, RULES};
 pub use schedulability::{
     analyze_task_set, analyze_task_set_traced, promotion_affects, GreedyTrace, LsAssignment,

@@ -11,7 +11,7 @@
 //! Re-analysis after a promotion skips every task whose windows the
 //! promotion provably cannot change (see [`promotion_affects`]): the
 //! previous round's [`TaskAnalysis`] is reused verbatim. Combined with a
-//! [`CachedEngine`](crate::CachedEngine) this makes greedy rounds after
+//! [`SharedCachedEngine`](crate::SharedCachedEngine) this makes greedy rounds after
 //! the first one cheap.
 
 use std::fmt;
@@ -411,7 +411,7 @@ pub fn analyze_fixed_marking(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachedEngine;
+    use crate::cache::{SharedCachedEngine, SharedDelayCache};
     use crate::engine::ExactEngine;
     use crate::wcrt::DelayBound;
     use crate::window::{test_task, WindowModel};
@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn greedy_rounds_hit_the_delay_cache() {
         // Across fixed-point iterations and greedy rounds many windows
-        // repeat; a CachedEngine must observe a non-zero hit-rate.
+        // repeat; a cached engine must observe a non-zero hit-rate.
         let set = TaskSet::new(vec![
             {
                 let t = test_task(0, 10, 2, 2, 10_000, 0, false);
@@ -616,7 +616,10 @@ mod tests {
             test_task(2, 400, 2, 2, 10_000, 2, false),
         ])
         .unwrap();
-        let engine = CachedEngine::new(ExactEngine::default());
+        let engine = SharedCachedEngine::new(
+            ExactEngine::default(),
+            std::sync::Arc::new(SharedDelayCache::default()),
+        );
         let cached = analyze_task_set(&set, &engine).unwrap();
         let stats = engine.stats();
         assert!(stats.hits > 0, "expected cache hits, got {stats}");

@@ -126,9 +126,9 @@ impl VerdictKey {
 /// Memo of per-task analyses keyed by [`VerdictKey`].
 ///
 /// The session-level analogue of the window-level
-/// [`DelayCache`](crate::DelayCache): entries are content-addressed and
-/// never go stale, so the only eviction is a wholesale clear when the
-/// entry budget is exceeded.
+/// [`SharedDelayCache`](crate::SharedDelayCache): entries are
+/// content-addressed and never go stale, so the only eviction is a
+/// wholesale clear when the entry budget is exceeded.
 #[derive(Debug, Default)]
 pub(crate) struct VerdictCache {
     map: HashMap<VerdictKey, TaskAnalysis>,

@@ -1,13 +1,26 @@
-//! Differential tests of the caching layer: a [`CachedEngine`] must be
-//! observationally equivalent to its inner engine (modulo the `nodes`
-//! effort counter), and the greedy loop's verdict reuse must match the
-//! from-scratch oracle.
+//! Differential tests of the caching layer: a [`SharedCachedEngine`]
+//! must be observationally equivalent to its inner engine (modulo the
+//! `nodes` effort counter), and the greedy loop's verdict reuse must
+//! match the from-scratch oracle.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use pmcs_core::cache::DEFAULT_CAPACITY;
 use pmcs_core::schedulability::{analyze_task_set, analyze_task_set_no_reuse};
-use pmcs_core::{CachedEngine, DelayEngine, ExactEngine, WindowCase, WindowModel};
+use pmcs_core::{
+    DelayEngine, ExactEngine, SharedCachedEngine, SharedDelayCache, WindowCase, WindowModel,
+};
 use pmcs_model::{Priority, Sensitivity, Task, TaskId, TaskSet, Time};
+
+/// An exact engine behind its own one-shard cache.
+fn cached_engine() -> SharedCachedEngine<ExactEngine> {
+    SharedCachedEngine::new(
+        ExactEngine::default(),
+        Arc::new(SharedDelayCache::with_config(1, DEFAULT_CAPACITY)),
+    )
+}
 
 fn build_set(params: &[(i64, i64, i64, bool)]) -> TaskSet {
     let tasks: Vec<Task> = params
@@ -56,7 +69,7 @@ proptest! {
         let case = if case_a { WindowCase::LsCaseA } else { WindowCase::Nls };
         let w = WindowModel::build(&set, TaskId(under), case, Time::from_ticks(t)).unwrap();
         let plain = ExactEngine::default().max_total_delay(&w).unwrap();
-        let cached = CachedEngine::new(ExactEngine::default());
+        let cached = cached_engine();
         let cold = cached.max_total_delay(&w).unwrap();
         let warm = cached.max_total_delay(&w).unwrap();
         prop_assert_eq!(cold.delay, plain.delay);
@@ -75,7 +88,7 @@ proptest! {
     ) {
         let set = build_set(&params);
         let plain = analyze_task_set(&set, &ExactEngine::default()).unwrap();
-        let engine = CachedEngine::new(ExactEngine::default());
+        let engine = cached_engine();
         let cached = analyze_task_set(&set, &engine).unwrap();
         let no_reuse = analyze_task_set_no_reuse(&set, &ExactEngine::default()).unwrap();
         prop_assert_eq!(&plain, &cached);
@@ -88,7 +101,7 @@ proptest! {
 #[test]
 fn cache_consistency_smoke() {
     let set = build_set(&[(10, 2, 100, false), (20, 4, 200, false), (15, 3, 150, true)]);
-    let engine = CachedEngine::new(ExactEngine::default());
+    let engine = cached_engine();
     let cached = analyze_task_set(&set, &engine).unwrap();
     let plain = analyze_task_set(&set, &ExactEngine::default()).unwrap();
     assert_eq!(cached, plain);

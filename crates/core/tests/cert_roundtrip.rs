@@ -1,6 +1,6 @@
 //! Certificate round-trip properties: emit → serialize → parse → check
-//! must accept, for random windows under all three solving backends
-//! (exact DP, dense-tableau MILP, revised-simplex MILP) — plus the three
+//! must accept, for random windows under both engines (exact DP and
+//! the MILP pipeline) — plus the three
 //! canonical negative paths, each rejected with its stable
 //! machine-readable code.
 //!
@@ -18,7 +18,7 @@ use pmcs_core::{
     certify_task_set, certify_window_dp, certify_window_milp, DelayEngine, ExactEngine, MilpEngine,
     WindowCase, WindowModel,
 };
-use pmcs_milp::{BackendKind, CertifyLimits};
+use pmcs_milp::CertifyLimits;
 use pmcs_model::{Priority, Sensitivity, Task, TaskId, TaskSet, Time};
 
 fn build_set(params: &[(i64, i64, i64, bool)]) -> TaskSet {
@@ -115,25 +115,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// MILP window certificates (VIPR-style proof trees or caps) survive
-    /// the round trip under both LP backends. One window per case — the
+    /// the round trip. One window per case — the
     /// lowest-priority task's, which sees every interferer.
     #[test]
     fn milp_window_certs_roundtrip(params in milp_params_strategy(), t in 4i64..=8) {
         let set = build_set(&params);
         let exact = ExactEngine::default();
         let task = set.iter().last().expect("non-empty set");
-        for backend in [BackendKind::Dense, BackendKind::Revised] {
-            let milp = MilpEngine::default().with_backend(backend);
-            let mut bundle =
-                CertificateSet::new(cert_task_set_of(&set).expect("encodable set"));
-            let w = WindowModel::build(&set, task.id(), WindowCase::Nls, Time::from_ticks(t))
-                .expect("window");
-            let bound = milp.max_total_delay(&w).expect("bound");
-            let cert = certify_window_milp(&milp, &exact, &w, bound, &CertifyLimits::default())
-                .expect("certify");
-            bundle.windows.push(cert);
-            assert_roundtrip_accepted(&bundle, &format!("milp-{backend:?}"));
-        }
+        let milp = MilpEngine::default();
+        let mut bundle = CertificateSet::new(cert_task_set_of(&set).expect("encodable set"));
+        let w = WindowModel::build(&set, task.id(), WindowCase::Nls, Time::from_ticks(t))
+            .expect("window");
+        let bound = milp.max_total_delay(&w).expect("bound");
+        let cert = certify_window_milp(&milp, &exact, &w, bound, &CertifyLimits::default())
+            .expect("certify");
+        bundle.windows.push(cert);
+        assert_roundtrip_accepted(&bundle, "milp");
     }
 }
 

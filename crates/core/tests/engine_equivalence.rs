@@ -187,69 +187,3 @@ fn eight_equal_shape_tasks_prune_losslessly() {
         );
     }
 }
-
-/// The parallel branch-and-bound is deterministic: the bound is
-/// byte-identical for 1, 2, and 4 workers (the shared incumbent only
-/// ever holds values achieved by some placement, so worker interleaving
-/// cannot change the maximum).
-#[test]
-fn parallel_bnb_bounds_are_identical_across_worker_counts() {
-    use pmcs_core::bnb::{solve_window, BnbConfig};
-    let specs = vec![
-        RandTask {
-            exec: 12,
-            copy_in: 4,
-            copy_out: 6,
-            period: 60,
-            ls: true,
-        },
-        RandTask {
-            exec: 25,
-            copy_in: 9,
-            copy_out: 2,
-            period: 90,
-            ls: false,
-        },
-        RandTask {
-            exec: 7,
-            copy_in: 1,
-            copy_out: 10,
-            period: 45,
-            ls: true,
-        },
-        RandTask {
-            exec: 7,
-            copy_in: 1,
-            copy_out: 10,
-            period: 45,
-            ls: true,
-        },
-    ];
-    let set = build_set(&specs);
-    for under in 0..4u32 {
-        for t in [30, 80] {
-            for case in [WindowCase::Nls, WindowCase::LsCaseA] {
-                let w = WindowModel::build(&set, TaskId(under), case, Time::from_ticks(t)).unwrap();
-                let values: Vec<Option<i64>> = [1usize, 2, 4]
-                    .iter()
-                    .map(|&jobs| {
-                        solve_window(
-                            &w,
-                            &BnbConfig {
-                                jobs,
-                                ..BnbConfig::default()
-                            },
-                        )
-                        .map(|run| run.value)
-                    })
-                    .collect();
-                assert_eq!(values[0], values[1], "jobs=2 diverged for {w:?}");
-                assert_eq!(values[0], values[2], "jobs=4 diverged for {w:?}");
-                // And the bound itself matches the DP optimum.
-                let dp = ExactEngine::default().max_total_delay(&w).unwrap();
-                assert!(dp.exact);
-                assert_eq!(values[0], Some(dp.delay.as_ticks()), "B&B != DP for {w:?}");
-            }
-        }
-    }
-}

@@ -7,7 +7,11 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use pmcs_core::{analyze_task_set, AnalysisSession, CachedEngine, ExactEngine};
+use std::sync::Arc;
+
+use pmcs_core::{
+    analyze_task_set, AnalysisSession, ExactEngine, SharedCachedEngine, SharedDelayCache,
+};
 use pmcs_model::{Priority, Task, TaskId, TaskSet, Time};
 
 fn build_task(id: u32, prio: u32, (c, m, t): (i64, i64, i64)) -> Task {
@@ -40,9 +44,12 @@ fn check_script(params: &[(i64, i64, i64)], ops: &[(u8, usize, i64)]) -> Result<
         .map(|(i, &p)| build_task(i as u32, i as u32, p))
         .collect();
 
-    let mut session = AnalysisSession::new(CachedEngine::new(ExactEngine::default()));
+    let mut session = AnalysisSession::new(SharedCachedEngine::new(
+        ExactEngine::default(),
+        Arc::new(SharedDelayCache::default()),
+    ));
     let mut shadow: Vec<Task> = Vec::new();
-    let check = |session: &AnalysisSession<CachedEngine<ExactEngine>>,
+    let check = |session: &AnalysisSession<SharedCachedEngine<ExactEngine>>,
                  shadow: &[Task]|
      -> Result<(), TestCaseError> {
         if shadow.is_empty() {

@@ -1,6 +1,6 @@
 //! Session-scoped reuse of presolved programs and warm-start bases.
 //!
-//! The revised backend's incremental path presolves a window program
+//! The incremental solve path presolves a window program
 //! once per *structure* and warm-starts every re-solve from the previous
 //! round's basis. A single cached slot suffices within one WCRT fixed
 //! point — consecutive rounds share a structure — but a long-running
@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::backend::Basis;
 use crate::presolve::PresolvedProblem;
+use crate::revised::Basis;
 
 /// One cached structure: the presolved program plus the basis its next
 /// re-solve warm-starts from.

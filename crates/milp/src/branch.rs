@@ -1,10 +1,8 @@
-//! Branch & bound for mixed-integer programs, generic over the LP
-//! backend and the search strategy.
+//! Branch & bound for mixed-integer programs, generic over the search
+//! strategy.
 //!
-//! Node relaxations are priced through the [`LpBackend`] trait, so the
-//! same driver runs on the dense reference simplex or the sparse revised
-//! simplex. When the backend exports a basis (the revised one does),
-//! every child node warm-starts from its parent's optimal basis: the
+//! Node relaxations are priced by the [`RevisedSimplex`], and every
+//! child node warm-starts from its parent's optimal basis: the
 //! child differs only in one variable bound, so a few dual/primal repair
 //! pivots usually replace a full cold solve. The first root basis is also
 //! returned ([`BbRun::root_basis`]) so callers re-solving a structurally
@@ -15,11 +13,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-use crate::backend::{backend_for, BackendKind, Basis, LpBackend, WarmStart};
 use crate::error::MilpError;
 use crate::expr::Var;
 use crate::problem::{Objective, Problem};
-use crate::simplex::LpOutcome;
+use crate::revised::{Basis, LpOutcome, RevisedSimplex, WarmStart};
 use crate::solution::{MilpSolution, SolveStatus};
 use crate::stats::SolverStats;
 
@@ -78,7 +75,7 @@ pub struct Strategy {
 }
 
 /// Result of [`BranchAndBound::solve_with`]: the solution plus the root
-/// relaxation's optimal basis (when the backend exports bases).
+/// relaxation's optimal basis.
 #[derive(Debug, Clone)]
 pub struct BbRun {
     /// The MILP solution.
@@ -136,30 +133,22 @@ impl Ord for Node {
 /// Branch & bound driver.
 ///
 /// Usually accessed through [`Solver`](crate::Solver); use directly to
-/// customize [`Limits`], the [`Strategy`] or the [`BackendKind`].
+/// customize [`Limits`] or the [`Strategy`], or to solve a problem
+/// without presolving it first.
 #[derive(Debug, Clone, Default)]
 pub struct BranchAndBound {
     limits: Limits,
     strategy: Strategy,
-    backend: BackendKind,
+    lp: RevisedSimplex,
 }
 
 impl BranchAndBound {
-    /// Creates a driver with the given limits, default strategy and the
-    /// dense reference backend.
+    /// Creates a driver with the given limits and the default strategy.
     pub fn new(limits: Limits) -> Self {
         BranchAndBound {
             limits,
-            strategy: Strategy::default(),
-            backend: BackendKind::default(),
+            ..BranchAndBound::default()
         }
-    }
-
-    /// Selects the LP backend used by [`solve`](Self::solve).
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Selects the branching/node-selection strategy.
@@ -169,13 +158,14 @@ impl BranchAndBound {
         self
     }
 
-    /// Solves a mixed-integer program with the configured backend.
+    /// Solves a mixed-integer program from a cold root.
     ///
     /// # Errors
     ///
     /// * [`MilpError::Infeasible`] — no integer-feasible point exists.
     /// * [`MilpError::Unbounded`] — the root relaxation is unbounded.
-    /// * [`MilpError::NumericalTrouble`] — the LP backend failed internally.
+    /// * [`MilpError::NumericalTrouble`] — an LP relaxation failed to
+    ///   converge.
     /// * [`MilpError::InvalidProblem`] — malformed input.
     ///
     /// Hitting [`Limits::max_nodes`] with an incumbent in hand is reported
@@ -184,13 +174,11 @@ impl BranchAndBound {
     /// if a feasible point was never found — in that case the solution
     /// carries the proven bound and an empty value vector.
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, MilpError> {
-        let backend = backend_for(self.backend);
-        self.solve_with(problem, backend.as_ref(), None)
-            .map(|run| run.solution)
+        self.solve_with(problem, None).map(|run| run.solution)
     }
 
-    /// [`solve`](Self::solve) against an explicit backend, optionally
-    /// warm-starting the root relaxation from `root_basis`, and returning
+    /// [`solve`](Self::solve), optionally warm-starting the root
+    /// relaxation from `root_basis`, and returning
     /// the root's optimal basis for the caller's next solve.
     ///
     /// # Errors
@@ -199,7 +187,6 @@ impl BranchAndBound {
     pub fn solve_with(
         &self,
         problem: &Problem,
-        backend: &dyn LpBackend,
         root_basis: Option<&Basis>,
     ) -> Result<BbRun, MilpError> {
         problem.validate()?;
@@ -263,7 +250,7 @@ impl BranchAndBound {
                 None if node.depth == 0 => root_basis,
                 None => None,
             };
-            let run = backend.solve_lp(problem, &node.bounds, warm)?;
+            let run = self.lp.solve_with_bounds(problem, &node.bounds, warm)?;
             stats.lp_solves += 1;
             stats.lp_pivots += run.pivots;
             match run.warm {
@@ -451,7 +438,6 @@ fn finite_floor(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::RevisedBackend;
     use crate::problem::Cmp;
     use crate::Solver;
 
@@ -571,18 +557,15 @@ mod tests {
         let reference = Solver::new().solve(&p).unwrap();
         for branch in [BranchRule::MostFractional, BranchRule::FirstFractional] {
             for order in [NodeOrder::BestFirst, NodeOrder::DepthFirst] {
-                for backend in [BackendKind::Dense, BackendKind::Revised] {
-                    let bb = BranchAndBound::new(Limits::default())
-                        .with_strategy(Strategy { branch, order })
-                        .with_backend(backend);
-                    let s = bb.solve(&p).unwrap();
-                    assert!(
-                        (s.objective() - reference.objective()).abs() < 1e-6,
-                        "{branch:?}/{order:?}/{backend:?} found {} instead of {}",
-                        s.objective(),
-                        reference.objective()
-                    );
-                }
+                let bb = BranchAndBound::new(Limits::default())
+                    .with_strategy(Strategy { branch, order });
+                let s = bb.solve(&p).unwrap();
+                assert!(
+                    (s.objective() - reference.objective()).abs() < 1e-6,
+                    "{branch:?}/{order:?} found {} instead of {}",
+                    s.objective(),
+                    reference.objective()
+                );
             }
         }
     }
@@ -591,7 +574,7 @@ mod tests {
     fn children_warm_start_from_parent_bases() {
         let p = twelve_item_knapsack();
         let bb = BranchAndBound::new(Limits::default());
-        let run = bb.solve_with(&p, &RevisedBackend::default(), None).unwrap();
+        let run = bb.solve_with(&p, None).unwrap();
         let stats = run.solution.stats();
         assert!(stats.bb_nodes > 1, "knapsack must branch");
         assert_eq!(stats.lp_solves, stats.bb_nodes);
@@ -602,9 +585,7 @@ mod tests {
         assert!(run.root_basis.is_some(), "root basis is exported");
         // Warm-starting a fresh solve from the exported root basis is a
         // recorded attempt too (the fixed-point-round scenario).
-        let rerun = bb
-            .solve_with(&p, &RevisedBackend::default(), run.root_basis.as_ref())
-            .unwrap();
+        let rerun = bb.solve_with(&p, run.root_basis.as_ref()).unwrap();
         assert!(rerun.solution.stats().warm_start_hits >= stats.warm_start_hits);
         assert!((rerun.solution.objective() - run.solution.objective()).abs() < 1e-9);
     }

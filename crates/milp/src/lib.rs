@@ -12,13 +12,10 @@
 //!    tightening, redundant-row elimination and power-of-two
 //!    equilibration, each emitting a reversible [`Transform`] so reduced
 //!    solutions map back to the original variable space.
-//! 3. **LP backends** ([`backend`]) — the original dense-tableau
-//!    two-phase simplex ([`simplex`]) retained as the *reference*
-//!    backend, and a sparse revised simplex with explicit basis
-//!    factorization and warm starts ([`revised`]).
+//! 3. **LP relaxations** ([`revised`]) — a sparse revised simplex with
+//!    explicit basis factorization and warm starts.
 //! 4. **Branch & bound** ([`branch`]) — pluggable branching/node-selection
-//!    strategies; each child node warm-starts from its parent's basis
-//!    when the backend exports bases.
+//!    strategies; each child node warm-starts from its parent's basis.
 //!
 //! Solver effort (LP pivots, presolve reductions, B&B nodes, warm-start
 //! hits) is threaded through every stage as [`SolverStats`].
@@ -26,13 +23,15 @@
 //! ## Correctness keystone
 //!
 //! [`Solver::solve_audited`] re-verifies answers with exact rational
-//! arithmetic against the **original, pre-presolve** problem: under the
-//! revised backend, [`Solver::solve`] restores reduced solutions through
-//! the inverse transform chain *before* any caller (including the audit)
-//! sees them. A bug anywhere in presolve, the revised simplex, or the
-//! transform inversion therefore surfaces as an audit failure instead of
-//! silently shifting the analysis. The dense backend solves the original
-//! problem directly and remains the differential-testing oracle.
+//! arithmetic against the **original, pre-presolve** problem:
+//! [`Solver::solve`] restores reduced solutions through the inverse
+//! transform chain *before* any caller (including the audit) sees them.
+//! A bug anywhere in presolve, the revised simplex, or the transform
+//! inversion therefore surfaces as an audit failure instead of silently
+//! shifting the analysis. The audit checks feasibility and the claimed
+//! objective, not optimality; optimality is proven independently by
+//! [`certify_upper_bound`] + [`verify_bb_tree`] (exact-rational
+//! dual/Farkas leaves) or, for pure LPs, [`solve_dual_exact`].
 //!
 //! On node or iteration limits the solver reports the best *remaining
 //! upper bound* which, for the delay-maximization problems of the
@@ -60,7 +59,6 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod backend;
 pub mod basis_store;
 pub mod branch;
 pub mod certify;
@@ -71,17 +69,12 @@ pub mod presolve;
 pub mod problem;
 pub mod rational;
 pub mod revised;
-pub mod simplex;
 pub mod solution;
 pub mod stats;
 
 pub use audit::{
     verify_bb_tree, verify_bound_multipliers, AuditCheck, AuditReport, AuditedOutcome,
     AuditedSolve, BbNode, BbTree, CheckStatus, InfeasibilityCertificate, NormRow, NormalForm,
-};
-pub use backend::{
-    backend_for, BackendKind, Basis, BasisStatus, DenseBackend, LpBackend, LpRun, RevisedBackend,
-    WarmStart,
 };
 pub use basis_store::{BasisStore, BasisStoreStats, StoredProgram};
 pub use branch::{BbRun, BranchAndBound, BranchRule, Limits, NodeOrder, Strategy};
@@ -92,8 +85,7 @@ pub use expr::{LinExpr, Var};
 pub use presolve::{presolve, PresolveOutcome, PresolvedProblem, Transform};
 pub use problem::{Cmp, ConstraintRef, Objective, Problem, VarKind};
 pub use rational::Rational;
-pub use revised::RevisedSimplex;
-pub use simplex::{LpOutcome, LpSolution, Simplex};
+pub use revised::{Basis, BasisStatus, LpOutcome, LpRun, LpSolution, RevisedSimplex, WarmStart};
 pub use solution::{MilpSolution, SolveStatus};
 pub use stats::SolverStats;
 
@@ -110,15 +102,11 @@ pub struct SolvedProgram {
 
 /// Front-door MILP solver with default limits.
 ///
-/// Thin convenience wrapper over [`BranchAndBound`]; see the crate-level
-/// example. The [`BackendKind`] selects the LP pipeline: `Dense` solves
-/// the original problem on the reference dense simplex (no presolve, no
-/// warm starts — bit-identical to the pre-pipeline solver), `Revised`
-/// presolves first and prices nodes on the warm-starting revised simplex.
+/// Thin convenience wrapper over [`presolve()`] and [`BranchAndBound`];
+/// see the crate-level example.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     limits: Limits,
-    backend: BackendKind,
     strategy: Strategy,
 }
 
@@ -136,13 +124,6 @@ impl Solver {
         }
     }
 
-    /// Selects the LP backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Selects the branch-and-bound strategy.
     #[must_use]
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
@@ -150,22 +131,14 @@ impl Solver {
         self
     }
 
-    /// The configured LP backend.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
     fn bb(&self) -> BranchAndBound {
-        BranchAndBound::new(self.limits.clone())
-            .with_strategy(self.strategy)
-            .with_backend(self.backend)
+        BranchAndBound::new(self.limits.clone()).with_strategy(self.strategy)
     }
 
     /// Solves the problem to optimality (or to the configured limits).
     ///
-    /// Under [`BackendKind::Revised`] the problem is presolved first and
-    /// the solution restored to original variable space, so callers see
-    /// identical semantics for both backends.
+    /// The problem is presolved first and the solution restored to
+    /// original variable space.
     ///
     /// # Errors
     ///
@@ -174,19 +147,16 @@ impl Solver {
     /// error: the returned solution carries [`SolveStatus::LimitReached`]
     /// together with the best proven bound.
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, MilpError> {
-        match self.backend {
-            BackendKind::Dense => self.bb().solve(problem),
-            BackendKind::Revised => match presolve(problem, &[])? {
-                PresolveOutcome::Infeasible(_) => Err(MilpError::Infeasible),
-                PresolveOutcome::Reduced(program) => {
-                    self.solve_program(&program, None).map(|run| run.solution)
-                }
-            },
+        match presolve(problem, &[])? {
+            PresolveOutcome::Infeasible(_) => Err(MilpError::Infeasible),
+            PresolveOutcome::Reduced(program) => {
+                self.solve_program(&program, None).map(|run| run.solution)
+            }
         }
     }
 
-    /// Solves a presolved program on the revised backend, optionally
-    /// warm-starting the root relaxation from a prior solve's basis.
+    /// Solves a presolved program, optionally warm-starting the root
+    /// relaxation from a prior solve's basis.
     ///
     /// The returned solution is restored to *original* variable space and
     /// its [`SolverStats`] include the program's presolve reductions. This
@@ -202,13 +172,13 @@ impl Solver {
         program: &PresolvedProblem,
         warm: Option<&Basis>,
     ) -> Result<SolvedProgram, MilpError> {
-        let run = self
-            .bb()
-            .solve_with(program.reduced(), &RevisedBackend::default(), warm)?;
+        let run = self.bb().solve_with(program.reduced(), warm)?;
         let mut solution = run.solution;
-        if !solution.values.is_empty() {
-            // Empty values = limit hit before any incumbent; nothing to
-            // restore in that case.
+        // Empty values with variables left = limit hit before any
+        // incumbent; nothing to restore in that case. A reduced problem
+        // with no variables (presolve fixed them all) restores to the
+        // full original point.
+        if !solution.values.is_empty() || program.reduced().num_vars() == 0 {
             solution.values = program.restore(&solution.values);
         }
         solution.stats.merge(program.stats());
@@ -222,10 +192,11 @@ impl Solver {
     /// rational arithmetic (see [`audit`]).
     ///
     /// The audit always checks against the problem passed *here* — the
-    /// original, pre-presolve formulation. Under the revised backend,
-    /// [`Solver::solve`] has already composed the inverse presolve
-    /// transforms, so a transform bug fails the audit rather than passing
-    /// unnoticed (the correctness keystone of the staged pipeline).
+    /// original, pre-presolve formulation. [`Solver::solve`] has already
+    /// composed the inverse presolve transforms, so a transform bug fails
+    /// the audit rather than passing unnoticed (the correctness keystone
+    /// of the staged pipeline). The audit proves feasibility and the
+    /// claimed objective, not optimality.
     ///
     /// An `Infeasible` verdict is *not* an error here: the auditor turns
     /// it into an [`AuditedOutcome::Infeasible`] with a checked

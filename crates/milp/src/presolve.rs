@@ -1,7 +1,7 @@
 //! Presolve: problem reductions with reversible transforms.
 //!
 //! The staged pipeline runs a small fixpoint of classical reductions
-//! before handing a problem to the revised backend:
+//! before handing a problem to branch & bound:
 //!
 //! 1. **Fixed-variable substitution** — variables with `lower == upper`
 //!    are removed and their contribution folded into each row's RHS.
@@ -104,7 +104,7 @@ pub struct PresolvedProblem {
 }
 
 impl PresolvedProblem {
-    /// The reduced problem the backend actually solves.
+    /// The reduced problem branch & bound actually solves.
     pub fn reduced(&self) -> &Problem {
         &self.reduced
     }

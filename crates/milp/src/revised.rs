@@ -1,14 +1,10 @@
 //! Sparse revised simplex with explicit basis factorization and warm
-//! starts.
+//! starts — the LP engine behind every branch-and-bound node.
 //!
-//! Where the dense reference solver ([`crate::simplex`]) maintains the
-//! full tableau `B⁻¹A`, this solver stores the constraint matrix as
-//! sparse columns and maintains only `B⁻¹` (dense `m×m`, product-form
-//! pivot updates with periodic refactorization). Pricing computes
-//! `y = c_B B⁻¹` and reduced costs column by column, so each iteration
-//! costs `O(m² + nnz)` instead of `O(m·n)` dense row operations.
-//!
-//! Two further differences from the dense solver:
+//! The solver stores the constraint matrix as sparse columns and
+//! maintains only `B⁻¹` (dense `m×m`, product-form pivot updates with
+//! periodic refactorization). Pricing computes `y = c_B B⁻¹` and reduced
+//! costs column by column, so each iteration costs `O(m² + nnz)`.
 //!
 //! * **No artificial variables for inequalities.** The standardization
 //!   gives every row a *logical* column (slack for `≤`/`≥`, a `[0, 0]`
@@ -24,16 +20,111 @@
 //!   repair pivots instead of a full two-phase cold start. This is what
 //!   branch & bound exploits between parent and child nodes, and what
 //!   the incremental window formulation exploits across fixed-point
-//!   rounds.
+//!   rounds. A basis that does not fit is a [`WarmStart::Miss`] and the
+//!   solve cold-starts instead.
 //!
-//! Degenerate iterations fall back to Bland's rule exactly like the
-//! dense solver, so the anti-cycling termination guarantee carries over
-//! (pinned by the Beale-example regression tests).
+//! Degenerate iterations fall back to Bland's rule, which guarantees
+//! termination (pinned by the Beale-example regression tests).
 
-use crate::backend::{Basis, BasisStatus, LpRun, WarmStart};
 use crate::error::MilpError;
+use crate::expr::Var;
 use crate::problem::{Cmp, Objective, Problem};
-use crate::simplex::{LpOutcome, LpSolution};
+
+/// Outcome of an LP solve.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LpOutcome {
+    /// An optimal vertex was found.
+    Optimal(LpSolution),
+    /// No point satisfies constraints and bounds.
+    Infeasible,
+    /// The objective is unbounded in the optimization direction.
+    Unbounded,
+}
+
+/// An optimal LP vertex in the original variable space.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LpSolution {
+    values: Vec<f64>,
+    objective: f64,
+}
+
+impl LpSolution {
+    /// Value of a variable at the optimum.
+    pub fn value(&self, var: Var) -> f64 {
+        self.values[var.index()]
+    }
+
+    /// All variable values, indexed by variable index.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Objective value in the problem's own direction (constant included).
+    pub fn objective(&self) -> f64 {
+        self.objective
+    }
+}
+
+/// Status of one standardized column in a [`Basis`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BasisStatus {
+    /// Basic in the given row slot.
+    Basic(usize),
+    /// Non-basic at its lower bound.
+    AtLower,
+    /// Non-basic at its upper bound.
+    AtUpper,
+}
+
+/// A simplex basis snapshot: one [`BasisStatus`] per standardized column
+/// (structural columns, split negative parts, slacks, equality
+/// artificials — a deterministic function of the problem structure).
+///
+/// Opaque to callers, which only shuttle it between solves of
+/// structurally identical problems (parent → child B&B nodes, round →
+/// round window re-solves).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Basis {
+    pub(crate) statuses: Vec<BasisStatus>,
+}
+
+impl Basis {
+    /// Number of standardized columns the basis covers.
+    pub fn len(&self) -> usize {
+        self.statuses.len()
+    }
+
+    /// `true` iff the basis covers no columns.
+    pub fn is_empty(&self) -> bool {
+        self.statuses.is_empty()
+    }
+}
+
+/// Whether a warm-start basis offered to the solver was adopted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmStart {
+    /// No basis was offered.
+    NotAttempted,
+    /// The offered basis was adopted (the solve started from it, possibly
+    /// after primal repair pivots).
+    Hit,
+    /// The offered basis did not fit (wrong shape, incomplete row cover,
+    /// or singular factorization); the solver cold-started instead.
+    Miss,
+}
+
+/// Result of one [`RevisedSimplex::solve_with_bounds`] call.
+#[derive(Debug, Clone)]
+pub struct LpRun {
+    /// The LP verdict.
+    pub outcome: LpOutcome,
+    /// Optimal basis (only on `Optimal`).
+    pub basis: Option<Basis>,
+    /// Simplex iterations performed (pivots and bound flips).
+    pub pivots: u64,
+    /// Warm-start disposition of this solve.
+    pub warm: WarmStart,
+}
 
 /// Revised-simplex configuration.
 #[derive(Debug, Clone)]
@@ -114,11 +205,15 @@ impl RevisedSimplex {
     /// Solves the LP relaxation of `problem` under `bounds` overrides,
     /// optionally warm-starting from `warm`.
     ///
+    /// Solves are deterministic: identical `(problem, bounds, warm)`
+    /// inputs produce identical outcomes.
+    ///
     /// # Errors
     ///
-    /// Mirrors [`crate::simplex::Simplex::solve_with_bounds`]:
-    /// [`MilpError::InvalidProblem`] for malformed input,
-    /// [`MilpError::NumericalTrouble`] if a phase fails to converge.
+    /// [`MilpError::InvalidProblem`] for malformed input (including
+    /// override bounds of the wrong length or inverted),
+    /// [`MilpError::NumericalTrouble`] if a phase fails to converge. An
+    /// infeasible or unbounded LP is an [`LpOutcome`], not an error.
     pub fn solve_with_bounds(
         &self,
         problem: &Problem,
@@ -192,7 +287,7 @@ impl RevisedSimplex {
             statuses: state.status.clone(),
         });
         Ok(LpRun {
-            outcome: LpOutcome::Optimal(LpSolution::from_parts(values, objective)),
+            outcome: LpOutcome::Optimal(LpSolution { values, objective }),
             basis,
             pivots,
             warm: warm_result,
@@ -324,7 +419,7 @@ impl RevisedSimplex {
                 // Generalized bound cap: an infeasible basic variable caps
                 // at its *violated* bound when moving back toward it (and
                 // becomes feasible there); a feasible one caps at the
-                // bound it is moving toward, exactly like the dense rule.
+                // bound it is moving toward (the textbook ratio test).
                 let (target, at_upper) = if delta < 0.0 {
                     if v > u + ftol {
                         (u, true)
@@ -821,8 +916,8 @@ mod tests {
 
     #[test]
     fn beale_cycling_example_terminates() {
-        // Beale's classical cycling LP; Bland fallback guarantees
-        // termination for the revised backend exactly as for the dense one.
+        // Beale's classical cycling LP; the Bland fallback guarantees
+        // termination.
         let mut p = Problem::minimize();
         let x1 = p.continuous("x1", 0.0, f64::INFINITY);
         let x2 = p.continuous("x2", 0.0, f64::INFINITY);

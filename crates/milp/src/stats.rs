@@ -3,7 +3,7 @@
 //! Before the staged-pipeline refactor, branch-and-bound node counts and
 //! LP iteration counts died inside the solver: `MilpSolution` carried a
 //! bare node count and everything else was discarded. [`SolverStats`] is
-//! the uniform effort record threaded from the LP backends through
+//! the uniform effort record threaded from the LP solver through
 //! [`BranchAndBound`](crate::BranchAndBound) and up to the analysis
 //! reports and `BENCH_<bin>.json` perf records.
 //!
@@ -23,7 +23,7 @@ pub struct SolverStats {
     /// Branch-and-bound nodes explored (for the combinatorial
     /// `ExactEngine` this counts its search nodes instead).
     pub bb_nodes: u64,
-    /// LP relaxations solved (one per B&B node that reached the backend).
+    /// LP relaxations solved (one per B&B node that reached the LP solver).
     pub lp_solves: u64,
     /// Simplex pivots performed across all LP solves, bound flips
     /// included.

@@ -1,9 +1,19 @@
 //! Property tests cross-validating the MILP solver against brute-force
-//! enumeration, and the LP solver against random feasible points.
+//! enumeration and the exact-rational audit, and the LP solver against
+//! random feasible points.
 
 use proptest::prelude::*;
 
-use pmcs_milp::{Cmp, LinExpr, LpOutcome, Problem, Simplex, Solver};
+use pmcs_milp::{Cmp, LinExpr, LpOutcome, Problem, RevisedSimplex, Solver};
+
+/// Solves the LP relaxation of `p` under its own bounds.
+fn solve_lp(p: &Problem) -> LpOutcome {
+    let bounds: Vec<(f64, f64)> = p.vars().map(|v| p.var_bounds(v)).collect();
+    RevisedSimplex::default()
+        .solve_with_bounds(p, &bounds, None)
+        .expect("well-formed LP")
+        .outcome
+}
 
 /// Builds a random binary program with non-negative constraint weights so
 /// the all-zero point is always feasible.
@@ -54,7 +64,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Branch & bound matches brute-force enumeration on random binary
-    /// programs (objective may include negative coefficients).
+    /// programs (objective may include negative coefficients), and the
+    /// exact audit certifies the answer.
     #[test]
     fn bnb_matches_brute_force(
         objective in prop::collection::vec(-20i32..=20, 2..=7),
@@ -69,7 +80,10 @@ proptest! {
             .map(|(w, cap)| (w[..n].to_vec(), cap))
             .collect();
         let (p, _) = binary_program(&objective, &constraints);
-        let sol = Solver::new().solve(&p).unwrap();
+        let audited = Solver::new().solve_audited(&p).unwrap();
+        prop_assert!(audited.report.certified(),
+            "audit not certified: {:?}", audited.report.problems().collect::<Vec<_>>());
+        let sol = audited.solution().expect("all-zero point is feasible");
         prop_assert!(sol.is_optimal());
         let expected = brute_force(&objective, &constraints);
         prop_assert!((sol.objective() - expected).abs() < 1e-6,
@@ -104,7 +118,7 @@ proptest! {
         }
         p.set_objective(obj.clone());
 
-        let LpOutcome::Optimal(opt) = Simplex::new().solve(&p).unwrap() else {
+        let LpOutcome::Optimal(opt) = solve_lp(&p) else {
             // All-zeros is feasible and bounds are finite, so the LP is
             // neither infeasible nor unbounded.
             panic!("expected optimal");
@@ -159,7 +173,7 @@ proptest! {
             let v = milp.value(*b).round();
             fixed.fix(*b, v);
         }
-        let LpOutcome::Optimal(lp) = Simplex::new().solve(&fixed).unwrap() else {
+        let LpOutcome::Optimal(lp) = solve_lp(&fixed) else {
             panic!("fixed LP must stay feasible");
         };
         prop_assert!((lp.objective() - milp.objective()).abs() < 1e-6);
