@@ -10,11 +10,18 @@
 
 use std::thread;
 
-use pmcs_core::AUDIT_ENV_VAR;
-
 /// Environment variable naming the worker-thread count (CLI edge only;
 /// an explicit `--jobs` flag wins).
 pub const JOBS_ENV_VAR: &str = "PMCS_JOBS";
+
+/// Environment variable requesting audited analysis (`1`/`true`; CLI
+/// edge only, an explicit `--audit`/`--no-audit` flag wins). When on,
+/// every delay bound is cross-checked against the MILP formulation,
+/// whose solves are re-verified with exact rational arithmetic
+/// (`pmcs_milp::audit`); a refuted answer surfaces as
+/// `CoreError::AuditFailed` instead of silently feeding a wrong bound
+/// into the fixed point.
+pub const AUDIT_ENV_VAR: &str = "PMCS_AUDIT";
 
 /// Environment variable naming the number of adversarial release plans
 /// to cross-validate per schedulable set (CLI edge only; an explicit
@@ -37,9 +44,9 @@ pub const EMIT_CERTS_ENV_VAR: &str = "PMCS_EMIT_CERTS";
 /// * [`AnalysisConfig::default`] — single-threaded, cached, unaudited,
 ///   default solver limits; what library callers and tests want.
 /// * [`AnalysisConfig::resolve`] — the CLI edge: merges explicit flags
-///   with the `PMCS_JOBS` / `PMCS_AUDIT` environment variables
-///   (precedence flag > env > default) and defaults `jobs` to the
-///   machine's available parallelism.
+///   with the `PMCS_*` environment variables (precedence
+///   flag > env > default) and defaults `jobs` to the machine's
+///   available parallelism.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisConfig {
     /// Worker threads for sweep executors (always ≥ 1).
@@ -99,11 +106,17 @@ impl AnalysisConfig {
     /// Resolves the effective configuration at the CLI edge.
     ///
     /// Precedence per field: explicit flag > environment > default.
-    /// Honored environment variables: [`JOBS_ENV_VAR`] (`PMCS_JOBS`,
-    /// a thread count) and [`AUDIT_ENV_VAR`] (`PMCS_AUDIT`, `1`/`true`
-    /// enables auditing). `jobs` defaults to
-    /// [`std::thread::available_parallelism`] rather than 1, matching
-    /// the historical bench-binary behavior.
+    /// Honored environment variables:
+    ///
+    /// * [`JOBS_ENV_VAR`] (`PMCS_JOBS`, a thread count);
+    /// * [`AUDIT_ENV_VAR`] (`PMCS_AUDIT`, `1`/`true` enables auditing);
+    /// * [`CROSS_VALIDATE_ENV_VAR`] (`PMCS_CROSS_VALIDATE`, plans per
+    ///   schedulable set);
+    /// * [`EMIT_CERTS_ENV_VAR`] (`PMCS_EMIT_CERTS`, `1`/`true` enables
+    ///   certificate emission).
+    ///
+    /// `jobs` defaults to [`std::thread::available_parallelism`] rather
+    /// than 1, matching the historical bench-binary behavior.
     pub fn resolve(cli: &CliOverrides) -> Self {
         let defaults = AnalysisConfig::default();
         let jobs = cli

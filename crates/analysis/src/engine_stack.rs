@@ -106,7 +106,7 @@ impl<E> AuditedEngine<E> {
     pub fn new(inner: E) -> Self {
         AuditedEngine {
             inner,
-            reference: MilpEngine::audited(),
+            reference: MilpEngine::new(),
         }
     }
 
@@ -229,17 +229,6 @@ impl fmt::Debug for EngineStack {
     }
 }
 
-/// Builds the MILP engine `cfg` asks for: solver limits at their
-/// defaults, audited mode from `cfg.audit`. The `pmcs-audit` CLI uses
-/// this instead of assembling engines by hand.
-pub fn milp_engine(cfg: &AnalysisConfig) -> MilpEngine {
-    if cfg.audit {
-        MilpEngine::audited()
-    } else {
-        MilpEngine::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,16 +345,6 @@ mod tests {
         assert_eq!(first.delay, second.delay);
         assert_eq!(b.cache_stats().hits, 1, "the second stack hits");
         assert_eq!(shared.len(), 1);
-    }
-
-    #[test]
-    fn milp_engine_honors_audit_flag() {
-        assert!(!milp_engine(&AnalysisConfig::default()).audit);
-        let cfg = AnalysisConfig {
-            audit: true,
-            ..AnalysisConfig::default()
-        };
-        assert!(milp_engine(&cfg).audit);
     }
 
     #[test]

@@ -60,13 +60,14 @@ pub mod report;
 pub use analyzer::{AnalysisContext, Analyzer};
 pub use approaches::{NpsAnalyzer, ProposedAnalyzer, WpAnalyzer, WpMilpAnalyzer};
 pub use config::{
-    AnalysisConfig, CliOverrides, CROSS_VALIDATE_ENV_VAR, EMIT_CERTS_ENV_VAR, JOBS_ENV_VAR,
+    AnalysisConfig, CliOverrides, AUDIT_ENV_VAR, CROSS_VALIDATE_ENV_VAR, EMIT_CERTS_ENV_VAR,
+    JOBS_ENV_VAR,
 };
 pub use cross_validate::{
     cross_validate, cross_validate_bounds, cross_validate_bounds_in, cross_validate_report,
     cross_validate_report_in, plan_horizon, Refutation, RefutationKind, SimCounters, SimScratch,
 };
-pub use engine_stack::{milp_engine, AuditedEngine, EngineStack, StackEngine};
+pub use engine_stack::{AuditedEngine, EngineStack, StackEngine};
 pub use error::AnalysisError;
 pub use multicore::{
     cross_validate_platform, extract_transfers, extract_transfers_into, refute_bus_bounds,

@@ -48,14 +48,14 @@
 use std::process::ExitCode;
 
 use pmcs_analysis::{
-    cross_validate, cross_validate_bounds, milp_engine, plan_horizon, AnalysisConfig,
-    AnalysisContext, CliOverrides, RefutationKind, Registry,
+    cross_validate, cross_validate_bounds, plan_horizon, AnalysisConfig, AnalysisContext,
+    CliOverrides, RefutationKind, Registry,
 };
 use pmcs_audit::{check_conformance, lint, lint_sequence, Severity, LINT_CODES};
 use pmcs_bench::{run_campaign, CampaignConfig};
 use pmcs_core::window::case_for;
 use pmcs_core::Heuristic;
-use pmcs_core::WindowModel;
+use pmcs_core::{MilpEngine, WindowModel};
 use pmcs_milp::{AuditedOutcome, Cmp, LinExpr, Problem, Solver};
 use pmcs_model::{BusModel, Sensitivity, TaskId, TaskSet, Time};
 use pmcs_sim::{simulate, simulate_with, Policy, SimResult, TraceUnit};
@@ -238,8 +238,8 @@ fn main() -> ExitCode {
 
     match command.as_deref() {
         Some("trace") => cmd_trace(&opts),
-        Some("milp") => cmd_milp(&opts, &cfg),
-        Some("lint") => cmd_lint(&opts, &cfg),
+        Some("milp") => cmd_milp(&opts),
+        Some("lint") => cmd_lint(&opts),
         Some("analyze") => cmd_analyze(&opts, &cfg),
         Some("simulate") => cmd_simulate(&opts, &cfg),
         Some("partition") => cmd_partition(&opts, &cfg),
@@ -355,9 +355,9 @@ fn corrupt_copy_in(result: &SimResult) -> Option<(SimResult, pmcs_model::JobId)>
 
 // --- milp ---------------------------------------------------------------
 
-fn cmd_milp(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
+fn cmd_milp(opts: &Options) -> ExitCode {
     let set = demo_set(opts);
-    let engine = milp_engine(cfg);
+    let engine = MilpEngine::new();
     // The audit always verifies against the original problem, not the
     // presolved one the solver actually searched.
     let solver = Solver::new();
@@ -418,9 +418,9 @@ fn cmd_milp(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
 
 // --- lint ---------------------------------------------------------------
 
-fn cmd_lint(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
+fn cmd_lint(opts: &Options) -> ExitCode {
     let set = demo_set(opts);
-    let engine = milp_engine(cfg);
+    let engine = MilpEngine::new();
     let mut failed = false;
 
     println!("linting the WCRT window formulations:");
@@ -944,7 +944,7 @@ fn cmd_cert_emit(opts: &Options) -> ExitCode {
 fn milp_tree_cert(set: &TaskSet) -> Result<pmcs_cert::DelayCertificate, String> {
     use pmcs_core::wcrt::DelayEngine as _;
     let exact = pmcs_core::ExactEngine::default();
-    let milp = pmcs_core::MilpEngine::default();
+    let milp = MilpEngine::new();
     for task in set.iter() {
         let case = case_for(task.sensitivity());
         let half = Time::from_ticks((task.deadline().as_ticks() / 2).max(1));

@@ -463,6 +463,20 @@ mod tests {
     }
 
     #[test]
+    fn emitted_bundles_are_byte_identical_across_runs() {
+        let set = promoting_set();
+        let emit = || {
+            let (_, bundle) =
+                certify_task_set(&set, &ExactEngine::default()).expect("certification succeeds");
+            pmcs_cert::encode_certificate_set(&bundle)
+        };
+        let first = emit();
+        for _ in 0..4 {
+            assert_eq!(emit(), first);
+        }
+    }
+
+    #[test]
     fn dp_certificate_round_trips_through_json() {
         let set = promoting_set();
         let (_, bundle) =

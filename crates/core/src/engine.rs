@@ -278,7 +278,9 @@ impl ExactEngine {
             return None;
         }
         let witness = search.traceback(&rec, value)?;
-        let states = rec
+        // Sorted by key: the memo's hash order differs between runs, and
+        // the emitted certificate must not.
+        let mut states: Vec<RecordedState> = rec
             .into_iter()
             .map(|((k, prev, prev2, budgets), value)| RecordedState {
                 k,
@@ -288,6 +290,9 @@ impl ExactEngine {
                 value,
             })
             .collect();
+        states.sort_unstable_by(|a, b| {
+            (a.k, a.prev, a.prev2, &a.budgets).cmp(&(b.k, b.prev, b.prev2, &b.budgets))
+        });
         Some(RecordedSolve {
             value,
             states,

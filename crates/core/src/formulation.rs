@@ -24,13 +24,11 @@
 //! * The task under analysis never appears as a cancellation victim: its
 //!   copy-in is pinned to `I_{N−2}` by Constraint 12.
 
-use std::cell::{Cell, RefCell};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::cell::Cell;
 
 use pmcs_milp::{
-    presolve, AuditReport, AuditedOutcome, BasisStore, BasisStoreStats, Cmp, Limits, LinExpr,
-    MilpError, MilpSolution, Objective, PresolveOutcome, Problem, Solver, SolverStats, Var,
+    AuditReport, AuditedOutcome, Cmp, Limits, LinExpr, MilpError, MilpSolution, Problem, Solver,
+    SolverStats, Var,
 };
 use pmcs_model::Time;
 
@@ -38,20 +36,12 @@ use crate::error::CoreError;
 use crate::wcrt::{DelayBound, DelayEngine};
 use crate::window::WindowModel;
 
-/// Conventional environment variable requesting audited solves: set
-/// `PMCS_AUDIT=1` (or `true`) and every solve of the WCRT fixed-point
-/// iteration is re-verified with exact rational arithmetic
-/// ([`pmcs_milp::audit`]). A refuted answer surfaces as
-/// [`CoreError::AuditFailed`] instead of silently feeding a wrong bound
-/// into the iteration.
-///
-/// This crate never reads the variable itself: it is honored only at the
-/// CLI edge, by `pmcs_analysis::AnalysisConfig::resolve` (precedence
-/// flag > env > default), which then constructs the engine with the
-/// `audit` field set explicitly.
-pub const AUDIT_ENV_VAR: &str = "PMCS_AUDIT";
-
 /// Delay engine backed by the faithful MILP formulation.
+///
+/// Every solve runs the audited pipeline ([`Solver::solve_audited`]):
+/// presolve, branch & bound, restoration through the inverse transforms,
+/// then an exact-rational re-verification against the original problem.
+/// A refuted answer is [`CoreError::AuditFailed`], never a silent bound.
 ///
 /// Exponentially slower than [`ExactEngine`](crate::ExactEngine) on large
 /// windows; intended for validation, small task sets, and benchmarking the
@@ -60,10 +50,6 @@ pub const AUDIT_ENV_VAR: &str = "PMCS_AUDIT";
 pub struct MilpEngine {
     /// Branch-and-bound limits handed to the solver.
     pub limits: Limits,
-    /// When `true`, every solve is re-verified with exact rational
-    /// arithmetic and a refuted answer is an error. Off by default;
-    /// callers honoring [`AUDIT_ENV_VAR`] set it explicitly.
-    pub audit: bool,
     /// Effort gate: windows whose formulation has more than this many
     /// integral variables are not solved at all — the engine returns the
     /// formulation's deterministic safe delay cap (`N · M`, an upper
@@ -78,31 +64,14 @@ pub struct MilpEngine {
     /// `None` (the default) never gates — the historical behavior for
     /// validation-sized windows.
     pub bin_budget: Option<usize>,
-    /// Presolved programs and warm-start bases reused across solves of
-    /// structurally identical windows (unaudited solves only). The store
-    /// is session-scoped: it answers for the last
-    /// [`DEFAULT_STORE_ENTRIES`](pmcs_milp::basis_store::DEFAULT_STORE_ENTRIES)
-    /// distinct structures, so repeated window shapes across *queries*
-    /// reuse their presolve and basis, not just consecutive fixed-point
-    /// rounds.
-    store: RefCell<BasisStore>,
     /// Cumulative solver effort across every solve this engine performed.
     stats: Cell<SolverStats>,
 }
 
 impl MilpEngine {
-    /// Creates an unaudited engine with default solver limits.
+    /// Creates an engine with default solver limits and no effort gate.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an engine that audits every solve regardless of the
-    /// environment.
-    pub fn audited() -> Self {
-        MilpEngine {
-            audit: true,
-            ..Self::default()
-        }
     }
 
     /// Sets the effort gate (see the `bin_budget` field).
@@ -130,13 +99,9 @@ impl MilpEngine {
     }
 
     fn solve(&self, problem: &Problem) -> Result<MilpSolution, CoreError> {
-        if !self.audit {
-            return self.solve_incremental(problem);
-        }
-        // Audited solves always run the full pipeline: `Solver::solve`
-        // restores through the inverse transforms before the audit checks
-        // the answer against the original problem, so a presolve bug is a
-        // refutation, never a silent shift.
+        // `Solver::solve` restores through the inverse transforms before
+        // the audit checks the answer against the original problem, so a
+        // presolve bug is a refutation, never a silent shift.
         let audited = Solver::with_limits(self.limits.clone()).solve_audited(problem)?;
         if audited.report.failed() {
             return Err(audit_error(&audited.report));
@@ -149,86 +114,6 @@ impl MilpEngine {
             AuditedOutcome::Infeasible => Err(MilpError::Infeasible.into()),
         }
     }
-
-    /// The incremental path: presolve once per window structure, then on
-    /// every re-solve of a stored structure mutate only the budget-row
-    /// RHS values and warm-start from that structure's last root basis.
-    /// The [`BasisStore`] keeps many structures, so reuse spans queries,
-    /// not just consecutive fixed-point rounds.
-    fn solve_incremental(&self, problem: &Problem) -> Result<MilpSolution, CoreError> {
-        let budget_rows: Vec<(usize, f64)> = problem
-            .constraints()
-            .filter(|c| c.name().is_some_and(|n| n.starts_with("C7_")))
-            .map(|c| (c.index(), c.rhs()))
-            .collect();
-        let fingerprint = structural_fingerprint(problem, &budget_rows);
-
-        let mut store = self.store.borrow_mut();
-        if store.lookup(fingerprint) {
-            let entry = store.entry_mut(fingerprint).expect("hit implies entry");
-            for &(row, rhs) in &budget_rows {
-                entry.program.update_rhs(row, rhs)?;
-            }
-        } else {
-            let mutable: Vec<usize> = budget_rows.iter().map(|&(r, _)| r).collect();
-            let program = match presolve(problem, &mutable)? {
-                PresolveOutcome::Reduced(p) => p,
-                // See `solve`: the windows are feasible by construction.
-                PresolveOutcome::Infeasible(_) => return Err(MilpError::Infeasible.into()),
-            };
-            store.insert(fingerprint, program);
-        }
-        let entry = store.entry_mut(fingerprint).expect("populated above");
-        let solver = Solver::with_limits(self.limits.clone());
-        let solved = solver.solve_program(&entry.program, entry.basis.as_ref())?;
-        if solved.basis.is_some() {
-            entry.basis = solved.basis;
-        }
-        Ok(solved.solution)
-    }
-
-    /// Presolve/basis reuse counters of the structure store (unaudited
-    /// solves only; all zeros for an audited engine).
-    pub fn basis_store_stats(&self) -> BasisStoreStats {
-        self.store.borrow().stats()
-    }
-}
-
-/// Hashes everything about `problem` except the RHS of the budget rows:
-/// two fixed-point rounds with equal fingerprints differ at most in those
-/// RHS values, so the presolved program can be reused via
-/// [`PresolvedProblem::update_rhs`].
-fn structural_fingerprint(problem: &Problem, budget_rows: &[(usize, f64)]) -> u64 {
-    let mut h = DefaultHasher::new();
-    problem.num_vars().hash(&mut h);
-    matches!(problem.direction(), Objective::Maximize).hash(&mut h);
-    for v in problem.vars() {
-        let (lo, hi) = problem.var_bounds(v);
-        lo.to_bits().hash(&mut h);
-        hi.to_bits().hash(&mut h);
-        problem.var_kind(v).is_integral().hash(&mut h);
-    }
-    for c in problem.constraints() {
-        c.name().hash(&mut h);
-        (c.cmp() as u8).hash(&mut h);
-        for (var, coeff) in c.expr().iter() {
-            var.index().hash(&mut h);
-            coeff.to_bits().hash(&mut h);
-        }
-        c.expr().constant().to_bits().hash(&mut h);
-        if budget_rows
-            .binary_search_by_key(&c.index(), |&(r, _)| r)
-            .is_err()
-        {
-            c.rhs().to_bits().hash(&mut h);
-        }
-    }
-    for (var, coeff) in problem.objective().iter() {
-        var.index().hash(&mut h);
-        coeff.to_bits().hash(&mut h);
-    }
-    problem.objective().constant().to_bits().hash(&mut h);
-    h.finish()
 }
 
 /// Maps the first failed check of `report` to [`CoreError::AuditFailed`].
@@ -759,37 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn audited_engine_agrees_with_unaudited() {
-        let w = window(
-            vec![
-                test_task(0, 10, 2, 2, 100, 0, false),
-                test_task(1, 20, 4, 4, 200, 1, false),
-                test_task(2, 30, 5, 5, 300, 2, true),
-            ],
-            0,
-            WindowCase::Nls,
-            50,
-        );
-        let plain = MilpEngine {
-            audit: false,
-            ..MilpEngine::default()
-        };
-        let audited = MilpEngine {
-            audit: true,
-            ..MilpEngine::default()
-        };
-        let a = plain.max_total_delay(&w).unwrap();
-        let b = audited.max_total_delay(&w).unwrap();
-        assert_eq!(a.delay, b.delay);
-        assert_eq!(a.exact, b.exact);
-    }
-
-    #[test]
-    fn audited_constructor_forces_audit_on() {
-        assert!(MilpEngine::audited().audit);
-    }
-
-    #[test]
     fn effort_gate_returns_the_deterministic_cap() {
         let w = window(
             vec![
@@ -801,18 +655,17 @@ mod tests {
             12,
         );
         // A zero budget gates every window; the bound is computed from the
-        // formulation, not a search, so plain and audited engines agree.
-        let gated: Vec<DelayBound> = [MilpEngine::new(), MilpEngine::audited()]
-            .into_iter()
-            .map(|e| e.with_bin_budget(Some(0)).max_total_delay(&w).unwrap())
-            .collect();
-        assert_eq!(gated[0].delay, gated[1].delay);
-        assert!(!gated[0].exact && gated[0].nodes == 0);
+        // formulation, not a search.
+        let gated = MilpEngine::new()
+            .with_bin_budget(Some(0))
+            .max_total_delay(&w)
+            .unwrap();
+        assert!(!gated.exact && gated.nodes == 0);
         // The cap dominates the true optimum (515 here): it is a safe,
         // conservative over-approximation, never an underestimate.
         let full = MilpEngine::default().max_total_delay(&w).unwrap();
         assert!(full.exact);
-        assert!(gated[0].delay >= full.delay);
+        assert!(gated.delay >= full.delay);
         // An ample budget never gates.
         let ungated = MilpEngine::new()
             .with_bin_budget(Some(10_000))
@@ -836,41 +689,6 @@ mod tests {
         let p = MilpEngine::default().build_problem(&w);
         assert!(p.num_vars() > 4 * w.n());
         assert!(p.num_constraints() >= 2 * w.n());
-    }
-
-    #[test]
-    fn incremental_path_matches_the_audited_pipeline_and_warm_starts() {
-        let tasks = || {
-            vec![
-                test_task(0, 10, 2, 2, 100, 0, false),
-                test_task(1, 20, 4, 4, 200, 1, false),
-                test_task(2, 30, 5, 5, 300, 2, true),
-            ]
-        };
-        let audited = MilpEngine::audited();
-        let incremental = MilpEngine::default();
-        // Several window lengths: structure changes as n grows, and the
-        // repeat of each length exercises the fingerprint-reuse path the
-        // fixed-point iteration takes once budgets stabilize.
-        for t in [10, 25, 25, 50, 50] {
-            let w = window(tasks(), 0, WindowCase::Nls, t);
-            let a = audited.max_total_delay(&w).unwrap();
-            let b = incremental.max_total_delay(&w).unwrap();
-            assert_eq!(a.delay, b.delay, "t={t}");
-            assert_eq!(a.exact, b.exact, "t={t}");
-        }
-        let stats = incremental.solver_stats();
-        assert!(stats.lp_solves > 0);
-        assert!(
-            stats.warm_start_hits > 0,
-            "repeated structures must warm-start: {stats}"
-        );
-        assert_eq!(
-            audited.basis_store_stats(),
-            BasisStoreStats::default(),
-            "audited solves always run the full pipeline"
-        );
-        assert!(audited.solver_stats().bb_nodes > 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use chains::{chain_latency, ChainActivation, TaskChain};
 pub use contention::Inflation;
 pub use engine::ExactEngine;
 pub use error::CoreError;
-pub use formulation::{MilpEngine, AUDIT_ENV_VAR};
+pub use formulation::MilpEngine;
 pub use ls_search::{exhaustive_ls_assignment, ExhaustiveResult};
 pub use partitioning::{
     analyze_platform, assign_budgets, partition, partition_regulated, BudgetAttempt, BudgetSearch,

@@ -1,13 +1,10 @@
-//! Branch & bound for mixed-integer programs, generic over the search
-//! strategy.
+//! Branch & bound for mixed-integer programs: best-first node selection
+//! and most-fractional branching.
 //!
 //! Node relaxations are priced by the [`RevisedSimplex`], and every
 //! child node warm-starts from its parent's optimal basis: the
 //! child differs only in one variable bound, so a few dual/primal repair
-//! pivots usually replace a full cold solve. The first root basis is also
-//! returned ([`BbRun::root_basis`]) so callers re-solving a structurally
-//! identical problem — the incremental window formulation across WCRT
-//! fixed-point rounds — can warm-start the *next* solve's root too.
+//! pivots usually replace a full cold solve. The root always solves cold.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -41,50 +38,6 @@ impl Default for Limits {
     }
 }
 
-/// How the branching variable is chosen at a fractional node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchRule {
-    /// Branch on the integral variable whose LP value is closest to
-    /// `.5` (the classic most-fractional rule).
-    #[default]
-    MostFractional,
-    /// Branch on the lowest-index fractional integral variable (cheap,
-    /// deterministic; useful as a tie-free baseline).
-    FirstFractional,
-}
-
-/// How open nodes are ordered for exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodeOrder {
-    /// Pop the node with the best inherited LP bound (deeper first on
-    /// ties, diving toward incumbents).
-    #[default]
-    BestFirst,
-    /// Pop the deepest node first (depth-first dive; best bound breaks
-    /// ties). Finds incumbents early at the cost of weaker pruning.
-    DepthFirst,
-}
-
-/// A branching/node-selection strategy for [`BranchAndBound`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Strategy {
-    /// Branching-variable rule.
-    pub branch: BranchRule,
-    /// Node exploration order.
-    pub order: NodeOrder,
-}
-
-/// Result of [`BranchAndBound::solve_with`]: the solution plus the root
-/// relaxation's optimal basis.
-#[derive(Debug, Clone)]
-pub struct BbRun {
-    /// The MILP solution.
-    pub solution: MilpSolution,
-    /// Optimal basis of the root LP relaxation, for warm-starting the
-    /// next structurally identical solve.
-    pub root_basis: Option<Basis>,
-}
-
 /// A search node: variable-bound overrides plus its parent's LP bound
 /// and (when available) the parent's optimal basis for warm-starting.
 #[derive(Debug, Clone)]
@@ -95,8 +48,6 @@ struct Node {
     depth: usize,
     /// Parent's optimal basis, shared between both children.
     basis: Option<Rc<Basis>>,
-    /// Heap discipline this node is ordered under (uniform per solve).
-    order: NodeOrder,
 }
 
 impl PartialEq for Node {
@@ -116,46 +67,32 @@ impl Ord for Node {
         // (a `partial_cmp(..).unwrap_or(Equal)` here would silently break
         // transitivity and corrupt the heap). NaN sorts above +∞, so a
         // NaN-bound node is popped first and then fathomed or re-bounded
-        // by its own LP solve — never lost.
-        match self.order {
-            NodeOrder::BestFirst => self
-                .bound
-                .total_cmp(&other.bound)
-                .then(self.depth.cmp(&other.depth)),
-            NodeOrder::DepthFirst => self
-                .depth
-                .cmp(&other.depth)
-                .then(self.bound.total_cmp(&other.bound)),
-        }
+        // by its own LP solve — never lost. Best bound first, deeper
+        // first on ties (diving toward incumbents).
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.depth.cmp(&other.depth))
     }
 }
 
 /// Branch & bound driver.
 ///
 /// Usually accessed through [`Solver`](crate::Solver); use directly to
-/// customize [`Limits`] or the [`Strategy`], or to solve a problem
-/// without presolving it first.
+/// customize [`Limits`] or to solve a problem without presolving it
+/// first.
 #[derive(Debug, Clone, Default)]
 pub struct BranchAndBound {
     limits: Limits,
-    strategy: Strategy,
     lp: RevisedSimplex,
 }
 
 impl BranchAndBound {
-    /// Creates a driver with the given limits and the default strategy.
+    /// Creates a driver with the given limits.
     pub fn new(limits: Limits) -> Self {
         BranchAndBound {
             limits,
             ..BranchAndBound::default()
         }
-    }
-
-    /// Selects the branching/node-selection strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Solves a mixed-integer program from a cold root.
@@ -174,21 +111,6 @@ impl BranchAndBound {
     /// if a feasible point was never found — in that case the solution
     /// carries the proven bound and an empty value vector.
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, MilpError> {
-        self.solve_with(problem, None).map(|run| run.solution)
-    }
-
-    /// [`solve`](Self::solve), optionally warm-starting the root
-    /// relaxation from `root_basis`, and returning
-    /// the root's optimal basis for the caller's next solve.
-    ///
-    /// # Errors
-    ///
-    /// See [`solve`](Self::solve).
-    pub fn solve_with(
-        &self,
-        problem: &Problem,
-        root_basis: Option<&Basis>,
-    ) -> Result<BbRun, MilpError> {
         problem.validate()?;
         // Internal convention: maximize. Flip sign for minimization.
         let sign = match problem.direction() {
@@ -219,14 +141,12 @@ impl BranchAndBound {
             bound: f64::INFINITY,
             depth: 0,
             basis: None,
-            order: self.strategy.order,
         });
 
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, internal obj)
         let mut nodes = 0usize;
         let mut limit_hit = false;
         let mut stats = SolverStats::default();
-        let mut out_root_basis: Option<Basis> = None;
 
         while let Some(node) = heap.pop() {
             // Fathom against incumbent using the inherited bound.
@@ -243,14 +163,10 @@ impl BranchAndBound {
             }
             nodes += 1;
 
-            // Warm start: parent basis if inherited, else the caller's
-            // root basis for the root node.
-            let warm = match &node.basis {
-                Some(b) => Some(b.as_ref()),
-                None if node.depth == 0 => root_basis,
-                None => None,
-            };
-            let run = self.lp.solve_with_bounds(problem, &node.bounds, warm)?;
+            // Warm start from the parent's basis (the root solves cold).
+            let run = self
+                .lp
+                .solve_with_bounds(problem, &node.bounds, node.basis.as_deref())?;
             stats.lp_solves += 1;
             stats.lp_pivots += run.pivots;
             match run.warm {
@@ -270,9 +186,6 @@ impl BranchAndBound {
                 }
                 LpOutcome::Optimal(s) => s,
             };
-            if node.depth == 0 && out_root_basis.is_none() {
-                out_root_basis = run.basis.clone();
-            }
             let child_basis = run.basis.map(Rc::new);
             let lp_bound = sign * lp.objective();
             if let Some((_, best)) = &incumbent {
@@ -281,24 +194,17 @@ impl BranchAndBound {
                 }
             }
 
-            // Branching variable per the configured rule.
+            // Branch on the most fractional integral variable (value
+            // closest to `.5`; the lowest index wins ties).
             let mut branch_var: Option<(usize, f64, f64)> = None; // (idx, value, score)
             for v in problem.integral_vars() {
                 let val = lp.value(v);
                 let frac = (val - val.round()).abs();
                 if frac > self.limits.int_tol {
-                    match self.strategy.branch {
-                        BranchRule::MostFractional => {
-                            let dist = (val - val.floor() - 0.5).abs(); // 0 = most fractional
-                            match branch_var {
-                                Some((_, _, d)) if d <= dist => {}
-                                _ => branch_var = Some((v.index(), val, dist)),
-                            }
-                        }
-                        BranchRule::FirstFractional => {
-                            branch_var = Some((v.index(), val, 0.0));
-                            break;
-                        }
+                    let dist = (val - val.floor() - 0.5).abs(); // 0 = most fractional
+                    match branch_var {
+                        Some((_, _, d)) if d <= dist => {}
+                        _ => branch_var = Some((v.index(), val, dist)),
                     }
                 }
             }
@@ -344,7 +250,6 @@ impl BranchAndBound {
                                 bound: lp_bound,
                                 depth: node.depth + 1,
                                 basis: child_basis.clone(),
-                                order: self.strategy.order,
                             });
                         }
                     }
@@ -359,7 +264,6 @@ impl BranchAndBound {
                                 bound: lp_bound,
                                 depth: node.depth + 1,
                                 basis: child_basis,
-                                order: self.strategy.order,
                             });
                         }
                     }
@@ -373,7 +277,7 @@ impl BranchAndBound {
             .map(|n| n.bound)
             .fold(f64::NEG_INFINITY, f64::max);
 
-        let solution = match incumbent {
+        match incumbent {
             Some((values, internal_obj)) => {
                 let status = if limit_hit && remaining_bound > internal_obj + self.limits.gap_tol {
                     SolveStatus::LimitReached {
@@ -382,32 +286,23 @@ impl BranchAndBound {
                 } else {
                     SolveStatus::Optimal
                 };
-                MilpSolution {
+                Ok(MilpSolution {
                     objective: sign * internal_obj,
                     values,
                     status,
                     stats,
-                }
+                })
             }
-            None => {
-                if limit_hit {
-                    MilpSolution {
-                        values: Vec::new(),
-                        objective: f64::NAN,
-                        status: SolveStatus::LimitReached {
-                            bound: sign * remaining_bound,
-                        },
-                        stats,
-                    }
-                } else {
-                    return Err(MilpError::Infeasible);
-                }
-            }
-        };
-        Ok(BbRun {
-            solution,
-            root_basis: out_root_basis,
-        })
+            None if limit_hit => Ok(MilpSolution {
+                values: Vec::new(),
+                objective: f64::NAN,
+                status: SolveStatus::LimitReached {
+                    bound: sign * remaining_bound,
+                },
+                stats,
+            }),
+            None => Err(MilpError::Infeasible),
+        }
     }
 }
 
@@ -552,42 +447,16 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_the_optimum() {
-        let p = twelve_item_knapsack();
-        let reference = Solver::new().solve(&p).unwrap();
-        for branch in [BranchRule::MostFractional, BranchRule::FirstFractional] {
-            for order in [NodeOrder::BestFirst, NodeOrder::DepthFirst] {
-                let bb = BranchAndBound::new(Limits::default())
-                    .with_strategy(Strategy { branch, order });
-                let s = bb.solve(&p).unwrap();
-                assert!(
-                    (s.objective() - reference.objective()).abs() < 1e-6,
-                    "{branch:?}/{order:?} found {} instead of {}",
-                    s.objective(),
-                    reference.objective()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn children_warm_start_from_parent_bases() {
         let p = twelve_item_knapsack();
-        let bb = BranchAndBound::new(Limits::default());
-        let run = bb.solve_with(&p, None).unwrap();
-        let stats = run.solution.stats();
+        let s = BranchAndBound::new(Limits::default()).solve(&p).unwrap();
+        let stats = s.stats();
         assert!(stats.bb_nodes > 1, "knapsack must branch");
         assert_eq!(stats.lp_solves, stats.bb_nodes);
         assert!(
             stats.warm_start_hits > 0,
             "children inherit parent bases: {stats}"
         );
-        assert!(run.root_basis.is_some(), "root basis is exported");
-        // Warm-starting a fresh solve from the exported root basis is a
-        // recorded attempt too (the fixed-point-round scenario).
-        let rerun = bb.solve_with(&p, run.root_basis.as_ref()).unwrap();
-        assert!(rerun.solution.stats().warm_start_hits >= stats.warm_start_hits);
-        assert!((rerun.solution.objective() - run.solution.objective()).abs() < 1e-9);
     }
 
     #[test]
@@ -597,7 +466,6 @@ mod tests {
             bound,
             depth,
             basis: None,
-            order: NodeOrder::BestFirst,
         };
         let nan = mk(f64::NAN, 0);
         let fin = mk(5.0, 3);
@@ -630,19 +498,6 @@ mod tests {
         assert_eq!(popped[2], 7.0);
         assert_eq!(popped[3], 1.0);
         assert_eq!(popped[4], f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn depth_first_ordering_prefers_deeper_nodes() {
-        let mk = |bound: f64, depth: usize| Node {
-            bounds: Vec::new(),
-            bound,
-            depth,
-            basis: None,
-            order: NodeOrder::DepthFirst,
-        };
-        assert_eq!(mk(1.0, 5).cmp(&mk(100.0, 2)), Ordering::Greater);
-        assert_eq!(mk(1.0, 3).cmp(&mk(2.0, 3)), Ordering::Less);
     }
 
     #[test]

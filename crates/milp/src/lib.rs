@@ -14,8 +14,8 @@
 //!    solutions map back to the original variable space.
 //! 3. **LP relaxations** ([`revised`]) — a sparse revised simplex with
 //!    explicit basis factorization and warm starts.
-//! 4. **Branch & bound** ([`branch`]) — pluggable branching/node-selection
-//!    strategies; each child node warm-starts from its parent's basis.
+//! 4. **Branch & bound** ([`branch`]) — best-first, most-fractional
+//!    branching; each child node warm-starts from its parent's basis.
 //!
 //! Solver effort (LP pivots, presolve reductions, B&B nodes, warm-start
 //! hits) is threaded through every stage as [`SolverStats`].
@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod basis_store;
 pub mod branch;
 pub mod certify;
 pub mod error;
@@ -76,8 +75,7 @@ pub use audit::{
     verify_bb_tree, verify_bound_multipliers, AuditCheck, AuditReport, AuditedOutcome,
     AuditedSolve, BbNode, BbTree, CheckStatus, InfeasibilityCertificate, NormRow, NormalForm,
 };
-pub use basis_store::{BasisStore, BasisStoreStats, StoredProgram};
-pub use branch::{BbRun, BranchAndBound, BranchRule, Limits, NodeOrder, Strategy};
+pub use branch::{BranchAndBound, Limits};
 pub use certify::{certify_upper_bound, CertifyLimits};
 pub use error::MilpError;
 pub use exact::{solve_dual_exact, DualOutcome};
@@ -89,17 +87,6 @@ pub use revised::{Basis, BasisStatus, LpOutcome, LpRun, LpSolution, RevisedSimpl
 pub use solution::{MilpSolution, SolveStatus};
 pub use stats::SolverStats;
 
-/// Result of [`Solver::solve_program`]: the restored solution plus the
-/// root basis for warm-starting the next re-solve of the same program.
-#[derive(Debug, Clone)]
-pub struct SolvedProgram {
-    /// The MILP solution, already mapped back to original variable space.
-    pub solution: MilpSolution,
-    /// Root-relaxation basis of the reduced problem (pass to the next
-    /// [`Solver::solve_program`] call after [`PresolvedProblem::update_rhs`]).
-    pub basis: Option<Basis>,
-}
-
 /// Front-door MILP solver with default limits.
 ///
 /// Thin convenience wrapper over [`presolve()`] and [`BranchAndBound`];
@@ -107,7 +94,6 @@ pub struct SolvedProgram {
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     limits: Limits,
-    strategy: Strategy,
 }
 
 impl Solver {
@@ -118,21 +104,7 @@ impl Solver {
 
     /// Creates a solver with explicit limits.
     pub fn with_limits(limits: Limits) -> Self {
-        Solver {
-            limits,
-            ..Solver::default()
-        }
-    }
-
-    /// Selects the branch-and-bound strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    fn bb(&self) -> BranchAndBound {
-        BranchAndBound::new(self.limits.clone()).with_strategy(self.strategy)
+        Solver { limits }
     }
 
     /// Solves the problem to optimality (or to the configured limits).
@@ -147,33 +119,25 @@ impl Solver {
     /// error: the returned solution carries [`SolveStatus::LimitReached`]
     /// together with the best proven bound.
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, MilpError> {
-        match presolve(problem, &[])? {
+        match presolve(problem)? {
             PresolveOutcome::Infeasible(_) => Err(MilpError::Infeasible),
-            PresolveOutcome::Reduced(program) => {
-                self.solve_program(&program, None).map(|run| run.solution)
-            }
+            PresolveOutcome::Reduced(program) => self.solve_program(&program),
         }
     }
 
-    /// Solves a presolved program, optionally warm-starting the root
-    /// relaxation from a prior solve's basis.
+    /// Solves an already presolved program (the second half of
+    /// [`Solver::solve`]).
     ///
     /// The returned solution is restored to *original* variable space and
-    /// its [`SolverStats`] include the program's presolve reductions. This
-    /// is the incremental-formulation entry point: presolve once, then
-    /// per fixed-point round call [`PresolvedProblem::update_rhs`] and
-    /// re-solve here with the previous round's [`SolvedProgram::basis`].
+    /// its [`SolverStats`] include the program's presolve reductions.
+    /// Public so tests can tamper with the transform chain in between and
+    /// check that the audit catches the corrupted restoration.
     ///
     /// # Errors
     ///
     /// See [`Solver::solve`].
-    pub fn solve_program(
-        &self,
-        program: &PresolvedProblem,
-        warm: Option<&Basis>,
-    ) -> Result<SolvedProgram, MilpError> {
-        let run = self.bb().solve_with(program.reduced(), warm)?;
-        let mut solution = run.solution;
+    pub fn solve_program(&self, program: &PresolvedProblem) -> Result<MilpSolution, MilpError> {
+        let mut solution = BranchAndBound::new(self.limits.clone()).solve(program.reduced())?;
         // Empty values with variables left = limit hit before any
         // incumbent; nothing to restore in that case. A reduced problem
         // with no variables (presolve fixed them all) restores to the
@@ -182,10 +146,7 @@ impl Solver {
             solution.values = program.restore(&solution.values);
         }
         solution.stats.merge(program.stats());
-        Ok(SolvedProgram {
-            solution,
-            basis: run.root_basis,
-        })
+        Ok(solution)
     }
 
     /// Solves the problem and re-verifies the solver's answer with exact

@@ -21,12 +21,6 @@
 //! (pre-presolve) problem, so a bug anywhere in the transform chain shows
 //! up as an audit failure rather than silently shifting the analysis
 //! (pinned by the corrupted-transform negative test).
-//!
-//! Rows named in `mutable_rows` — the budget rows the incremental window
-//! formulation re-targets each fixed-point round — are exempt from
-//! dropping and from bound extraction; only their RHS bookkeeping
-//! ([`PresolvedProblem::update_rhs`]) is maintained, so the reduced
-//! structure stays valid across RHS mutations.
 
 use crate::error::MilpError;
 use crate::expr::{LinExpr, Var};
@@ -84,8 +78,8 @@ pub enum PresolveOutcome {
     Infeasible(String),
 }
 
-/// A presolved problem: the reduced form, the transform chain, and the
-/// bookkeeping needed to mutate budget-row RHS values in place.
+/// A presolved problem: the reduced form and the transform chain that
+/// maps its solutions back to the original variable space.
 #[derive(Debug, Clone)]
 pub struct PresolvedProblem {
     original_vars: usize,
@@ -93,13 +87,6 @@ pub struct PresolvedProblem {
     transforms: Vec<Transform>,
     /// Original variable index → reduced column (None = fixed away).
     var_map: Vec<Option<usize>>,
-    /// Original row index → reduced row (None = dropped).
-    row_map: Vec<Option<usize>>,
-    /// Fixed-variable contribution subtracted from each original row's
-    /// RHS (`reduced_rhs = (original_rhs − shift) · scale`).
-    row_shift: Vec<f64>,
-    /// Power-of-two equilibration factor per original row.
-    row_scale: Vec<f64>,
     stats: SolverStats,
 }
 
@@ -157,59 +144,19 @@ impl PresolvedProblem {
         }
         out
     }
-
-    /// Re-targets the RHS of an original row in the reduced problem,
-    /// replaying the fixed-variable shift and equilibration scale so the
-    /// reduced row stays equivalent to `original_row cmp new_rhs`.
-    ///
-    /// This is the incremental-formulation hook: budget rows passed as
-    /// `mutable_rows` to [`presolve`] are never dropped, so this always
-    /// succeeds for them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MilpError::InvalidProblem`] if the row was eliminated
-    /// by presolve (possible only for rows *not* marked mutable).
-    pub fn update_rhs(&mut self, orig_row: usize, new_rhs: f64) -> Result<(), MilpError> {
-        let Some(Some(r)) = self.row_map.get(orig_row).copied() else {
-            return Err(MilpError::InvalidProblem(format!(
-                "row {orig_row} is not present in the reduced problem"
-            )));
-        };
-        self.reduced.constraints[r].rhs =
-            (new_rhs - self.row_shift[orig_row]) * self.row_scale[orig_row];
-        Ok(())
-    }
 }
 
 /// Runs the presolve fixpoint on `problem`.
 ///
-/// `mutable_rows` lists original row indices whose RHS will be mutated
-/// later via [`PresolvedProblem::update_rhs`]; those rows are kept
-/// verbatim (modulo fixed-variable substitution and scaling).
-///
 /// # Errors
 ///
 /// Returns [`MilpError::InvalidProblem`] if the problem fails
-/// [`Problem::validate`] or a mutable row index is out of range. A
-/// problem *proved infeasible* is not an error: it is reported as
-/// [`PresolveOutcome::Infeasible`].
-pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOutcome, MilpError> {
+/// [`Problem::validate`]. A problem *proved infeasible* is not an error:
+/// it is reported as [`PresolveOutcome::Infeasible`].
+pub fn presolve(problem: &Problem) -> Result<PresolveOutcome, MilpError> {
     problem.validate()?;
     let nvars = problem.num_vars();
     let nrows = problem.num_constraints();
-    for &r in mutable_rows {
-        if r >= nrows {
-            return Err(MilpError::InvalidProblem(format!(
-                "mutable row {r} out of range ({nrows} rows)"
-            )));
-        }
-    }
-    let mut mutable = vec![false; nrows];
-    for &r in mutable_rows {
-        mutable[r] = true;
-    }
-
     let mut lower: Vec<f64> = Vec::with_capacity(nvars);
     let mut upper: Vec<f64> = Vec::with_capacity(nvars);
     let mut kind: Vec<VarKind> = Vec::with_capacity(nvars);
@@ -269,9 +216,9 @@ pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOut
             }
         }
 
-        // --- Pass 2: singleton rows (skip mutable) -----------------------
+        // --- Pass 2: singleton rows ---------------------------------------
         for (k, c) in problem.constraints().enumerate() {
-            if !alive[k] || mutable[k] {
+            if !alive[k] {
                 continue;
             }
             let mut rhs_eff = c.rhs();
@@ -379,9 +326,9 @@ pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOut
             }
         }
 
-        // --- Pass 3: activity-based redundancy (skip mutable) ------------
+        // --- Pass 3: activity-based redundancy ---------------------------
         for (k, c) in problem.constraints().enumerate() {
-            if !alive[k] || mutable[k] {
+            if !alive[k] {
                 continue;
             }
             let mut min_act = 0.0f64;
@@ -445,9 +392,6 @@ pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOut
         var_map[i] = Some(rv.index());
     }
 
-    let mut row_map: Vec<Option<usize>> = vec![None; nrows];
-    let mut row_shift = vec![0.0; nrows];
-    let mut row_scale = vec![1.0; nrows];
     for (k, c) in problem.constraints().enumerate() {
         if !alive[k] {
             continue;
@@ -476,9 +420,6 @@ pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOut
             expr.add_term(Var(rv), coeff * factor);
         }
         let rhs = (c.rhs() - shift) * factor;
-        row_map[k] = Some(reduced.num_constraints());
-        row_shift[k] = shift;
-        row_scale[k] = factor;
         reduced.constrain_named(c.name().map(str::to_string), expr, c.cmp(), rhs);
         if factor != 1.0 {
             transforms.push(Transform::ScaleRow { row: k, factor });
@@ -506,9 +447,6 @@ pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOut
         reduced,
         transforms,
         var_map,
-        row_map,
-        row_shift,
-        row_scale,
         stats,
     })))
 }
@@ -517,8 +455,8 @@ pub fn presolve(problem: &Problem, mutable_rows: &[usize]) -> Result<PresolveOut
 mod tests {
     use super::*;
 
-    fn reduced(problem: &Problem, mutable_rows: &[usize]) -> PresolvedProblem {
-        match presolve(problem, mutable_rows).unwrap() {
+    fn reduced(problem: &Problem) -> PresolvedProblem {
+        match presolve(problem).unwrap() {
             PresolveOutcome::Reduced(pp) => *pp,
             PresolveOutcome::Infeasible(why) => panic!("unexpectedly infeasible: {why}"),
         }
@@ -531,7 +469,7 @@ mod tests {
         let y = p.continuous("y", 0.0, 10.0);
         p.constrain(x + y, Cmp::Le, 7.0);
         p.set_objective(3.0 * x + y);
-        let pp = reduced(&p, &[]);
+        let pp = reduced(&p);
         assert_eq!(pp.reduced().num_vars(), 1);
         assert_eq!(pp.stats().presolve_vars_fixed, 1);
         // After substitution the row is a singleton (y ≤ 5): it becomes
@@ -555,7 +493,7 @@ mod tests {
         p.constrain(-1.0 * y, Cmp::Le, -3.0); // y ≥ 3
         p.constrain(x + y, Cmp::Ge, 1.0); // now redundant
         p.set_objective(x + y);
-        let pp = reduced(&p, &[]);
+        let pp = reduced(&p);
         assert_eq!(pp.reduced().num_constraints(), 0);
         assert_eq!(pp.stats().presolve_rows_removed, 3);
         let xv = pp.reduced().vars().next().unwrap();
@@ -570,7 +508,7 @@ mod tests {
         p.constrain(2.0 * x, Cmp::Eq, 6.0);
         p.constrain(x + y, Cmp::Le, 8.0);
         p.set_objective(x + y);
-        let pp = reduced(&p, &[]);
+        let pp = reduced(&p);
         assert_eq!(pp.reduced().num_vars(), 1);
         let full = pp.restore(&[4.0]);
         assert_eq!(full, vec![3.0, 4.0]);
@@ -581,7 +519,7 @@ mod tests {
         let mut p = Problem::maximize();
         let n = p.integer("n", 0.3, 2.7);
         p.set_objective(1.0 * n);
-        let pp = reduced(&p, &[]);
+        let pp = reduced(&p);
         let nv = pp.reduced().vars().next().unwrap();
         assert_eq!(pp.reduced().var_bounds(nv), (1.0, 2.0));
         assert_eq!(pp.stats().presolve_bounds_tightened, 1);
@@ -593,7 +531,7 @@ mod tests {
         let x = p.continuous("x", 1.0, 1.0);
         p.constrain(1.0 * x, Cmp::Ge, 2.0);
         p.set_objective(1.0 * x);
-        match presolve(&p, &[]).unwrap() {
+        match presolve(&p).unwrap() {
             PresolveOutcome::Infeasible(_) => {}
             PresolveOutcome::Reduced(_) => panic!("expected infeasibility proof"),
         }
@@ -606,14 +544,14 @@ mod tests {
         let y = p.continuous("y", 0.0, 1.0);
         p.constrain(x + y, Cmp::Le, 5.0); // always true
         p.set_objective(x + y);
-        let pp = reduced(&p, &[]);
+        let pp = reduced(&p);
         assert_eq!(pp.reduced().num_constraints(), 0);
 
         let mut q = Problem::maximize();
         let a = q.continuous("a", 0.0, 1.0);
         q.constrain(1.0 * a, Cmp::Ge, 3.0); // never true
         q.set_objective(1.0 * a);
-        match presolve(&q, &[]).unwrap() {
+        match presolve(&q).unwrap() {
             PresolveOutcome::Infeasible(_) => {}
             PresolveOutcome::Reduced(_) => panic!("expected infeasibility proof"),
         }
@@ -626,7 +564,7 @@ mod tests {
         let y = p.continuous("y", 0.0, 10.0);
         p.constrain(1024.0 * x + 512.0 * y, Cmp::Le, 4096.0);
         p.set_objective(x + y);
-        let pp = reduced(&p, &[]);
+        let pp = reduced(&p);
         let row = pp.reduced().constraints().next().unwrap();
         let xv = pp.reduced().vars().next().unwrap();
         assert_eq!(row.expr().coefficient(xv), 1.0);
@@ -638,45 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn mutable_rows_survive_and_track_rhs_updates() {
-        let mut p = Problem::maximize();
-        let x = p.continuous("x", 3.0, 3.0); // fixed, shifts the row
-        let y = p.continuous("y", 0.0, 100.0);
-        // A budget-style row that would otherwise be droppable.
-        p.constrain_named(Some("C7_0"), x + y, Cmp::Le, 10.0);
-        p.set_objective(1.0 * y);
-        let mut pp = reduced(&p, &[0]);
-        assert_eq!(pp.reduced().num_constraints(), 1);
-        // y ≤ 10 − 3 = 7 initially.
-        assert!((pp.reduced().constraints().next().unwrap().rhs() - 7.0).abs() < 1e-12);
-        pp.update_rhs(0, 20.0).unwrap();
-        assert!((pp.reduced().constraints().next().unwrap().rhs() - 17.0).abs() < 1e-12);
-        // Name survives for debugging/lint layers.
-        assert_eq!(
-            pp.reduced().constraints().next().unwrap().name(),
-            Some("C7_0")
-        );
-    }
-
-    #[test]
-    fn update_rhs_rejects_eliminated_rows() {
-        let mut p = Problem::maximize();
-        let x = p.continuous("x", 0.0, 1.0);
-        p.constrain(1.0 * x, Cmp::Le, 5.0); // redundant, dropped
-        p.set_objective(1.0 * x);
-        let mut pp = reduced(&p, &[]);
-        assert!(pp.update_rhs(0, 6.0).is_err());
-        assert!(pp.update_rhs(7, 6.0).is_err());
-    }
-
-    #[test]
     fn corrupting_a_transform_corrupts_restore() {
         let mut p = Problem::maximize();
         let x = p.continuous("x", 4.0, 4.0);
         let y = p.continuous("y", 0.0, 10.0);
         p.constrain(x + y, Cmp::Le, 9.0);
         p.set_objective(x + y);
-        let mut pp = reduced(&p, &[]);
+        let mut pp = reduced(&p);
         let honest = pp.restore(&[5.0]);
         assert_eq!(honest, vec![4.0, 5.0]);
         for t in pp.transforms_mut() {
@@ -687,14 +593,5 @@ mod tests {
         let corrupted = pp.restore(&[5.0]);
         assert_eq!(corrupted, vec![5.0, 5.0]);
         assert!(!p.is_feasible(&corrupted, 1e-9));
-    }
-
-    #[test]
-    fn mutable_row_index_out_of_range_is_invalid() {
-        let p = Problem::maximize();
-        assert!(matches!(
-            presolve(&p, &[3]),
-            Err(MilpError::InvalidProblem(_))
-        ));
     }
 }
