@@ -16,7 +16,7 @@
 //!   1. **Per-core layer.** Every core's *inflated* set is analyzed and
 //!      cross-validated exactly like a single-core set (same adversarial
 //!      plans, trace validation, and `observed response ≤ WCRT` checks
-//!      via [`cross_validate_report`]). This is sound for the platform
+//!      via [`cross_validate_report`](crate::cross_validate_report)). This is sound for the platform
 //!      *if* every DMA interval of the inflated set really over-covers
 //!      the shared-bus service time of the original transfer.
 //!   2. **Bus layer.** That "if" is itself falsified: the DMA request

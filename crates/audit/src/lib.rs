@@ -9,7 +9,7 @@
 //!    re-verified with `i128` rational arithmetic — primal feasibility,
 //!    integrality, the bound sandwich for limit-reached solves, and
 //!    Farkas-style infeasibility certificates.
-//! 2. **Formulation linting** ([`lint`], [`lint_sequence`]): structural
+//! 2. **Formulation linting** ([`lint()`], [`lint_sequence`]): structural
 //!    diagnostics (`A001`–`A010`) over [`pmcs_milp::Problem`] instances —
 //!    unused variables, contradictory bounds, unbounded objectives,
 //!    duplicate constraints, big-M conditioning and looseness hazards,

@@ -974,7 +974,7 @@ mod tests {
         let mut obj = pmcs_milp::LinExpr::default();
         let mut sum = pmcs_milp::LinExpr::default();
         for i in 0..SYMMETRY_GROUP_MIN {
-            let b = p.binary(&format!("slot{i}"));
+            let b = p.binary(format!("slot{i}"));
             obj += 1.0 * b;
             sum += 1.0 * b;
         }
@@ -995,7 +995,7 @@ mod tests {
         let mut obj = pmcs_milp::LinExpr::default();
         let mut sum = pmcs_milp::LinExpr::default();
         for i in 0..SYMMETRY_GROUP_MIN - 1 {
-            let b = p.binary(&format!("slot{i}"));
+            let b = p.binary(format!("slot{i}"));
             obj += 1.0 * b;
             sum += 1.0 * b;
         }
@@ -1010,7 +1010,7 @@ mod tests {
         let mut qobj = pmcs_milp::LinExpr::default();
         let mut qsum = pmcs_milp::LinExpr::default();
         for i in 0..SYMMETRY_GROUP_MIN {
-            let b = q.binary(&format!("slot{i}"));
+            let b = q.binary(format!("slot{i}"));
             qobj += (i as f64 + 1.0) * b;
             qsum += 1.0 * b;
         }

@@ -1,6 +1,6 @@
 //! The `pmcs-audit` command-line driver.
 //!
-//! Three subcommands, one per analysis pass:
+//! Subcommands:
 //!
 //! * `trace` — generate a workload, simulate it, run the R1–R6
 //!   conformance analyzer on the clean trace, then corrupt the trace and
@@ -23,15 +23,17 @@
 //!   one targeted corruption for negative testing;
 //! * `cert check` — validate a certificate bundle file with the
 //!   independent `pmcs-cert` checker; any rejection exits nonzero;
-//! * `serve-replay` — re-derive every response in a `pmcs-serve` bench
-//!   log from scratch with the batch analyzer and refute any recorded
-//!   response that differs byte-for-byte (the admission-control analogue
-//!   of `cert check`: the replay shares no session, verdict-cache, or
+//! * `serve-replay` — re-derive every response in a log of
+//!   `{"req":…,"resp":…}` pairs recorded by any `pmcs-serve` client from
+//!   scratch with the batch analyzer and refute any recorded response
+//!   that differs byte-for-byte (the admission-control analogue of
+//!   `cert check`: the replay shares no session, verdict-cache, or
 //!   shared-cache machinery with the server it audits);
-//! * `campaign` — run the Monte-Carlo falsification campaign of
-//!   `pmcs-bench` (single-core, regulated-bus, and measured sections,
-//!   every job response live-checked against the analytical WCRTs) and
-//!   exit nonzero on any bound exceedance.
+//! * `partition` — pack a generated workload onto `--cores` cores and
+//!   print the per-core assignment and verdicts.
+//!
+//! The Monte-Carlo falsification campaign has its own driver, the
+//! `campaign` binary of `pmcs-bench`.
 //!
 //! Engines are built through the `pmcs-analysis` facade: the typed
 //! [`AnalysisConfig`] is resolved once here at the CLI edge (so
@@ -52,7 +54,6 @@ use pmcs_analysis::{
     CliOverrides, RefutationKind, Registry,
 };
 use pmcs_audit::{check_conformance, lint, lint_sequence, Severity, LINT_CODES};
-use pmcs_bench::{run_campaign, CampaignConfig};
 use pmcs_core::window::case_for;
 use pmcs_core::Heuristic;
 use pmcs_core::{MilpEngine, WindowModel};
@@ -91,18 +92,13 @@ COMMANDS:
              bandwidth-regulated (admission uses contention-aware
              inflation), and --period without --budget searches
              descending uniform budgets
-    campaign run the pmcs-bench Monte-Carlo falsification campaign
-             (--plans defaults to 20000 and --util to 0.25 here; every
-             job response is checked live against the analytical WCRT
-             bounds and any exceedance exits nonzero)
 
 OPTIONS:
     --seed <N>       RNG seed for workload generation      [default: 42]
     --tasks <N>      number of tasks in the generated set  [default: 5]
-    --util <X>       total utilization of the set
-                     [default: 0.5; campaign: 0.25]
+    --util <X>       total utilization of the set          [default: 0.5]
     --plans <N>      adversarial release plans per approach
-                     [simulate default: 8; campaign default: 20000]
+                     (simulate)                            [default: 8]
     --cores <M>      cores to partition onto (partition)   [default: 2]
     --heuristic <H>  first-fit | best-fit | worst-fit
                      (partition)                           [default: first-fit]
@@ -116,11 +112,8 @@ OPTIONS:
 struct Options {
     seed: u64,
     tasks: usize,
-    // `None` = not given on the CLI; per-subcommand defaults apply
-    // (campaign wants a schedulable 0.25-utilization regime and a much
-    // larger plan budget than the simulate smoke check).
-    util: Option<f64>,
-    plans: Option<usize>,
+    util: f64,
+    plans: usize,
     cores: usize,
     heuristic: Heuristic,
     period: Option<i64>,
@@ -134,8 +127,8 @@ impl Default for Options {
         Options {
             seed: 42,
             tasks: 5,
-            util: None,
-            plans: None,
+            util: 0.5,
+            plans: 8,
             cores: 2,
             heuristic: Heuristic::FirstFit,
             period: None,
@@ -167,7 +160,7 @@ fn main() -> ExitCode {
                 let ok = match arg.as_str() {
                     "--seed" => value.parse().map(|v| opts.seed = v).is_ok(),
                     "--tasks" => value.parse().map(|v| opts.tasks = v).is_ok(),
-                    "--plans" => value.parse().map(|v| opts.plans = Some(v)).is_ok(),
+                    "--plans" => value.parse().map(|v| opts.plans = v).is_ok(),
                     "--cores" => value
                         .parse()
                         .ok()
@@ -197,7 +190,7 @@ fn main() -> ExitCode {
                         opts.out = Some(value.clone());
                         true
                     }
-                    _ => value.parse().map(|v| opts.util = Some(v)).is_ok(),
+                    _ => value.parse().map(|v| opts.util = v).is_ok(),
                 };
                 if !ok {
                     eprintln!("error: invalid value {value:?} for {arg}");
@@ -219,11 +212,9 @@ fn main() -> ExitCode {
         eprintln!("error: --tasks must be at least 1");
         return ExitCode::FAILURE;
     }
-    if let Some(util) = opts.util {
-        if !(util > 0.0 && util < 1.0) {
-            eprintln!("error: --util must be in (0, 1), got {util}");
-            return ExitCode::FAILURE;
-        }
+    if !(opts.util > 0.0 && opts.util < 1.0) {
+        eprintln!("error: --util must be in (0, 1), got {}", opts.util);
+        return ExitCode::FAILURE;
     }
 
     // Resolve the typed analysis configuration exactly once, at the CLI
@@ -243,7 +234,6 @@ fn main() -> ExitCode {
         Some("analyze") => cmd_analyze(&opts, &cfg),
         Some("simulate") => cmd_simulate(&opts, &cfg),
         Some("partition") => cmd_partition(&opts, &cfg),
-        Some("campaign") => cmd_campaign(&opts, &cfg),
         Some("cert") => cmd_cert(&opts, &positionals[1..]),
         Some("serve-replay") => match positionals.get(1) {
             Some(path) => cmd_serve_replay(path),
@@ -269,7 +259,7 @@ fn main() -> ExitCode {
 fn demo_set(opts: &Options) -> TaskSet {
     let config = TaskSetConfig {
         n: opts.tasks,
-        utilization: opts.util.unwrap_or(0.5),
+        utilization: opts.util,
         ..TaskSetConfig::default()
     };
     let set = TaskSetGenerator::new(config, opts.seed).generate();
@@ -546,7 +536,6 @@ fn cmd_analyze(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
 // --- simulate -----------------------------------------------------------
 
 fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
-    let plans = opts.plans.unwrap_or(8);
     let set = demo_set(opts);
     let ctx = AnalysisContext::new(cfg);
     let analyzers = Registry::standard();
@@ -557,7 +546,7 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     println!(
         "cross-validating {} registered approaches against {} adversarial plans each:",
         analyzers.len(),
-        plans,
+        opts.plans,
     );
     for analyzer in analyzers.iter() {
         let name = analyzer.name();
@@ -565,7 +554,7 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
             println!("  {name}: no simulator policy of that name — skipped");
             continue;
         }
-        match cross_validate(&set, name, plans, opts.seed, &ctx) {
+        match cross_validate(&set, name, opts.plans, opts.seed, &ctx) {
             Ok((report, counters, refutations)) => {
                 println!(
                     "  {name}: {} plan(s) simulated, {} trace(s) validated, \
@@ -584,7 +573,7 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
                     failed = true;
                 }
                 if name == "proposed" {
-                    proposed = Some((report, adversarial_specs(plans, opts.seed)));
+                    proposed = Some((report, adversarial_specs(opts.plans, opts.seed)));
                 }
             }
             Err(e) => {
@@ -687,50 +676,6 @@ fn cmd_simulate(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     }
 }
 
-// --- campaign -----------------------------------------------------------
-
-/// Runs the `pmcs-bench` Monte-Carlo falsification campaign as an audit
-/// pass: the deterministic report goes to stdout and any live bound
-/// exceedance fails the run. Unlike the `campaign` bench binary this
-/// writes no perf record — it is the pass/fail half of the tool only.
-fn cmd_campaign(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
-    let mut campaign = CampaignConfig {
-        plans: opts.plans.unwrap_or(20_000),
-        tasks: opts.tasks,
-        seed: opts.seed,
-        analysis: cfg.clone(),
-        ..CampaignConfig::default()
-    };
-    if let Some(util) = opts.util {
-        campaign.util = util;
-    }
-
-    let out = match run_campaign(&campaign) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", out.report_text());
-    if out.refutations.is_empty() {
-        println!(
-            "campaign PASSED: {} sims ({} warm-workspace reuses), 0 bound exceedances",
-            out.sims_run, out.ws_reused,
-        );
-        ExitCode::SUCCESS
-    } else {
-        for line in &out.refutations {
-            eprintln!("{line}");
-        }
-        eprintln!(
-            "campaign REFUTED: {} bound exceedance(s)",
-            out.refutations.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
 // --- partition ----------------------------------------------------------
 
 fn cmd_partition(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
@@ -739,7 +684,7 @@ fn cmd_partition(opts: &Options, cfg: &AnalysisConfig) -> ExitCode {
     // heuristic has real placement choices.
     let config = TaskSetConfig {
         n: opts.tasks.max(opts.cores),
-        utilization: opts.util.unwrap_or(0.5),
+        utilization: opts.util,
         ..TaskSetConfig::default()
     };
     let tasks = TaskSetGenerator::new(config, opts.seed)

@@ -2,13 +2,12 @@
 //!
 //! [`sweep_with`] fans the `(point, task set)` grid across a worker pool
 //! ([`crate::parallel`]); every item derives its RNG stream from
-//! `(base_seed, point_index, set_index)` via
-//! [`derive_seed`](pmcs_workload::derive_seed), so the measured ratios —
-//! and the CSVs derived from them — are byte-identical for every thread
-//! count and cache configuration. Each worker analyzes through its own
-//! [`AnalysisContext`] (engine stack built from the [`AnalysisConfig`]),
-//! memoizing delay bounds across fixed-point iterations, greedy rounds,
-//! and task sets.
+//! `(base_seed, point_index, set_index)` via [`derive_seed`], so the
+//! measured ratios — and the CSVs derived from them — are byte-identical
+//! for every thread count and cache configuration. Each worker analyzes
+//! through its own [`AnalysisContext`] (engine stack built from the
+//! [`AnalysisConfig`]), memoizing delay bounds across fixed-point
+//! iterations, greedy rounds, and task sets.
 //!
 //! The approaches under comparison come from a [`Registry`] — sweep
 //! columns are whatever is registered, in registration order; nothing in

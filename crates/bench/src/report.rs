@@ -66,7 +66,7 @@ fn chart_glyphs(labels: &[String]) -> Vec<char> {
 }
 
 /// Renders sweep rows as a fixed-height ASCII line chart, one glyph per
-/// approach (see [`chart_glyphs`]; for the standard registry `P`
+/// approach (see `chart_glyphs`; for the standard registry `P`
 /// proposed, `W` WP, `N` NPS-carry, `n` NPS-classic); overlapping points
 /// print the earlier-registered glyph.
 pub fn ascii_chart(rows: &[SweepRow], labels: &[String], x_label: &str) -> String {

@@ -805,9 +805,9 @@ mod tests {
             budgets: vec![],
             value: 15,
         };
-        verify_dp_table(&sem, &[root.clone()], 15).expect("table verifies");
+        verify_dp_table(&sem, std::slice::from_ref(&root), 15).expect("table verifies");
         // Wrong claim.
-        let err = verify_dp_table(&sem, &[root.clone()], 14).expect_err("wrong claim");
+        let err = verify_dp_table(&sem, std::slice::from_ref(&root), 14).expect_err("wrong claim");
         assert!(err.starts_with("dp.root-mismatch"), "{err}");
         // Wrong entry value: the Bellman equation itself fails.
         let bad = DpEntry { value: 14, ..root };

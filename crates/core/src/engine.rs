@@ -26,7 +26,7 @@
 //! The engine is called millions of times per sweep (one call per
 //! fixed-point iteration per task per set). To keep the per-call cost at
 //! the DP itself, the engine holds its working memory — the memo table and
-//! the per-task vectors — in a reusable [`Scratch`] behind a `RefCell`,
+//! the per-task vectors — in a reusable `Scratch` behind a `RefCell`,
 //! clearing instead of reallocating between calls. The memo key is a
 //! `u128` packed with *adaptive* field widths, so windows with many tasks
 //! or large job budgets still memoize instead of silently degrading to the

@@ -308,7 +308,7 @@ const BUDGET_LEVELS: &[(i64, i64)] = &[(1, 1), (3, 4), (1, 2), (1, 4)];
 
 /// Searches the regulation knob: tries uniform per-core budgets at
 /// descending fractions of the fair share `period / cores`
-/// ([`BUDGET_LEVELS`]: 100%, 75%, 50%, 25%), partitioning with
+/// (`BUDGET_LEVELS`: 100%, 75%, 50%, 25%), partitioning with
 /// [`partition_regulated`] at each level, and stops at the first fully
 /// schedulable partition. The descent is deterministic, so identical
 /// inputs always select the same budget.

@@ -5,9 +5,9 @@
 //! re-prices an existing one. Re-running [`analyze_task_set`] from
 //! scratch after every edit repeats almost all of the work — most tasks'
 //! analysis inputs did not change. An [`AnalysisSession`] keeps the task
-//! set *and* a content-addressed [`VerdictCache`] alive across edits:
+//! set *and* a content-addressed `VerdictCache` alive across edits:
 //! every per-task fixed point computed by any greedy round of any
-//! operation is stored under a canonical [`VerdictKey`], and later
+//! operation is stored under a canonical `VerdictKey`, and later
 //! operations reuse it whenever the same task shape faces the same
 //! competitor configuration again.
 //!
@@ -208,7 +208,7 @@ impl SessionStats {
 /// A stateful, incrementally-updated schedulability analysis.
 ///
 /// Owns a task set, the current [`SchedulabilityReport`] (verdicts plus
-/// LS assignment), and a [`VerdictCache`] reused across operations. Every
+/// LS assignment), and a `VerdictCache` reused across operations. Every
 /// mutating operation re-runs the greedy LS-marking loop — the same code
 /// path as [`analyze_task_set`](crate::analyze_task_set) — but only the
 /// dirty subset of per-task fixed points is recomputed: clean ones hit
@@ -437,7 +437,7 @@ mod tests {
         let t2 = test_task(2, 30, 6, 6, 300, 2, false);
 
         session.admit(t0.clone()).expect("admit τ0");
-        assert_eq!(*session.report(), batch(&[t0.clone()]));
+        assert_eq!(*session.report(), batch(std::slice::from_ref(&t0)));
 
         session.admit(t1.clone()).expect("admit τ1");
         session.admit(t2.clone()).expect("admit τ2");

@@ -13,10 +13,10 @@
 //!   proven bound must dominate the incumbent objective on the correct
 //!   side;
 //! * **infeasibility certificates** — when the solver reports
-//!   [`MilpError::Infeasible`], a Farkas-style certificate is searched for
-//!   (Fourier–Motzkin elimination with multiplier tracking, after exact
-//!   integral bound tightening) and then *verified from scratch* against
-//!   the original problem.
+//!   [`crate::MilpError::Infeasible`], a Farkas-style certificate is
+//!   searched for (Fourier–Motzkin elimination with multiplier
+//!   tracking, after exact integral bound tightening) and then *verified
+//!   from scratch* against the original problem.
 //!
 //! Every check has three possible outcomes ([`CheckStatus`]): `Passed`,
 //! `Failed` (the solver's claim is provably wrong), and `Inconclusive`
@@ -660,7 +660,7 @@ const FM_MAX_ROWS: usize = 4_096;
 /// Uses Fourier–Motzkin elimination with multiplier tracking over the
 /// `≤`-normal form (after exact integral bound tightening, mirroring the
 /// solver's root tightening). Complete for LP infeasibility on problems
-/// small enough to stay under [`FM_MAX_ROWS`]; infeasibility that arises
+/// small enough to stay under `FM_MAX_ROWS`; infeasibility that arises
 /// only from integrality (a feasible LP relaxation with no integer point)
 /// is out of reach and reported as an error string.
 pub fn find_certificate(problem: &Problem) -> Result<InfeasibilityCertificate, String> {

@@ -8,7 +8,7 @@
 //!
 //! 1. **Problem IR** ([`problem`], [`expr`]) — variables, bounds,
 //!    constraints, objective.
-//! 2. **Presolve** ([`presolve`]) — fixed-variable substitution, bound
+//! 2. **Presolve** ([`presolve()`]) — fixed-variable substitution, bound
 //!    tightening, redundant-row elimination and power-of-two
 //!    equilibration, each emitting a reversible [`Transform`] so reduced
 //!    solutions map back to the original variable space.

@@ -17,22 +17,22 @@
 //!   request batching via JSON arrays;
 //! * [`server`] — the listener/worker-pool daemon ([`spawn`]); protocol
 //!   errors never drop a connection, a `shutdown` op drains it cleanly;
-//! * [`replay`] / [`bench`] — verification and measurement: the bench
-//!   replays a seeded workload from concurrent clients and checks every
-//!   response against the from-scratch batch analyzer; the same check
-//!   runs offline over a recorded log via [`replay_log`] (exposed as
+//! * [`replay`] — verification: [`replay_log`] re-derives every response
+//!   of a recorded `{"req":…,"resp":…}` log from scratch with the batch
+//!   analyzer and refutes any that differs (exposed as
 //!   `pmcs-audit serve-replay`).
+//!
+//! The `pmcs-serve listen` binary runs the daemon; load is measured from
+//! outside the process, by perfbench's `admission` workload.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod proto;
 pub mod replay;
 pub mod server;
 
-pub use bench::{run as run_bench, BenchConfig, BenchOutcome};
 pub use proto::{decode_request, encode_request, Request, WireError, ERROR_CODES};
 pub use replay::{replay_log, ReplayOutcome};
 pub use server::{spawn, Server, ServerConfig};

@@ -41,6 +41,8 @@
 //! [`SchedulabilityReport`]. Failure: `{"error":{"code":C,"detail":D}}`
 //! where `C` is one of the stable [`ERROR_CODES`]; protocol errors never
 //! drop the connection, so a client can recover from its own bad input.
+//! That includes a request line longer than [`MAX_LINE_BYTES`]: it is
+//! answered with `proto.line-too-long` and the rest of it is skipped.
 
 use std::fmt;
 
@@ -50,6 +52,12 @@ use pmcs_core::{
 };
 use pmcs_model::{ArrivalModel, BusModel, ModelError, Priority, Task, TaskId, Time};
 
+/// Longest request line the server reads, in bytes before its `\n`.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// A request line longer than [`MAX_LINE_BYTES`]; the rest of it is
+/// skipped unread and the connection keeps serving.
+pub const E_LINE_TOO_LONG: &str = "proto.line-too-long";
 /// Malformed JSON on the wire (parse failure).
 pub const E_MALFORMED: &str = "proto.malformed-json";
 /// Parsed, but not a request object (or an array of them).
@@ -71,6 +79,7 @@ pub const E_ENGINE: &str = "engine.failure";
 
 /// Every stable error code, for exhaustive negative tests.
 pub const ERROR_CODES: &[&str] = &[
+    E_LINE_TOO_LONG,
     E_MALFORMED,
     E_BAD_REQUEST,
     E_UNKNOWN_OP,

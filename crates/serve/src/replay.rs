@@ -1,8 +1,8 @@
 //! Offline refutation replay of a server request/response log.
 //!
-//! `pmcs-serve bench --log FILE` records every request/response pair of
-//! one client connection as NDJSON lines `{"req":R,"resp":P}`. This
-//! module re-derives every response *from scratch* — a shadow task set
+//! A client of `pmcs-serve` records every request/response pair of its
+//! connection as NDJSON lines `{"req":R,"resp":P}`. This module
+//! re-derives every response *from scratch* — a shadow task set
 //! per session, batch-analyzed with a fresh [`analyze_task_set`] after
 //! each edit, no session state, no verdict cache, no shared delay cache —
 //! and refutes any recorded response that differs byte-for-byte. A bug in
@@ -47,11 +47,8 @@ impl ReplayOutcome {
 }
 
 /// Re-derives the expected response for `request` against the shadow
-/// sessions, mutating them exactly as the server would. The bench client
-/// uses the same derivation for its live verification, so "bench found
-/// zero mismatches" and "offline replay found zero refutations" check
-/// the same property from two vantage points.
-pub(crate) fn expected_response(shadows: &mut HashMap<u64, Vec<Task>>, request: &Request) -> Value {
+/// sessions, mutating them exactly as the server would.
+fn expected_response(shadows: &mut HashMap<u64, Vec<Task>>, request: &Request) -> Value {
     let report_for = |tasks: &[Task]| -> Value {
         if tasks.is_empty() {
             return ok_response(empty_report_value());

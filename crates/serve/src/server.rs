@@ -2,10 +2,11 @@
 //!
 //! One listener thread accepts connections and pushes them onto a shared
 //! work queue; a fixed pool of worker threads pops connections and serves
-//! each to completion — the same dynamic work-queue idiom as
-//! [`pmcs_bench::parallel`], adapted from a finite item list to an
-//! unbounded connection stream (hence a condvar'd deque instead of an
-//! atomic cursor). A straggler connection never idles the other workers.
+//! each to completion — the same dynamic work-queue idiom as the
+//! experiment harness's `parallel_map`, adapted from a finite item list
+//! to an unbounded connection stream (hence a condvar'd deque instead of
+//! an atomic cursor). A straggler connection never idles the other
+//! workers.
 //!
 //! Every worker's sessions are built over one process-wide
 //! [`SharedDelayCache`]: a window solved for any client is a hit for all
@@ -16,7 +17,7 @@
 //! are byte-identical to a cold single-threaded server.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -32,7 +33,7 @@ use pmcs_model::{BusModel, Task, Time};
 use crate::proto::{
     decode_request, encode_budget_search, encode_partition_failure, encode_partitioning,
     encode_report, error_response, ok_response, session_error, shutdown_value, Request, WireError,
-    E_BAD_FIELD, E_MALFORMED,
+    E_BAD_FIELD, E_LINE_TOO_LONG, E_MALFORMED, MAX_LINE_BYTES,
 };
 
 /// Server construction knobs.
@@ -238,35 +239,52 @@ fn handle_connection(stream: TcpStream, shared: &Shared, capacity: Option<usize>
     let mut sessions: Sessions = HashMap::new();
     // Request bytes accumulate here across read timeouts: a timeout may
     // strike mid-line, and the partial line must survive until the rest
-    // arrives.
+    // arrives. The `take` caps it one byte past `MAX_LINE_BYTES`, so an
+    // over-long line is detected without buffering more than that.
     let mut buf: Vec<u8> = Vec::new();
+    // Set while the tail of an over-long line is being skipped.
+    let mut skipping = false;
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        let read = if skipping {
+            reader.skip_until(b'\n')
+        } else {
+            let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+            (&mut reader).take(room).read_until(b'\n', &mut buf)
+        };
+        match read {
             Ok(0) => break, // EOF
+            Ok(_) if skipping => skipping = false,
             Ok(_) => {
                 let complete = buf.last() == Some(&b'\n');
-                if complete || !buf.is_empty() {
+                let reply = if !complete && buf.len() > MAX_LINE_BYTES {
+                    skipping = true;
+                    let detail = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    Some((
+                        error_response(&WireError::new(E_LINE_TOO_LONG, detail)),
+                        false,
+                    ))
+                } else {
                     let line = String::from_utf8_lossy(&buf);
                     let line = line.trim();
-                    if !line.is_empty() {
-                        let (response, stop) = respond_line(line, &mut sessions, shared, capacity);
-                        let mut out = write_value(&response);
-                        out.push('\n');
-                        if writer
-                            .write_all(out.as_bytes())
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
-                            break;
-                        }
-                        if stop {
-                            shared.initiate_shutdown();
-                            break;
-                        }
+                    (!line.is_empty()).then(|| respond_line(line, &mut sessions, shared, capacity))
+                };
+                buf.clear();
+                if let Some((response, stop)) = reply {
+                    let mut out = write_value(&response);
+                    out.push('\n');
+                    if writer
+                        .write_all(out.as_bytes())
+                        .and_then(|()| writer.flush())
+                        .is_err()
+                    {
+                        break;
+                    }
+                    if stop {
+                        shared.initiate_shutdown();
+                        break;
                     }
                 }
-                buf.clear();
-                if !complete {
+                if !complete && !skipping {
                     break; // unterminated final line: EOF follows
                 }
             }

@@ -1,19 +1,22 @@
 //! End-to-end protocol tests over real loopback sockets: every stable
 //! error code is reachable, protocol errors never drop the connection,
-//! batching is entry-wise, sessions are connection-private, and server
-//! responses are byte-identical to the from-scratch batch analyzer.
+//! batching is entry-wise, sessions are connection-private, server
+//! responses are byte-identical to the from-scratch batch analyzer, and
+//! the `pmcs-serve listen` binary serves concurrent clients whose logs
+//! replay clean.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
 
 use pmcs_cert::json::{parse_value, write_value, Value};
 use pmcs_core::{analyze_task_set, ExactEngine};
 use pmcs_model::{Priority, Task, TaskId, TaskSet, Time};
 use pmcs_serve::proto::{
-    encode_report, obj_get, E_BAD_FIELD, E_DUPLICATE_TASK, E_MALFORMED, E_MISSING_FIELD,
-    E_OVER_CAPACITY, E_UNKNOWN_OP, E_UNKNOWN_TASK,
+    encode_report, obj_get, E_BAD_FIELD, E_DUPLICATE_TASK, E_LINE_TOO_LONG, E_MALFORMED,
+    E_MISSING_FIELD, E_OVER_CAPACITY, E_UNKNOWN_OP, E_UNKNOWN_TASK, MAX_LINE_BYTES,
 };
-use pmcs_serve::{spawn, Server, ServerConfig};
+use pmcs_serve::{replay_log, spawn, Server, ServerConfig};
 
 fn start(capacity: Option<usize>) -> Server {
     spawn(&ServerConfig {
@@ -112,6 +115,31 @@ fn protocol_errors_have_stable_codes_and_keep_the_connection() {
     // The connection survived four protocol errors in a row: a normal
     // request still succeeds.
     let resp = client.send(&admit_line(0, 0, 10, 0));
+    assert!(obj_get(&resp, "ok").is_some(), "got {resp:?}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn over_long_line_is_rejected_and_the_connection_keeps_serving() {
+    let server = start(None);
+    let mut client = Client::connect(server.addr());
+
+    for len in [MAX_LINE_BYTES + 1, 3 * MAX_LINE_BYTES] {
+        let resp = client.send(&"x".repeat(len));
+        assert_eq!(error_code(&resp), E_LINE_TOO_LONG);
+    }
+
+    // Each over-long line drew exactly one response and the rest of it
+    // was skipped: the next line is read as a fresh request.
+    let resp = client.send(&admit_line(0, 0, 10, 0));
+    assert!(obj_get(&resp, "ok").is_some(), "got {resp:?}");
+
+    // A line of exactly the cap is still served.
+    let mut padded = admit_line(0, 1, 20, 1);
+    padded.push_str(&" ".repeat(MAX_LINE_BYTES - padded.len()));
+    let resp = client.send(&padded);
     assert!(obj_get(&resp, "ok").is_some(), "got {resp:?}");
 
     server.shutdown();
@@ -288,6 +316,91 @@ fn stats_reports_shared_cache_hits_across_connections() {
 
     server.shutdown();
     server.join();
+}
+
+/// A `pmcs-serve listen` process, killed if the test fails before
+/// `shutdown`.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn listen_binary_serves_concurrent_clients_whose_logs_replay_clean() {
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_pmcs-serve"))
+            .args(["listen", "--addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("start pmcs-serve listen"),
+    );
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout
+        .read_line(&mut line)
+        .expect("read the listening line");
+    let addr: SocketAddr = line
+        .trim_end()
+        .strip_prefix("listening on ")
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"));
+
+    let script = [
+        admit_line(0, 0, 10, 0),
+        admit_line(0, 1, 20, 1),
+        admit_line(0, 2, 15, 2),
+        "{\"op\":\"query\"}".to_string(),
+        format!(
+            "{{\"op\":\"update\",\"id\":1,\"task\":{}}}",
+            task_json(1, 25, 1)
+        ),
+        "{\"op\":\"remove\",\"id\":0}".to_string(),
+        "{\"op\":\"query\"}".to_string(),
+    ];
+    // Both connections run the script at once, each recording its own
+    // `{"req":…,"resp":…}` log.
+    let logs: Vec<String> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr);
+                    script
+                        .iter()
+                        .map(|req| {
+                            let resp = write_value(&client.send(req));
+                            format!("{{\"req\":{req},\"resp\":{resp}}}\n")
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect()
+    });
+    for log in &logs {
+        let outcome = replay_log(log);
+        assert!(outcome.ok(), "refutations: {:?}", outcome.refutations);
+        assert_eq!(outcome.checked, script.len());
+    }
+
+    let mut control = Client::connect(addr);
+    let stats = control.send("{\"op\":\"stats\"}");
+    let hits = obj_get(&stats, "ok").and_then(|s| obj_get(s, "cache_hits"));
+    assert!(matches!(hits, Some(Value::Int(h)) if *h > 0), "{stats:?}");
+    control.send("{\"op\":\"shutdown\"}");
+    let status = daemon.0.wait().expect("wait for pmcs-serve");
+    assert!(status.success(), "exit status {status}");
+    line.clear();
+    stdout
+        .read_line(&mut line)
+        .expect("read the shut-down line");
+    assert_eq!(line, "shut down\n");
 }
 
 #[test]

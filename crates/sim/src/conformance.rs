@@ -12,7 +12,7 @@
 //! yields an empty report (property-tested in `tests/protocol_properties.rs`),
 //! and a tampered trace yields the diagnostic of the rule it breaks
 //! (negative-tested below). NPS traces have no intervals, so the analysis
-//! does not apply to them ([`ConformanceReport::not_applicable`]).
+//! does not apply to them (`ConformanceReport::not_applicable`).
 //!
 //! | check | rule | what is verified |
 //! |---|---|---|

@@ -557,7 +557,7 @@ fn corpus_plans(set: &TaskSet) -> Vec<ReleasePlan> {
                             .expect("corpus tasks are sporadic")
                             .as_ticks()
                             + rng.gen_range(0i64..30);
-                        at = at + Time::from_ticks(gap);
+                        at += Time::from_ticks(gap);
                     }
                     (t.id(), rel)
                 })

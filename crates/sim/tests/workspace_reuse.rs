@@ -183,8 +183,8 @@ proptest! {
             let cur = &mut worst_seen[ti];
             *cur = Some(cur.map_or(r, |w| w.max(r)));
         }
-        for ti in 0..s.set.len() {
-            prop_assert_eq!(worst_seen[ti], stats.worst_response(ti));
+        for (ti, &worst) in worst_seen.iter().enumerate() {
+            prop_assert_eq!(worst, stats.worst_response(ti));
         }
     }
 }

@@ -17,7 +17,7 @@
 //! | [`workload`] | `pmcs-workload` | Section VII task-set generators |
 //! | [`cert`] | `pmcs-cert` | proof-carrying analysis: certificate formats + independent `i128` checker |
 //! | [`audit`] | `pmcs-audit` | exact MILP audits, formulation lints, R1–R6 conformance |
-//! | [`serve`] | `pmcs-serve` | schedulability-as-a-service: NDJSON/TCP daemon, replay auditing, load generator |
+//! | [`serve`] | `pmcs-serve` | schedulability-as-a-service: NDJSON/TCP daemon, replay auditing |
 //!
 //! ## Quickstart
 //!
