@@ -366,7 +366,12 @@ pub fn cross_validate_platform(
             bus_refutations.extend(refute_bus_bounds(
                 bus,
                 &requests,
-                &|core, demand| inflations[core.0 as usize].inflate(demand),
+                // An inflated time past the tick range bounds nothing.
+                &|core, demand| {
+                    inflations[core.0 as usize]
+                        .inflate(demand)
+                        .unwrap_or(Time::MAX)
+                },
                 approach,
                 spec,
             ));

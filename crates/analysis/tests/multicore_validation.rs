@@ -164,7 +164,7 @@ fn weakened_identity_bound_is_refuted_where_inflation_is_not() {
     let sound = refute_bus_bounds(
         &bus,
         &requests,
-        &|core, d| Inflation::for_core(&bus, core).inflate(d),
+        &|core, d| Inflation::for_core(&bus, core).inflate(d).unwrap(),
         "proposed",
         spec,
     );
@@ -203,7 +203,7 @@ proptest! {
         let overruns = refute_bus_bounds(
             &bus,
             &requests,
-            &|core, d| Inflation::for_core(&bus, core).inflate(d),
+            &|core, d| Inflation::for_core(&bus, core).inflate(d).unwrap(),
             "proposed",
             spec,
         );

@@ -70,8 +70,8 @@ use crate::error::CoreError;
 /// )?;
 /// let inflation = Inflation::for_core(&bus, CoreId(0));
 /// // ceil(50/40)·(100−40) + 2·40 = 120 + 80 extra ticks.
-/// assert_eq!(inflation.inflate(Time::from_ticks(50)), Time::from_ticks(250));
-/// assert_eq!(inflation.inflate(Time::ZERO), Time::ZERO);
+/// assert_eq!(inflation.inflate(Time::from_ticks(50))?, Time::from_ticks(250));
+/// assert_eq!(inflation.inflate(Time::ZERO)?, Time::ZERO);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,15 +140,29 @@ impl Inflation {
     /// Worst-case service time of a transfer of demand `d`:
     /// `d + ceil(d / Q_m)·(P − Q_m) + 2σ`, or `d` unchanged under the
     /// identity transform or for `d ≤ 0`.
-    pub fn inflate(&self, d: Time) -> Time {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::TimeOverflow`] when the service time does not
+    /// fit in a [`Time`] (a bus period or demand near the tick range).
+    pub fn inflate(&self, d: Time) -> Result<Time, CoreError> {
         if self.is_identity() || d <= Time::ZERO {
-            return d;
+            return Ok(d);
         }
-        let windows = d.div_ceil(self.own_budget) as i64;
-        let stall_per_window = self.period - self.own_budget;
-        d + Time::from_ticks(windows * stall_per_window.as_ticks())
-            + self.others_budget
-            + self.others_budget
+        let ticks = || {
+            let windows = i64::try_from(d.div_ceil(self.own_budget)).ok()?;
+            let stall_per_window = self
+                .period
+                .as_ticks()
+                .checked_sub(self.own_budget.as_ticks())?;
+            let others = self.others_budget.as_ticks();
+            windows
+                .checked_mul(stall_per_window)?
+                .checked_add(d.as_ticks())?
+                .checked_add(others)?
+                .checked_add(others)
+        };
+        ticks().map(Time::from_ticks).ok_or(CoreError::TimeOverflow)
     }
 
     /// Inflates a single task: copy-in and copy-out are replaced by
@@ -159,13 +173,15 @@ impl Inflation {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::Model`] if the inflated durations no
-    /// longer form a valid task (cannot happen for in-range ticks).
+    /// Returns [`CoreError::TimeOverflow`] if an inflated copy phase
+    /// overflows (see [`Inflation::inflate`]); propagates
+    /// [`CoreError::Model`] if the inflated durations no longer form a
+    /// valid task.
     pub fn inflate_task(&self, task: &Task) -> Result<Task, CoreError> {
         let mut b = Task::builder(task.id())
             .exec(task.exec())
-            .copy_in(self.inflate(task.copy_in()))
-            .copy_out(self.inflate(task.copy_out()))
+            .copy_in(self.inflate(task.copy_in())?)
+            .copy_out(self.inflate(task.copy_out())?)
             .arrival(ArrivalModel::clone(task.arrival()))
             .deadline(task.deadline())
             .priority(task.priority())
@@ -183,7 +199,8 @@ impl Inflation {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::Model`] from task reconstruction.
+    /// Propagates [`CoreError::TimeOverflow`] and [`CoreError::Model`]
+    /// from [`Inflation::inflate_task`].
     pub fn inflate_set(&self, set: &TaskSet) -> Result<TaskSet, CoreError> {
         let tasks = set
             .iter()
@@ -222,20 +239,20 @@ mod tests {
         // Two cores but the rival is inactive.
         assert!(Inflation::for_core_among(&bus2(), CoreId(0), &[true, false]).is_identity());
         let infl = Inflation::none();
-        assert_eq!(infl.inflate(t(123)), t(123));
+        assert_eq!(infl.inflate(t(123)), Ok(t(123)));
     }
 
     #[test]
     fn inflate_matches_the_formula() {
         let infl = Inflation::for_core(&bus2(), CoreId(0));
         // d=1: ceil(1/40)=1 window → 1 + 60 + 80.
-        assert_eq!(infl.inflate(t(1)), t(141));
+        assert_eq!(infl.inflate(t(1)), Ok(t(141)));
         // d=40: exactly one window → 40 + 60 + 80.
-        assert_eq!(infl.inflate(t(40)), t(180));
+        assert_eq!(infl.inflate(t(40)), Ok(t(180)));
         // d=41: two windows → 41 + 120 + 80.
-        assert_eq!(infl.inflate(t(41)), t(241));
+        assert_eq!(infl.inflate(t(41)), Ok(t(241)));
         // Zero demand is untouched (no transfer, no stall).
-        assert_eq!(infl.inflate(Time::ZERO), Time::ZERO);
+        assert_eq!(infl.inflate(Time::ZERO), Ok(Time::ZERO));
     }
 
     #[test]
@@ -245,9 +262,9 @@ mod tests {
         let three = BusModel::regulated(t(100), vec![t(20), t(30), t(25)]).unwrap();
         for d in [1, 7, 20, 21, 55] {
             let d = t(d);
-            let s = Inflation::for_core(&small, CoreId(0)).inflate(d);
-            let l = Inflation::for_core(&large, CoreId(0)).inflate(d);
-            let m = Inflation::for_core(&three, CoreId(0)).inflate(d);
+            let s = Inflation::for_core(&small, CoreId(0)).inflate(d).unwrap();
+            let l = Inflation::for_core(&large, CoreId(0)).inflate(d).unwrap();
+            let m = Inflation::for_core(&three, CoreId(0)).inflate(d).unwrap();
             assert!(d <= s, "never below the demand");
             assert!(s < l, "larger rival budget must inflate strictly more");
             assert!(l < m, "an extra contending core must inflate more");
@@ -270,10 +287,22 @@ mod tests {
             assert_eq!(orig.priority(), new.priority());
             assert_eq!(orig.sensitivity(), new.sensitivity());
             assert_eq!(orig.arrival(), new.arrival());
-            assert_eq!(infl.inflate(orig.copy_in()), new.copy_in());
-            assert_eq!(infl.inflate(orig.copy_out()), new.copy_out());
+            assert_eq!(infl.inflate(orig.copy_in()), Ok(new.copy_in()));
+            assert_eq!(infl.inflate(orig.copy_out()), Ok(new.copy_out()));
         }
         // Reversibility: deflating by construction recovers the input.
         assert_eq!(Inflation::none().inflate_set(&set).unwrap(), set);
+    }
+
+    #[test]
+    fn overflowing_inflation_is_an_error() {
+        // A period near i64::MAX/2 makes one stall window alone exceed
+        // half the tick range; two windows overflow it.
+        let huge = BusModel::regulated(t(i64::MAX / 2), vec![t(40), t(40)]).unwrap();
+        let infl = Inflation::for_core(&huge, CoreId(0));
+        assert!(infl.inflate(t(40)).is_ok());
+        assert_eq!(infl.inflate(t(41)), Err(CoreError::TimeOverflow));
+        let set = TaskSet::new(vec![test_task(0, 10, 100, 3, 1_000, 0, false)]).unwrap();
+        assert_eq!(infl.inflate_set(&set), Err(CoreError::TimeOverflow));
     }
 }

@@ -27,11 +27,46 @@
 //! fixed-point iteration per task per set). To keep the per-call cost at
 //! the DP itself, the engine holds its working memory — the memo table and
 //! the per-task vectors — in a reusable `Scratch` behind a `RefCell`,
-//! clearing instead of reallocating between calls. The memo key is a
-//! `u128` packed with *adaptive* field widths, so windows with many tasks
-//! or large job budgets still memoize instead of silently degrading to the
-//! node-budget backstop (the old fixed 64-bit packing gave up beyond
-//! 9 tasks or budgets over 31).
+//! clearing instead of reallocating between calls.
+//!
+//! ## Memo carried across fixed-point iterations
+//!
+//! Successive iterations of one WCRT fixed point solve windows that
+//! differ only in their job budgets `η_j(t)+1` and their interval count
+//! `N`. The memo therefore indexes states by **slots remaining**
+//! `r = N−1−k` rather than by slot index `k`, plus a three-valued slot
+//! gate (`k = 0`, `k = 1`, `k ≥ 2`) for the few rules that read `k`
+//! (window-start scoring, the `I_0` cancellation sets, the lower-priority
+//! placement region). A suffix value then depends only on the window's
+//! *shape* — everything the search reads except the budgets and `N`:
+//! per-task phases, (demoted) LS and hp flags, cancellation-victim maxima
+//! and symmetry classes, and the window's boundary terms — so the memo of
+//! one solve stays valid for the next solve of the same shape, and the
+//! engine keeps it instead of clearing it.
+//!
+//! The rules that keep this exact:
+//!
+//! * the memo holds only values of *completed* solves of the stored
+//!   shape: a new shape or key layout starts from an empty memo, and a
+//!   hopeless or aborted solve drops the shape;
+//! * the key layout does not move as budgets and `N` grow: the slot field
+//!   and every higher-priority budget field get a fixed width of at least
+//!   7 bits (wider when `N−1` needs more);
+//! * a carried solve that fills the memo budget is re-run cold, and a memo
+//!   is carried only when `max_states·(2m+1)+1 ≤ NODE_BUDGET`, where
+//!   a cold solve that fits the memo budget cannot trip the node budget.
+//!   The memo is closed under reachability, so a carried solve that
+//!   completes proves the cold solve's states fit the budget too: results
+//!   and fallbacks match a cold engine call for call.
+//!
+//! A carried memo only saves work, so the effort counters (`nodes`,
+//! `bb_nodes`) count only the states a call actually expanded.
+//!
+//! The key is a `u128`. When the fixed layout does not fit (many tasks or
+//! `N−1` beyond the fixed width), the key falls back to *adaptive* field
+//! widths indexed by `k`, and the memo is cleared before every solve, so
+//! wide windows still memoize instead of degrading to the node-budget
+//! backstop.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -106,6 +141,12 @@ impl Choice {
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     memo: Memo,
+    /// Shape signature (see [`Search::record_signature`]) of the
+    /// completed solves whose values `memo` holds; empty when the memo
+    /// holds nothing reusable.
+    memo_shape: Vec<i64>,
+    /// Shape signature of the current solve.
+    shape: Vec<i64>,
     exec: Vec<i64>,
     cin: Vec<i64>,
     cout: Vec<i64>,
@@ -124,8 +165,9 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
+    /// Clears the per-window vectors; the memo survives (see
+    /// [`Search::run`]).
     fn reset(&mut self, m: usize) {
-        self.memo.clear();
         self.exec.clear();
         self.cin.clear();
         self.cout.clear();
@@ -257,10 +299,7 @@ impl ExactEngine {
     /// `max_states` entry budget and node backstop as the production DP.
     pub(crate) fn solve_recorded(&self, w: &WindowModel) -> Option<RecordedSolve> {
         let mut scratch = self.scratch.borrow_mut();
-        let mut search = Search::new(w, self.max_states, &mut scratch);
-        if !self.symmetry {
-            search.disable_symmetry();
-        }
+        let mut search = Search::new(w, self.max_states, self.symmetry, &mut scratch);
         if search.n < 2 {
             return Some(RecordedSolve {
                 value: search.c_i.max(search.max_l + search.max_u),
@@ -326,10 +365,7 @@ type RecMemo = HashMap<(usize, u64, u64, Vec<u64>), i64>;
 impl DelayEngine for ExactEngine {
     fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
         let mut scratch = self.scratch.borrow_mut();
-        let mut search = Search::new(w, self.max_states, &mut scratch);
-        if !self.symmetry {
-            search.disable_symmetry();
-        }
+        let mut search = Search::new(w, self.max_states, self.symmetry, &mut scratch);
         let outcome = search.run();
         self.nodes.set(self.nodes.get() + search.nodes);
         match outcome {
@@ -360,6 +396,11 @@ fn bit_width(v: u64) -> u32 {
 /// Node-budget backstop for instances too large to memoize.
 const NODE_BUDGET: u64 = 100_000_000;
 
+/// Minimum width of the slot field and of every higher-priority budget
+/// field of a carried memo key. Fixed so the key layout does not change,
+/// restarting the memo, each time a growing `N−1` needs one more bit.
+const CARRY_FIELD_BITS: u32 = 7;
+
 pub(crate) struct Search<'a> {
     /// `N_i(t)`.
     n: usize,
@@ -383,18 +424,25 @@ pub(crate) struct Search<'a> {
     remaining_lp: u64,
     max_states: usize,
     nodes: u64,
+    /// `nodes` value beyond which the current run aborts (the node budget
+    /// of a cold re-run starts at the nodes already spent).
+    node_limit: u64,
     aborted: bool,
     /// `false` when the packed key would exceed 128 bits; the DP then runs
     /// unmemoized until the node budget trips.
     key_feasible: bool,
-    /// Bit width of the slot-index field of the packed key.
-    k_bits: u32,
+    /// `true` when the key indexes slots by slots remaining in the fixed
+    /// layout, so the memo may carry over to the next solve of the same
+    /// shape; `false` for the adaptive layout indexed by slot.
+    carry: bool,
+    /// Bit width of the slot field of the packed key.
+    slot_bits: u32,
     /// Bit width of each choice field of the packed key.
     c_bits: u32,
 }
 
 impl<'a> Search<'a> {
-    fn new(w: &WindowModel, max_states: usize, scratch: &'a mut Scratch) -> Self {
+    fn new(w: &WindowModel, max_states: usize, symmetry: bool, scratch: &'a mut Scratch) -> Self {
         let m = w.tasks.len();
         scratch.reset(m);
         for t in &w.tasks {
@@ -451,6 +499,10 @@ impl<'a> Search<'a> {
         // the `Π (b_c + 1)` per-member budget lattice of a class to the
         // `Σ b_c + 1` totals that actually matter. Computed after the
         // LS-inertness pass above so demoted tasks can join NLS classes.
+        // Without symmetry breaking every task is its own class: the search
+        // then enumerates exactly the unpruned state space (the
+        // differential reference for
+        // [`ExactEngine::without_symmetry_breaking`]).
         for j in 0..m {
             let prev = (0..j).rev().find(|&p| {
                 scratch.exec[p] == scratch.exec[j]
@@ -462,28 +514,53 @@ impl<'a> Search<'a> {
                         || (scratch.max_lower_hp[p] == scratch.max_lower_hp[j]
                             && scratch.max_lower_i0[p] == scratch.max_lower_i0[j]))
             });
-            scratch.class_prev.push(prev);
+            scratch.class_prev.push(prev.filter(|_| symmetry));
         }
 
-        // Adaptive packing of `(k, prev, prev2, budgets)` into a `u128`
-        // memo key: each field gets exactly the bits its range needs.
-        let k_bits = bit_width(w.n() as u64);
+        // Packing of `(slot, prev, prev2, budgets)` into a `u128` memo key.
+        // The carried layout keys the slot by slots remaining plus a
+        // two-bit gate and gives the slot and every hp budget a fixed
+        // width (canonical budgets never exceed `N−1`); lp budgets keep
+        // their own width. It is used when it fits and when a cold solve
+        // within the memo budget cannot trip the node budget (each
+        // memoized state expands at most `2m+1` children), the condition
+        // under which a carried solve completes exactly when a cold one
+        // does. Otherwise each field gets exactly the bits its range needs,
+        // keyed by slot index.
+        let n = w.n();
         let c_bits = bit_width(2 * m as u64 + 1);
-        let mut total = k_bits + 2 * c_bits;
-        for &b in &scratch.budget {
-            let bits = bit_width(b);
-            scratch.budget_bits.push(bits);
-            total += bits;
+        let field = bit_width(n.saturating_sub(1) as u64).max(CARRY_FIELD_BITS);
+        scratch.budget_bits.extend((0..m).map(|j| {
+            if scratch.hp[j] {
+                field
+            } else {
+                bit_width(scratch.budget[j])
+            }
+        }));
+        let mut slot_bits = field + 2;
+        let key_bits = |slot_bits: u32, budget_bits: &[u32]| {
+            slot_bits + 2 * c_bits + budget_bits.iter().sum::<u32>()
+        };
+        let node_bound = (max_states as u64)
+            .saturating_mul(2 * m as u64 + 1)
+            .saturating_add(1);
+        let carry = key_bits(slot_bits, &scratch.budget_bits) <= 128 && node_bound <= NODE_BUDGET;
+        if !carry {
+            slot_bits = bit_width(n as u64);
+            scratch.budget_bits.clear();
+            scratch
+                .budget_bits
+                .extend(scratch.budget.iter().map(|&b| bit_width(b)));
         }
-        let key_feasible = total <= 128;
+        let key_feasible = key_bits(slot_bits, &scratch.budget_bits) <= 128;
         let remaining_budget: u64 = scratch.budget.iter().sum();
         let remaining_lp: u64 = (0..m)
             .filter(|&j| !scratch.hp[j])
             .map(|j| scratch.budget[j])
             .sum();
 
-        Search {
-            n: w.n(),
+        let mut search = Search {
+            n,
             s: scratch,
             max_cancel_hp,
             max_cancel_i0,
@@ -496,21 +573,47 @@ impl<'a> Search<'a> {
             remaining_lp,
             max_states,
             nodes: 0,
+            node_limit: NODE_BUDGET,
             aborted: false,
             key_feasible,
-            k_bits,
+            carry,
+            slot_bits,
             c_bits,
-        }
+        };
+        search.record_signature();
+        search
     }
 
-    /// Dissolves the interchangeability classes: every task becomes its
-    /// own class, removing the canonical-order admission rule and the
-    /// class-level budget collapse in the memo key. The search then
-    /// enumerates exactly the unpruned state space (the differential
-    /// reference for [`ExactEngine::without_symmetry_breaking`]).
-    fn disable_symmetry(&mut self) {
-        for p in self.s.class_prev.iter_mut() {
-            *p = None;
+    /// Records the shape signature of this solve in `Scratch::shape`:
+    /// everything the search reads except the budgets and `N`, plus the
+    /// key layout. Two solves with equal signatures assign every memo key
+    /// the same suffix value.
+    fn record_signature(&mut self) {
+        let s = &mut *self.s;
+        let opt = |v: Option<i64>| v.unwrap_or(-1);
+        s.shape.clear();
+        s.shape.extend([
+            self.max_cancel_hp,
+            self.max_cancel_i0,
+            self.max_l,
+            self.max_u,
+            self.l_i,
+            self.c_i,
+            self.last_lp_exec as i64,
+            i64::from(self.slot_bits),
+        ]);
+        for j in 0..s.exec.len() {
+            s.shape.extend([
+                s.exec[j],
+                s.cin[j],
+                s.cout[j],
+                i64::from(s.ls[j]),
+                i64::from(s.hp[j]),
+                opt(s.max_lower_hp[j]),
+                opt(s.max_lower_i0[j]),
+                s.class_prev[j].map_or(-1, |p| p as i64),
+                i64::from(s.budget_bits[j]),
+            ]);
         }
     }
 
@@ -642,20 +745,37 @@ impl<'a> Search<'a> {
             .collect()
     }
 
+    /// Solves the window, starting from the memo of the previous solve
+    /// when it has the same shape (see the module docs).
     fn run(&mut self) -> Option<i64> {
         if self.n < 2 {
             return Some(self.c_i.max(self.max_l + self.max_u));
         }
+        let warm = self.carry && self.s.shape == self.s.memo_shape;
+        if !warm {
+            self.s.memo.clear();
+        }
+        // Until this solve completes, the memo holds no reusable values.
+        self.s.memo_shape.clear();
         if self.hopeless(self.key_feasible) {
             self.aborted = true;
             return None;
         }
-        let v = self.dp(0, Choice::Idle, Choice::Idle);
-        if self.aborted {
-            None
-        } else {
-            Some(v)
+        let mut v = self.dp(0, Choice::Idle, Choice::Idle);
+        if self.aborted && warm {
+            // The carried entries crowded the memo budget: re-run cold.
+            self.s.memo.clear();
+            self.aborted = false;
+            self.node_limit = self.nodes + NODE_BUDGET;
+            v = self.dp(0, Choice::Idle, Choice::Idle);
         }
+        if self.aborted {
+            return None;
+        }
+        if self.carry {
+            std::mem::swap(&mut self.s.memo_shape, &mut self.s.shape);
+        }
+        Some(v)
     }
 
     /// A-priori abort gate: `true` when a certified lower bound on the
@@ -811,7 +931,7 @@ impl<'a> Search<'a> {
             return 0;
         }
         self.nodes += 1;
-        if self.nodes > NODE_BUDGET {
+        if self.nodes > self.node_limit {
             // Backstop for instances too large to memoize.
             self.aborted = true;
             return 0;
@@ -914,20 +1034,29 @@ impl<'a> Search<'a> {
         Some(self.cpu(prev).max(input + self.out_at(k - 1, prev2)))
     }
 
-    /// Packs `(k, prev, prev2, canonical budgets)` into a 128-bit memo key
-    /// with the adaptive field widths computed in [`Search::new`]; `None`
-    /// when the instance is too large to pack (the caller then runs
-    /// without memoization until the node budget trips). Budgets enter in
-    /// canonical form ([`Search::canon_budget`]) so states with provably
-    /// equal suffix optima share one entry; canonical values never exceed
-    /// the raw budget, so the precomputed field widths still fit.
+    /// Packs `(slot, prev, prev2, canonical budgets)` into a 128-bit memo
+    /// key with the field widths computed in [`Search::new`]; `None` when
+    /// the instance is too large to pack (the caller then runs without
+    /// memoization until the node budget trips). In the carried layout the
+    /// slot is `(N−1−k, min(k, 2))`: slots remaining plus the gate through
+    /// which `k` enters the search (`k = 0`, `k = 1`; every `k ≥ 2` lies
+    /// past the lp placement region, whose last slot is 0 or 1). Budgets
+    /// enter in canonical form ([`Search::canon_budget`]) so states with
+    /// provably equal suffix optima share one entry; canonical values
+    /// never exceed the raw budget or `N−1`, so the precomputed field
+    /// widths still fit.
     #[inline]
     fn memo_key(&self, k: usize, prev: Choice, prev2: Choice) -> Option<u128> {
         if !self.key_feasible {
             return None;
         }
-        debug_assert!(bit_width(k as u64) <= self.k_bits);
-        let mut key: u128 = k as u128;
+        let slot = if self.carry {
+            (((self.n - 1 - k) as u128) << 2) | k.min(2) as u128
+        } else {
+            k as u128
+        };
+        debug_assert!(bit_width(slot as u64) <= self.slot_bits);
+        let mut key: u128 = slot;
         key = (key << self.c_bits) | prev.encode();
         key = (key << self.c_bits) | prev2.encode();
         for (j, &bits) in self.s.budget_bits.iter().enumerate() {
@@ -946,7 +1075,7 @@ impl<'a> Search<'a> {
             return 0;
         }
         self.nodes += 1;
-        if self.nodes > NODE_BUDGET {
+        if self.nodes > self.node_limit {
             self.aborted = true;
             return 0;
         }

@@ -54,6 +54,10 @@ pub enum CoreError {
         /// The configured capacity.
         capacity: usize,
     },
+    /// A time computed from the inputs (e.g. a bus-inflated transfer
+    /// time) does not fit in the tick range of
+    /// [`Time`](pmcs_model::Time).
+    TimeOverflow,
 }
 
 impl fmt::Display for CoreError {
@@ -80,6 +84,7 @@ impl fmt::Display for CoreError {
             CoreError::SessionCapacity { capacity } => {
                 write!(f, "session is at its task capacity ({capacity})")
             }
+            CoreError::TimeOverflow => write!(f, "time arithmetic overflowed the tick range"),
         }
     }
 }

@@ -333,7 +333,10 @@ pub fn assign_budgets(
     let share = period.as_ticks() / cores as i64;
     let mut attempts: Vec<BudgetAttempt> = Vec::new();
     for &(num, den) in BUDGET_LEVELS {
-        let q = Time::from_ticks((share * num / den).max(1));
+        // `share · num / den ≤ share`, but `share · num` alone may not fit
+        // in an `i64` when the period comes near the tick range.
+        let level = i128::from(share) * i128::from(num) / i128::from(den);
+        let q = Time::from_ticks((level as i64).max(1));
         if attempts.iter().any(|a| a.budget == q) {
             continue; // tiny shares collapse adjacent levels
         }

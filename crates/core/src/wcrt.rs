@@ -21,7 +21,9 @@ pub struct DelayBound {
     /// `true` iff the bound is the exact optimum (engines degrade to safe
     /// over-approximations when their search budgets run out).
     pub exact: bool,
-    /// Search effort indicator (nodes explored / solver nodes).
+    /// Search effort indicator (nodes explored / solver nodes). Counts
+    /// only this call's new work: states an engine reuses from an earlier
+    /// call's memo are not counted again.
     pub nodes: u64,
 }
 

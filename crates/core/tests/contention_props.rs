@@ -32,17 +32,17 @@ proptest! {
         let bus = uniform_bus(p, cores, q);
         let inf = Inflation::for_core(&bus, CoreId(0));
         let d = Time::from_ticks(d);
-        prop_assert!(inf.inflate(d) >= d);
+        prop_assert!(inf.inflate(d).unwrap() >= d);
 
         let crossbar = Inflation::for_core(&BusModel::contention_free(), CoreId(0));
-        prop_assert_eq!(crossbar.inflate(d), d);
+        prop_assert_eq!(crossbar.inflate(d).unwrap(), d);
 
         // Only this core active: rivals contribute nothing, identity.
         let mut active = vec![false; cores];
         active[0] = true;
         let lone = Inflation::for_core_among(&bus, CoreId(0), &active);
         prop_assert!(lone.is_identity());
-        prop_assert_eq!(lone.inflate(d), d);
+        prop_assert_eq!(lone.inflate(d).unwrap(), d);
     }
 
     /// More contending cores → never less inflation (σ grows with every
@@ -58,10 +58,10 @@ proptest! {
         let d = Time::from_ticks(d);
         let mut active = vec![false; cores];
         active[0] = true;
-        let mut prev = Inflation::for_core_among(&bus, CoreId(0), &active).inflate(d);
+        let mut prev = Inflation::for_core_among(&bus, CoreId(0), &active).inflate(d).unwrap();
         for rival in 1..cores {
             active[rival] = true;
-            let cur = Inflation::for_core_among(&bus, CoreId(0), &active).inflate(d);
+            let cur = Inflation::for_core_among(&bus, CoreId(0), &active).inflate(d).unwrap();
             prop_assert!(
                 cur >= prev,
                 "activating rival {rival} shrank the bound: {prev} -> {cur}"
@@ -93,8 +93,8 @@ proptest! {
             .expect("own + rival ≤ P by construction")
         };
         let d = Time::from_ticks(d);
-        let weak = Inflation::for_core(&mk(small_q), CoreId(0)).inflate(d);
-        let strong = Inflation::for_core(&mk(big_q), CoreId(0)).inflate(d);
+        let weak = Inflation::for_core(&mk(small_q), CoreId(0)).inflate(d).unwrap();
+        let strong = Inflation::for_core(&mk(big_q), CoreId(0)).inflate(d).unwrap();
         prop_assert!(
             strong >= weak,
             "greedier rival shrank the bound: Q_r {small_q} -> {big_q}, {weak} -> {strong}"
@@ -132,8 +132,8 @@ proptest! {
             prop_assert_eq!(orig.priority(), new.priority());
             prop_assert_eq!(orig.arrival(), new.arrival());
             prop_assert_eq!(orig.sensitivity(), new.sensitivity());
-            prop_assert_eq!(new.copy_in(), inf.inflate(orig.copy_in()));
-            prop_assert_eq!(new.copy_out(), inf.inflate(orig.copy_out()));
+            prop_assert_eq!(new.copy_in(), inf.inflate(orig.copy_in()).unwrap());
+            prop_assert_eq!(new.copy_out(), inf.inflate(orig.copy_out()).unwrap());
             prop_assert!(new.copy_in() >= orig.copy_in());
             prop_assert!(new.copy_out() >= orig.copy_out());
         }

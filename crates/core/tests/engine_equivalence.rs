@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 
+use pmcs_core::wcrt::DelayBound;
 use pmcs_core::{DelayEngine, ExactEngine, MilpEngine, WindowCase, WindowModel};
 use pmcs_model::{Priority, Sensitivity, Task, TaskId, TaskSet, Time};
 
@@ -186,4 +187,292 @@ fn eight_equal_shape_tasks_prune_losslessly() {
             unpruned.nodes
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// A long-lived engine carries its memo from one solve to the next solve
+// of the same window shape. Every call must still return what a fresh
+// engine returns: the same delay, the same exactness, and (on budget
+// exhaustion) the same fallback bound and fallback count.
+// ---------------------------------------------------------------------
+
+/// Solves `w` with `warm` and with a fresh engine of the same settings
+/// and checks they agree; returns `(warm, fresh)`.
+fn check_warm_matches_fresh(
+    warm: &ExactEngine,
+    fresh: impl Fn() -> ExactEngine,
+    w: &WindowModel,
+) -> (DelayBound, DelayBound) {
+    let cold = fresh().max_total_delay(w).unwrap();
+    let got = warm.max_total_delay(w).unwrap();
+    assert_eq!(
+        (got.delay, got.exact),
+        (cold.delay, cold.exact),
+        "long-lived engine diverged from a fresh one on window {w:?}"
+    );
+    (got, cold)
+}
+
+/// Window lengths of a fixed-point sequence: `t0` grown by `steps`.
+fn lengths(t0: i64, steps: &[i64]) -> Vec<i64> {
+    std::iter::once(t0)
+        .chain(steps.iter().scan(t0, |t, &d| {
+            *t += d;
+            Some(*t)
+        }))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Growing window lengths of one task, in both window cases, solved
+    /// by one long-lived engine (including repeats and a shrink back to
+    /// the start, which reuses the larger solves' states).
+    #[test]
+    fn long_lived_engine_matches_fresh_on_fixed_point_sequences(
+        specs in prop::collection::vec(rand_task_strategy(), 2..=5),
+        t0 in 1i64..=60,
+        steps in prop::collection::vec(0i64..=45, 1..=8),
+        under in 0usize..5,
+    ) {
+        let under = TaskId((under % specs.len()) as u32);
+        let set = build_set(&specs);
+        for case in [WindowCase::Nls, WindowCase::LsCaseA] {
+            let warm = ExactEngine::default();
+            let mut ts = lengths(t0, &steps);
+            ts.push(t0);
+            for t in ts {
+                let w = WindowModel::build(&set, under, case, Time::from_ticks(t)).unwrap();
+                check_warm_matches_fresh(&warm, ExactEngine::default, &w);
+            }
+        }
+    }
+
+    /// Shapes interleaved A, B, A, C, A with growing lengths: every
+    /// switch must restart the memo, and no state of one shape may leak
+    /// into another. B differs from A in one task's phases only, so the
+    /// two shapes share every memo key but not the values behind them;
+    /// C analyzes another task of the same set.
+    #[test]
+    fn interleaved_shapes_match_fresh(
+        specs in prop::collection::vec(rand_task_strategy(), 2..=4),
+        t0 in 1i64..=60,
+        steps in prop::collection::vec(0i64..=40, 2..=6),
+        ls_case in any::<bool>(),
+    ) {
+        let case = if ls_case { WindowCase::LsCaseA } else { WindowCase::Nls };
+        let set = build_set(&specs);
+        let mut tweaked = specs.clone();
+        tweaked[0].exec += 7;
+        tweaked[0].copy_out += 3;
+        let tweaked = build_set(&tweaked);
+        let last = TaskId(specs.len() as u32 - 1);
+        let other = TaskId(specs.len() as u32 - 2);
+        let shapes = [(&set, last), (&tweaked, last), (&set, last), (&set, other), (&set, last)];
+        let warm = ExactEngine::default();
+        for t in lengths(t0, &steps) {
+            for &(set, under) in &shapes {
+                let w = WindowModel::build(set, under, case, Time::from_ticks(t)).unwrap();
+                check_warm_matches_fresh(&warm, ExactEngine::default, &w);
+            }
+        }
+    }
+
+    /// Windows padded with surplus (necessarily idle-heavy) intervals
+    /// beyond their job budgets, solved at growing interval counts: a
+    /// state at slot `k ≥ 2` of a longer window can match a state at
+    /// slot 0 or 1 of a shorter one in slots remaining, choices and
+    /// budgets, and only the slot gate of the memo key tells them apart.
+    #[test]
+    fn padded_windows_match_fresh(
+        specs in prop::collection::vec(rand_task_strategy(), 2..=4),
+        t in 1i64..=120,
+        under in 0usize..4,
+        ls_case in any::<bool>(),
+    ) {
+        let case = if ls_case { WindowCase::LsCaseA } else { WindowCase::Nls };
+        let set = build_set(&specs);
+        let under = TaskId((under % specs.len()) as u32);
+        let base = WindowModel::build(&set, under, case, Time::from_ticks(t)).unwrap();
+        let warm = ExactEngine::default();
+        for pad in [0, 1, 2, 3, 4, 2, 0] {
+            let w = WindowModel {
+                n_intervals: base.n_intervals + pad,
+                ..base.clone()
+            };
+            check_warm_matches_fresh(&warm, ExactEngine::default, &w);
+        }
+    }
+}
+
+/// Symmetric sets (equal-shape competitors), with and without symmetry
+/// breaking: the symmetry classes are part of the shape, so each engine
+/// carries only memos built under its own setting.
+#[test]
+fn long_lived_engine_matches_fresh_on_symmetric_sets() {
+    let mut specs = vec![RandTask {
+        exec: 9,
+        copy_in: 3,
+        copy_out: 2,
+        period: 400,
+        ls: false,
+    }];
+    specs.extend(std::iter::repeat_n(
+        RandTask {
+            exec: 5,
+            copy_in: 2,
+            copy_out: 4,
+            period: 60,
+            ls: true,
+        },
+        4,
+    ));
+    let set = build_set(&specs);
+    let pruned = ExactEngine::default();
+    let unpruned = ExactEngine::default().without_symmetry_breaking();
+    for case in [WindowCase::Nls, WindowCase::LsCaseA] {
+        for under in [0, 2, 4] {
+            for t in [1, 40, 61, 100, 130, 61] {
+                let w = WindowModel::build(&set, TaskId(under), case, Time::from_ticks(t)).unwrap();
+                let (a, _) = check_warm_matches_fresh(&pruned, ExactEngine::default, &w);
+                let (b, _) = check_warm_matches_fresh(
+                    &unpruned,
+                    || ExactEngine::default().without_symmetry_breaking(),
+                    &w,
+                );
+                assert_eq!(a.delay, b.delay, "pruning changed the optimum of {w:?}");
+            }
+        }
+    }
+}
+
+/// The smallest memo budget under which a fresh engine solves `w`
+/// exactly.
+fn cold_states_needed(w: &WindowModel) -> usize {
+    let (mut lo, mut hi) = (1usize, 1usize << 20);
+    assert!(
+        ExactEngine::with_max_states(hi)
+            .max_total_delay(w)
+            .unwrap()
+            .exact
+    );
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if ExactEngine::with_max_states(mid)
+            .max_total_delay(w)
+            .unwrap()
+            .exact
+        {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// A memo budget that the carried memo overflows but the cold solve
+/// fits: the engine must re-run the solve cold and stay exact.
+#[test]
+fn carried_memo_overflow_reruns_cold_and_stays_exact() {
+    let specs = vec![
+        RandTask {
+            exec: 12,
+            copy_in: 4,
+            copy_out: 6,
+            period: 45,
+            ls: true,
+        },
+        RandTask {
+            exec: 7,
+            copy_in: 1,
+            copy_out: 10,
+            period: 50,
+            ls: false,
+        },
+        RandTask {
+            exec: 9,
+            copy_in: 8,
+            copy_out: 3,
+            period: 70,
+            ls: true,
+        },
+        RandTask {
+            exec: 25,
+            copy_in: 9,
+            copy_out: 2,
+            period: 400,
+            ls: false,
+        },
+    ];
+    let set = build_set(&specs);
+    let mut reruns = 0;
+    for case in [WindowCase::Nls, WindowCase::LsCaseA] {
+        let windows: Vec<WindowModel> = [60, 120, 180]
+            .into_iter()
+            .map(|t| WindowModel::build(&set, TaskId(3), case, Time::from_ticks(t)).unwrap())
+            .collect();
+        for pair in windows.windows(2) {
+            let budget = cold_states_needed(&pair[1]);
+            let warm = ExactEngine::with_max_states(budget);
+            check_warm_matches_fresh(&warm, || ExactEngine::with_max_states(budget), &pair[0]);
+            let (got, cold) =
+                check_warm_matches_fresh(&warm, || ExactEngine::with_max_states(budget), &pair[1]);
+            assert!(got.exact, "the cold solve fits the budget of {:?}", pair[1]);
+            assert_eq!(warm.solver_stats().dp_fallbacks, 0);
+            // A re-run repeats the cold solve after the aborted carried
+            // attempt, so it costs more nodes than the cold solve alone.
+            reruns += usize::from(got.nodes > cold.nodes);
+        }
+    }
+    assert!(reruns > 0, "no carried memo overflowed its budget");
+}
+
+/// A memo budget that the cold solve exceeds too: the long-lived engine
+/// falls back exactly when a fresh one does, with the same bound and the
+/// same fallback count.
+#[test]
+fn shared_budget_exhaustion_falls_back_like_a_fresh_engine() {
+    let specs = vec![
+        RandTask {
+            exec: 12,
+            copy_in: 4,
+            copy_out: 6,
+            period: 45,
+            ls: true,
+        },
+        RandTask {
+            exec: 7,
+            copy_in: 1,
+            copy_out: 10,
+            period: 50,
+            ls: false,
+        },
+        RandTask {
+            exec: 25,
+            copy_in: 9,
+            copy_out: 2,
+            period: 400,
+            ls: false,
+        },
+    ];
+    let set = build_set(&specs);
+    let ts = [30, 60, 90, 150, 240, 60];
+    let probe = WindowModel::build(&set, TaskId(2), WindowCase::Nls, Time::from_ticks(90)).unwrap();
+    let budget = cold_states_needed(&probe) - 1;
+    let warm = ExactEngine::with_max_states(budget);
+    let mut fresh_fallbacks = 0;
+    for t in ts {
+        let w = WindowModel::build(&set, TaskId(2), WindowCase::Nls, Time::from_ticks(t)).unwrap();
+        let (_, cold) =
+            check_warm_matches_fresh(&warm, || ExactEngine::with_max_states(budget), &w);
+        fresh_fallbacks += u64::from(!cold.exact);
+    }
+    assert!(fresh_fallbacks > 0, "budget {budget} never ran out");
+    assert!(
+        fresh_fallbacks < ts.len() as u64,
+        "budget {budget} never sufficed"
+    );
+    assert_eq!(warm.solver_stats().dp_fallbacks, fresh_fallbacks);
 }

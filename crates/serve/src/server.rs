@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use pmcs_cert::json::{parse_value, write_value, Value};
@@ -73,20 +73,28 @@ impl ConnQueue {
         }
     }
 
+    /// Locks the queue state. The state is a deque and a flag that every
+    /// critical section leaves consistent, so a lock poisoned by a
+    /// panicking holder is recovered instead of cascading the panic into
+    /// every later `push` and `pop`.
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<TcpStream>, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, stream: TcpStream) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         state.0.push_back(stream);
         self.ready.notify_one();
     }
 
     fn close(&self) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         state.1 = true;
         self.ready.notify_all();
     }
 
     fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = self.lock();
         loop {
             if let Some(stream) = state.0.pop_front() {
                 return Some(stream);
@@ -94,7 +102,10 @@ impl ConnQueue {
             if state.1 {
                 return None;
             }
-            state = self.ready.wait(state).expect("queue lock");
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -526,6 +537,26 @@ mod tests {
         let q = ConnQueue::new();
         // No streams queued: close makes pop return None immediately.
         q.close();
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn queue_survives_a_panic_while_locked() {
+        let q = ConnQueue::new();
+        let poisoned = thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = q.lock();
+                panic!("worker panics while holding the queue lock");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err() && q.state.is_poisoned());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let stream = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("connect to loopback");
+        q.push(stream);
+        q.close();
+        assert!(q.pop().is_some(), "the backlog still drains");
         assert!(q.pop().is_none());
     }
 

@@ -13,7 +13,7 @@ use pmcs_cert::json::{parse_value, write_value, Value};
 use pmcs_core::{analyze_task_set, ExactEngine};
 use pmcs_model::{Priority, Task, TaskId, TaskSet, Time};
 use pmcs_serve::proto::{
-    encode_report, obj_get, E_BAD_FIELD, E_DUPLICATE_TASK, E_LINE_TOO_LONG, E_MALFORMED,
+    encode_report, obj_get, E_BAD_FIELD, E_DUPLICATE_TASK, E_ENGINE, E_LINE_TOO_LONG, E_MALFORMED,
     E_MISSING_FIELD, E_OVER_CAPACITY, E_UNKNOWN_OP, E_UNKNOWN_TASK, MAX_LINE_BYTES,
 };
 use pmcs_serve::{replay_log, spawn, Server, ServerConfig};
@@ -548,6 +548,47 @@ fn partition_packing_failure_is_a_successful_unschedulable_response() {
         Some(Value::Bool(false))
     ));
     assert!(matches!(obj_get(ok, "unplaced"), Some(Value::Int(_))));
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn partition_with_an_overflowing_bus_period_is_an_engine_error() {
+    let server = start(None);
+    let mut client = Client::connect(server.addr());
+    // Worst-fit puts one task on each core, so the cores contend. A
+    // copy-in of 30 ticks spans three 10-tick budget windows, each stalled
+    // for nearly i64::MAX/2 ticks: the inflated copy-in does not fit in a
+    // tick count.
+    let huge = i64::MAX / 2;
+    let task = |id: u32| {
+        format!(
+            "{{\"id\":{id},\"exec\":10,\"copy_in\":30,\"copy_out\":2,\"deadline\":100,\
+             \"priority\":{id},\"arrival\":{{\"kind\":\"sporadic\",\"t\":100}}}}"
+        )
+    };
+    let line = format!(
+        "{{\"op\":\"partition\",\"cores\":2,\"period\":{huge},\"budget\":10,\
+         \"heuristic\":\"worst-fit\",\"tasks\":[{},{}]}}",
+        task(0),
+        task(1),
+    );
+    assert_eq!(error_code(&client.send(&line)), E_ENGINE);
+    // The budget search derives its budgets from the period too; an
+    // unschedulable task makes it try every budget level.
+    let search = format!(
+        "{{\"op\":\"partition\",\"cores\":1,\"period\":{huge},\"tasks\":[{}]}}",
+        task_json(0, 150, 0),
+    );
+    let resp = client.send(&search);
+    let ok = obj_get(&resp, "ok").expect("the search completes");
+    assert!(matches!(obj_get(ok, "attempts"), Some(Value::Arr(a)) if a.len() == 4));
+    // The connection keeps serving.
+    let ok = format!(
+        "{{\"op\":\"partition\",\"cores\":2,\"tasks\":[{}]}}",
+        task_json(0, 10, 0),
+    );
+    assert!(obj_get(&client.send(&ok), "ok").is_some());
     server.shutdown();
     server.join();
 }
