@@ -30,7 +30,8 @@
 //! competing task `τ_j` only matters if `τ_j` can inflict extra delay
 //! through it, i.e. if its copy-in is nonzero (urgent executions inflate
 //! CPU demand by `l_j`) or some window task has strictly lower priority
-//! (cancellation victims exist, rules R3/R4). A promotion of a
+//! (cancellation victims exist, rules R3/R4) — the inertness rule of
+//! [`WindowModel::ls_inert`], which the DP engine applies too. A promotion of a
 //! zero-copy-in, lowest-priority task therefore invalidates *no* window of
 //! the other tasks — the property [`promotion_affects`] exposes to the
 //! greedy loop.
@@ -51,8 +52,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
-
-use pmcs_model::Time;
 
 use crate::error::CoreError;
 use crate::wcrt::{DelayBound, DelayEngine};
@@ -112,27 +111,14 @@ impl WindowKey {
             .tasks
             .iter()
             .enumerate()
-            .map(|(j, t)| {
-                // An LS flag is engine-relevant only if the task can use
-                // it: a nonzero copy-in makes urgent executions more
-                // expensive than plain ones, and a strictly-lower-priority
-                // window task provides a cancellation victim (rules
-                // R3/R4). Otherwise canonicalize to NLS.
-                let has_victim = w
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .any(|(k, v)| k != j && t.priority.is_higher_than(v.priority));
-                let ls = t.ls && (t.copy_in > Time::ZERO || has_victim);
-                TaskKey {
-                    exec: t.exec.as_ticks(),
-                    copy_in: t.copy_in.as_ticks(),
-                    copy_out: t.copy_out.as_ticks(),
-                    ls,
-                    hp: t.hp,
-                    prio_rank: rank(t.priority.0),
-                    budget: t.budget,
-                }
+            .map(|(j, t)| TaskKey {
+                exec: t.exec.as_ticks(),
+                copy_in: t.copy_in.as_ticks(),
+                copy_out: t.copy_out.as_ticks(),
+                ls: t.ls && !w.ls_inert(j),
+                hp: t.hp,
+                prio_rank: rank(t.priority.0),
+                budget: t.budget,
             })
             .collect();
         WindowKey {
@@ -466,7 +452,7 @@ mod tests {
     use super::*;
     use crate::engine::ExactEngine;
     use crate::window::test_task;
-    use pmcs_model::{Sensitivity, TaskId, TaskSet};
+    use pmcs_model::{Sensitivity, TaskId, TaskSet, Time};
 
     fn window(set: &TaskSet, id: u32, case: WindowCase, t: i64) -> WindowModel {
         WindowModel::build(set, TaskId(id), case, Time::from_ticks(t)).expect("task in set")

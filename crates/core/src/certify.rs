@@ -15,12 +15,13 @@
 //!   ([`SchedCertificate`]).
 //!
 //! Emission runs *outside* any timed region: [`certify_task_set`] re-runs
-//! the traced analysis from scratch (deterministic, so the transcript
-//! matches the production verdicts exactly) and the independent checker
-//! in `pmcs-cert` validates the bundle with zero dependency on this
-//! crate.
+//! the greedy analysis from scratch with tracing on (deterministic, so
+//! the transcript matches the production verdicts exactly), certifies
+//! the windows of every fixed point the trace recorded, and the
+//! independent checker in `pmcs-cert` validates the bundle with zero
+//! dependency on this crate.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use pmcs_cert::types::{
     CertArrival, CertCase, CertChoice, CertRound, CertRoundEntry, CertTask, CertTaskSet,
@@ -34,7 +35,7 @@ use crate::engine::ExactEngine;
 use crate::error::CoreError;
 use crate::formulation::MilpEngine;
 use crate::schedulability::{analyze_task_set_traced, SchedulabilityReport};
-use crate::wcrt::{DelayBound, TaskTrace, WcrtAnalyzer};
+use crate::wcrt::{DelayBound, TaskTrace};
 use crate::window::{WindowCase, WindowModel};
 
 fn cert_err(detail: impl Into<String>) -> CoreError {
@@ -278,14 +279,12 @@ pub fn certify_task_set(
 ) -> Result<(SchedulabilityReport, CertificateSet), CoreError> {
     let (report, trace) = analyze_task_set_traced(set, engine)?;
     let mut bundle = CertificateSet::new(cert_task_set_of(set)?);
-    let analyzer = WcrtAnalyzer::default();
 
     // Window certificates are deduplicated by content hash: across
     // fixed-point iterations and greedy rounds the same window recurs
     // constantly (this mirrors `SharedCachedEngine`, but keyed on the *recorded*
     // window, not the canonicalized cache key).
     let mut seen_windows: HashMap<u64, (i64, bool)> = HashMap::new();
-    let mut seen_wcrts: HashSet<(u32, Vec<u32>)> = HashSet::new();
 
     let mut current = set.all_nls();
     let mut rounds = Vec::with_capacity(trace.rounds.len());
@@ -301,26 +300,18 @@ pub fn certify_task_set(
                 task: entry.task.0,
                 wcrt: entry.wcrt.as_ticks(),
                 schedulable: entry.schedulable,
-                fresh: entry.fresh,
+                fresh: entry.fresh.is_some(),
             });
-            if !entry.fresh || !seen_wcrts.insert((entry.task.0, marking.clone())) {
+            // Each round has its own marking and scans each task at most
+            // once, so every fresh entry gets its own task certificate.
+            let Some(ttrace) = &entry.fresh else {
                 continue;
-            }
-            // Deterministic replay of the fresh analysis under this
-            // round's marking; the transcript gives every window length
-            // the fixed point visited.
-            let (analysis, ttrace) = analyzer.analyze_task_traced(&current, entry.task, engine)?;
-            if analysis.wcrt != entry.wcrt || analysis.schedulable != entry.schedulable {
-                return Err(cert_err(format!(
-                    "replay of {} diverged from the traced run",
-                    entry.task
-                )));
-            }
+            };
             let steps = certify_steps(
                 engine,
                 &current,
                 entry.task,
-                &ttrace,
+                ttrace,
                 &mut seen_windows,
                 &mut bundle,
             )?;
@@ -333,8 +324,8 @@ pub fn certify_task_set(
                 },
                 steps,
                 case_b: ttrace.case_b.map(|t| t.as_ticks()),
-                wcrt: analysis.wcrt.as_ticks(),
-                schedulable: analysis.schedulable,
+                wcrt: entry.wcrt.as_ticks(),
+                schedulable: entry.schedulable,
             });
         }
         rounds.push(CertRound { entries });

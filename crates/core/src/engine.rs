@@ -67,6 +67,18 @@
 //! widths indexed by `k`, and the memo is cleared before every solve, so
 //! wide windows still memoize instead of degrading to the node-budget
 //! backstop.
+//!
+//! ## One recursion, two memo tables
+//!
+//! `Search::dp` is the only recursion. `Search` is generic over its memo
+//! table: production solves hold the packed `u128` scratch memo above,
+//! and certificate recording (`ExactEngine::solve_recorded`) a map keyed
+//! by explicit `(k, prev, prev2, canonical budgets)` tuples.
+//! The map has no 128-bit limit, so a window that production solves
+//! unmemoized is still recorded state by state, and it lives only for one
+//! recording, so recording never touches the carried memo. The witness
+//! walk (`Search::traceback`) replays the recorded table through the same
+//! candidate test, idle gate and budget bookkeeping as the search.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -105,7 +117,71 @@ impl Hasher for KeyHasher {
     }
 }
 
-type Memo = HashMap<u128, i64, BuildHasherDefault<KeyHasher>>;
+/// The production memo: packed `u128` keys (see [`Search::memo_key`]).
+type PackedMemo = HashMap<u128, i64, BuildHasherDefault<KeyHasher>>;
+
+/// The recorder's memo: explicit `(k, prev, prev2, canonical budgets)`
+/// keys, with choices in the wire encoding.
+type RecMemo = HashMap<(usize, u64, u64, Vec<u64>), i64>;
+
+/// The memo table of a [`Search`]: how a state is keyed and stored. The
+/// recursion, its gates and its budget bookkeeping do not depend on it.
+trait MemoTable: Sized {
+    type Key;
+    /// Key of state `(k, prev, prev2)` under the search's current
+    /// budgets; `None` when the state cannot be memoized.
+    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<Self::Key>;
+    fn lookup(&self, key: &Self::Key) -> Option<i64>;
+    fn entries(&self) -> usize;
+    fn store(&mut self, key: Self::Key, value: i64);
+}
+
+impl MemoTable for PackedMemo {
+    type Key = u128;
+
+    #[inline]
+    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<u128> {
+        search.memo_key(k, prev, prev2)
+    }
+
+    #[inline]
+    fn lookup(&self, key: &u128) -> Option<i64> {
+        self.get(key).copied()
+    }
+
+    #[inline]
+    fn entries(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn store(&mut self, key: u128, value: i64) {
+        self.insert(key, value);
+    }
+}
+
+impl MemoTable for RecMemo {
+    type Key = (usize, u64, u64, Vec<u64>);
+
+    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<Self::Key> {
+        let budgets = (0..search.s.budget.len())
+            .map(|j| search.canon_budget(j, k))
+            .collect();
+        Some((k, prev.code(), prev2.code(), budgets))
+    }
+
+    fn lookup(&self, key: &Self::Key) -> Option<i64> {
+        self.get(key).copied()
+    }
+
+    fn entries(&self) -> usize {
+        self.len()
+    }
+
+    fn store(&mut self, key: Self::Key, value: i64) {
+        self.insert(key, value);
+    }
+}
 
 use crate::error::CoreError;
 use crate::wcrt::{DelayBound, DelayEngine};
@@ -140,7 +216,7 @@ impl Choice {
 /// Reusable per-engine working memory: cleared, never reallocated.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    memo: Memo,
+    memo: PackedMemo,
     /// Shape signature (see [`Search::record_signature`]) of the
     /// completed solves whose values `memo` holds; empty when the memo
     /// holds nothing reusable.
@@ -294,12 +370,20 @@ impl ExactEngine {
     /// the search exceeds its budgets (the caller then emits a safe-cap
     /// certificate instead of an exact one).
     ///
-    /// The recording search uses an explicit `(k, prev, prev2, budgets)`
-    /// map as its memo (no 128-bit packing limit), bounded by the same
-    /// `max_states` entry budget and node backstop as the production DP.
+    /// Runs the production search ([`Search::dp`]) with an explicit
+    /// `(k, prev, prev2, budgets)` map as its memo: no 128-bit packing
+    /// limit, the same `max_states` entry budget and node backstop. The
+    /// states come out sorted by key, and the carried production memo is
+    /// left as it was.
     pub(crate) fn solve_recorded(&self, w: &WindowModel) -> Option<RecordedSolve> {
         let mut scratch = self.scratch.borrow_mut();
-        let mut search = Search::new(w, self.max_states, self.symmetry, &mut scratch);
+        let mut search = Search::new(
+            w,
+            self.max_states,
+            self.symmetry,
+            &mut scratch,
+            RecMemo::new(),
+        );
         if search.n < 2 {
             return Some(RecordedSolve {
                 value: search.c_i.max(search.max_l + search.max_u),
@@ -310,16 +394,15 @@ impl ExactEngine {
         if search.hopeless(true) {
             return None;
         }
-        let mut rec: RecMemo = HashMap::new();
-        let value = search.dp_rec(0, Choice::Idle, Choice::Idle, &mut rec);
+        let value = search.dp(0, Choice::Idle, Choice::Idle);
         self.nodes.set(self.nodes.get() + search.nodes);
         if search.aborted {
             return None;
         }
-        let witness = search.traceback(&rec, value)?;
+        let witness = search.traceback(value)?;
         // Sorted by key: the memo's hash order differs between runs, and
         // the emitted certificate must not.
-        let mut states: Vec<RecordedState> = rec
+        let mut states: Vec<RecordedState> = std::mem::take(&mut search.memo)
             .into_iter()
             .map(|((k, prev, prev2, budgets), value)| RecordedState {
                 k,
@@ -360,13 +443,14 @@ pub(crate) struct RecordedSolve {
     pub witness: Vec<u64>,
 }
 
-type RecMemo = HashMap<(usize, u64, u64, Vec<u64>), i64>;
-
 impl DelayEngine for ExactEngine {
     fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
         let mut scratch = self.scratch.borrow_mut();
-        let mut search = Search::new(w, self.max_states, self.symmetry, &mut scratch);
+        let memo = std::mem::take(&mut scratch.memo);
+        let mut search = Search::new(w, self.max_states, self.symmetry, &mut scratch, memo);
         let outcome = search.run();
+        // Hand the memo back for the next solve of the same shape.
+        search.s.memo = std::mem::take(&mut search.memo);
         self.nodes.set(self.nodes.get() + search.nodes);
         match outcome {
             Some(best) => Ok(DelayBound {
@@ -401,10 +485,15 @@ const NODE_BUDGET: u64 = 100_000_000;
 /// restarting the memo, each time a growing `N−1` needs one more bit.
 const CARRY_FIELD_BITS: u32 = 7;
 
-pub(crate) struct Search<'a> {
+struct Search<'a, M> {
     /// `N_i(t)`.
     n: usize,
     s: &'a mut Scratch,
+    /// The memo table of this solve (see [`MemoTable`]). A field rather
+    /// than an argument of [`Search::dp`], whose arguments then still fit
+    /// in registers: the extra argument cost the sweep measurable
+    /// throughput.
+    memo: M,
     /// Largest copy-in among cancellable hp tasks / among all cancellable
     /// tasks of `I_0` (free cancellations, rule R3 gating included).
     max_cancel_hp: i64,
@@ -441,8 +530,14 @@ pub(crate) struct Search<'a> {
     c_bits: u32,
 }
 
-impl<'a> Search<'a> {
-    fn new(w: &WindowModel, max_states: usize, symmetry: bool, scratch: &'a mut Scratch) -> Self {
+impl<'a, M: MemoTable> Search<'a, M> {
+    fn new(
+        w: &WindowModel,
+        max_states: usize,
+        symmetry: bool,
+        scratch: &'a mut Scratch,
+        memo: M,
+    ) -> Self {
         let m = w.tasks.len();
         scratch.reset(m);
         for t in &w.tasks {
@@ -479,13 +574,11 @@ impl<'a> Search<'a> {
             }
         }
 
-        // A task whose LS marking can never be exercised (zero copy-in and
-        // no cancellation victim) behaves exactly like an NLS task; drop
-        // the flag so the DP skips its urgent twin states and the fallback
-        // bound does not charge phantom cancellations. This mirrors the
-        // canonicalization of `cache::WindowKey`.
+        // An inert LS marking behaves exactly like NLS; drop the flag so
+        // the DP skips its urgent twin states and the fallback bound does
+        // not charge phantom cancellations.
         for j in 0..m {
-            if scratch.ls[j] && scratch.cin[j] == 0 && scratch.max_lower_i0[j].is_none() {
+            if scratch.ls[j] && w.ls_inert(j) {
                 scratch.ls[j] = false;
             }
         }
@@ -495,7 +588,7 @@ impl<'a> Search<'a> {
         // cancellation-victim maxima agree — are exchangeable: swapping
         // their jobs in any placement permutes identical Δ contributions.
         // The DP therefore explores only the canonical order that consumes
-        // the lower-indexed member first (see `placement_ok`), collapsing
+        // the lower-indexed member first (see `Search::candidate`), collapsing
         // the `Π (b_c + 1)` per-member budget lattice of a class to the
         // `Σ b_c + 1` totals that actually matter. Computed after the
         // LS-inertness pass above so demoted tasks can join NLS classes.
@@ -562,6 +655,7 @@ impl<'a> Search<'a> {
         let mut search = Search {
             n,
             s: scratch,
+            memo,
             max_cancel_hp,
             max_cancel_i0,
             max_l: w.max_l.as_ticks(),
@@ -686,15 +780,31 @@ impl<'a> Search<'a> {
         }
     }
 
-    fn placement_ok(&self, k: usize, task: usize, urgent: bool) -> bool {
-        if !self.s.hp[task] && k > self.last_lp_exec {
-            return false; // Constraints 3 / 14.
+    /// The candidate test of slot `k`: `Δ_{k−1}`'s contribution when task
+    /// `task` runs there (urgent or not), or `None` when that placement is
+    /// not explored — no budget left, urgent without an LS flag
+    /// (Constraint 4), outside the lp placement region (Constraints
+    /// 3/14), urgent without a victim (Constraint 8), out of the symmetry
+    /// order, or an infeasible copy-in.
+    fn candidate(
+        &self,
+        k: usize,
+        prev: Choice,
+        prev2: Choice,
+        task: usize,
+        urgent: bool,
+    ) -> Option<i64> {
+        if self.s.budget[task] == 0 {
+            return None;
         }
         if urgent && !self.s.ls[task] {
-            return false; // Constraint 4.
+            return None; // Constraint 4.
+        }
+        if !self.s.hp[task] && k > self.last_lp_exec {
+            return None; // Constraints 3 / 14.
         }
         if urgent && k > 0 && self.urgent_cancel(k - 1, task).is_none() {
-            return false; // Constraint 8 with an empty victim set.
+            return None; // Constraint 8 with an empty victim set.
         }
         // Symmetry breaking: within an interchangeability class, jobs are
         // consumed in canonical (index) order. Any placement violating the
@@ -703,9 +813,48 @@ impl<'a> Search<'a> {
         // the candidate set to empty: its lowest-indexed classmate with
         // remaining budget passes the same shape-determined checks.
         if self.s.class_prev[task].is_some_and(|p| self.s.budget[p] > 0) {
-            return false;
+            return None;
         }
-        true
+        self.score(k, prev, prev2, Choice::Run { task, urgent })
+    }
+
+    /// The idle gate of slot `k`, given whether any run candidate exists.
+    ///
+    /// Idling is dominated by placing a job (exchange argument: moving
+    /// a job that would otherwise stay unplaced into the idle slot only
+    /// grows Δ terms) EXCEPT when (a) a free cancellation can charge
+    /// the preceding DMA slot with a copy-in larger than any placeable
+    /// job's, or (b) the window has more slots left than *spendable*
+    /// jobs (stranded lower-priority budgets excluded) — an idle slot
+    /// is then inevitable and *where* it falls matters, because an
+    /// idle slot's DMA still carries the copy-in of the next slot's
+    /// job (the standalone copy-in interval of a blocking lp job: CPU
+    /// idle, Δ_k = l_j + copy-out, execution following in I_{k+1}).
+    /// When neither holds every spendable job fits in the remaining
+    /// slots and no free cancellation pays: each idle-containing
+    /// completion is weakly dominated by the no-idle completion that
+    /// pulls the later jobs forward, so the idle branch is pruned.
+    #[inline]
+    fn idle_admissible(&self, k: usize, any_candidate: bool) -> bool {
+        let idle_useful = k >= 1 && self.free_cancel(k - 1) > 0;
+        let surplus_slot = (self.n - 1 - k) as u64 > self.usable_budget(k);
+        !any_candidate || idle_useful || surplus_slot
+    }
+
+    /// Spends one job of `task` (the choice is taken).
+    #[inline]
+    fn take(&mut self, task: usize) {
+        self.s.budget[task] -= 1;
+        self.remaining_budget -= 1;
+        self.remaining_lp -= u64::from(!self.s.hp[task]);
+    }
+
+    /// Undoes [`Search::take`].
+    #[inline]
+    fn restore(&mut self, task: usize) {
+        self.s.budget[task] += 1;
+        self.remaining_budget += 1;
+        self.remaining_lp += u64::from(!self.s.hp[task]);
     }
 
     /// Job budget still spendable at slot `k`: lower-priority budgets stop
@@ -735,47 +884,6 @@ impl<'a> Search<'a> {
             return 0;
         }
         self.s.budget[j].min((self.n - 1 - k) as u64)
-    }
-
-    /// Canonical budget vector at slot `k` (allocating; recording paths
-    /// only).
-    fn canon_vec(&self, k: usize) -> Vec<u64> {
-        (0..self.s.budget.len())
-            .map(|j| self.canon_budget(j, k))
-            .collect()
-    }
-
-    /// Solves the window, starting from the memo of the previous solve
-    /// when it has the same shape (see the module docs).
-    fn run(&mut self) -> Option<i64> {
-        if self.n < 2 {
-            return Some(self.c_i.max(self.max_l + self.max_u));
-        }
-        let warm = self.carry && self.s.shape == self.s.memo_shape;
-        if !warm {
-            self.s.memo.clear();
-        }
-        // Until this solve completes, the memo holds no reusable values.
-        self.s.memo_shape.clear();
-        if self.hopeless(self.key_feasible) {
-            self.aborted = true;
-            return None;
-        }
-        let mut v = self.dp(0, Choice::Idle, Choice::Idle);
-        if self.aborted && warm {
-            // The carried entries crowded the memo budget: re-run cold.
-            self.s.memo.clear();
-            self.aborted = false;
-            self.node_limit = self.nodes + NODE_BUDGET;
-            v = self.dp(0, Choice::Idle, Choice::Idle);
-        }
-        if self.aborted {
-            return None;
-        }
-        if self.carry {
-            std::mem::swap(&mut self.s.memo_shape, &mut self.s.shape);
-        }
-        Some(v)
     }
 
     /// A-priori abort gate: `true` when a certified lower bound on the
@@ -925,7 +1033,9 @@ impl<'a> Search<'a> {
     }
 
     /// Exact maximum of `Δ_{k-1} + … + Δ_{N-1}` over all legal completions
-    /// of slots `k … N-2`, given the previous two slot decisions.
+    /// of slots `k … N-2`, given the previous two slot decisions. The only
+    /// recursion of the engine: production solves and certificate
+    /// recording differ only in their memo table (see the module docs).
     fn dp(&mut self, k: usize, prev: Choice, prev2: Choice) -> i64 {
         if self.aborted {
             return 0;
@@ -941,59 +1051,26 @@ impl<'a> Search<'a> {
             return self.terminal_value(prev, prev2);
         }
 
-        let key = self.memo_key(k, prev, prev2);
-        if let Some(key) = key {
-            if let Some(&v) = self.s.memo.get(&key) {
-                return v;
-            }
+        let key = M::key(self, k, prev, prev2);
+        if let Some(v) = key.as_ref().and_then(|key| self.memo.lookup(key)) {
+            return v;
         }
 
         let mut best = i64::MIN;
         let mut any_candidate = false;
-        let m = self.s.exec.len();
-        for task in 0..m {
-            if self.s.budget[task] == 0 {
-                continue;
-            }
+        for task in 0..self.s.exec.len() {
             for urgent in [false, true] {
-                if urgent && !self.s.ls[task] {
-                    continue;
-                }
-                if !self.placement_ok(k, task, urgent) {
-                    continue;
-                }
-                let cand = Choice::Run { task, urgent };
-                let Some(d) = self.score(k, prev, prev2, cand) else {
+                let Some(d) = self.candidate(k, prev, prev2, task, urgent) else {
                     continue;
                 };
                 any_candidate = true;
-                self.s.budget[task] -= 1;
-                self.remaining_budget -= 1;
-                self.remaining_lp -= u64::from(!self.s.hp[task]);
-                let v = d + self.dp(k + 1, cand, prev);
-                self.s.budget[task] += 1;
-                self.remaining_budget += 1;
-                self.remaining_lp += u64::from(!self.s.hp[task]);
+                self.take(task);
+                let v = d + self.dp(k + 1, Choice::Run { task, urgent }, prev);
+                self.restore(task);
                 best = best.max(v);
             }
         }
-        // Idling is dominated by placing a job (exchange argument: moving
-        // a job that would otherwise stay unplaced into the idle slot only
-        // grows Δ terms) EXCEPT when (a) a free cancellation can charge
-        // the preceding DMA slot with a copy-in larger than any placeable
-        // job's, or (b) the window has more slots left than *spendable*
-        // jobs (stranded lower-priority budgets excluded) — an idle slot
-        // is then inevitable and *where* it falls matters, because an
-        // idle slot's DMA still carries the copy-in of the next slot's
-        // job (the standalone copy-in interval of a blocking lp job: CPU
-        // idle, Δ_k = l_j + copy-out, execution following in I_{k+1}).
-        // When neither holds every spendable job fits in the remaining
-        // slots and no free cancellation pays: each idle-containing
-        // completion is weakly dominated by the no-idle completion that
-        // pulls the later jobs forward, so the idle branch is pruned.
-        let idle_useful = k >= 1 && self.free_cancel(k - 1) > 0;
-        let surplus_slot = (self.n - 1 - k) as u64 > self.usable_budget(k);
-        if !any_candidate || idle_useful || surplus_slot {
+        if self.idle_admissible(k, any_candidate) {
             if let Some(d) = self.score(k, prev, prev2, Choice::Idle) {
                 let v = d + self.dp(k + 1, Choice::Idle, prev);
                 best = best.max(v);
@@ -1001,10 +1078,10 @@ impl<'a> Search<'a> {
         }
 
         if let Some(key) = key {
-            if self.s.memo.len() >= self.max_states {
+            if self.memo.entries() >= self.max_states {
                 self.aborted = true;
             } else {
-                self.s.memo.insert(key, best);
+                self.memo.store(key, best);
             }
         }
         best
@@ -1065,228 +1142,147 @@ impl<'a> Search<'a> {
         Some(key)
     }
 
-    /// Recording twin of [`Search::dp`]: identical recursion, gating, and
-    /// budgets, but memoized in an explicit key map so every reachable
-    /// state's exact suffix value survives for certificate emission. Kept
-    /// separate from the hot path on purpose — the production `dp` stays
-    /// allocation-free.
-    fn dp_rec(&mut self, k: usize, prev: Choice, prev2: Choice, rec: &mut RecMemo) -> i64 {
-        if self.aborted {
-            return 0;
-        }
-        self.nodes += 1;
-        if self.nodes > self.node_limit {
-            self.aborted = true;
-            return 0;
-        }
-        if k == self.n - 1 {
-            return self.terminal_value(prev, prev2);
-        }
-        let key = (k, prev.code(), prev2.code(), self.canon_vec(k));
-        if let Some(&v) = rec.get(&key) {
-            return v;
-        }
-
-        let mut best = i64::MIN;
-        let mut any_candidate = false;
+    /// Safe upper bound on the window's total delay, used when the DP
+    /// aborts: the tighter of
+    ///
+    /// * per-slot caps: every middle interval is below
+    ///   `max(max demand, l̂+û)`;
+    /// * decoupled sums: `Σ_k Δ_k ≤ Σ_k Δ^cpu_k + Σ_k (Δ^in_k + Δ^out_k)`,
+    ///   with the DMA side budgeted by the copies each job performs once,
+    ///   plus cancellation charges and the window-start `max_u` boundary.
+    ///
+    /// Computed at the root only: full budgets, all `N−1` placement slots.
+    fn fallback_bound(&self) -> i64 {
         let m = self.s.exec.len();
-        for task in 0..m {
-            if self.s.budget[task] == 0 {
-                continue;
+        let demand = |j: usize| {
+            if self.s.ls[j] {
+                self.s.cin[j] + self.s.exec[j]
+            } else {
+                self.s.exec[j]
             }
-            for urgent in [false, true] {
-                if urgent && !self.s.ls[task] {
-                    continue;
-                }
-                if !self.placement_ok(k, task, urgent) {
-                    continue;
-                }
-                let cand = Choice::Run { task, urgent };
-                let Some(d) = self.score(k, prev, prev2, cand) else {
-                    continue;
-                };
-                any_candidate = true;
-                self.s.budget[task] -= 1;
-                self.remaining_budget -= 1;
-                self.remaining_lp -= u64::from(!self.s.hp[task]);
-                let v = d + self.dp_rec(k + 1, cand, prev, rec);
-                self.s.budget[task] += 1;
-                self.remaining_budget += 1;
-                self.remaining_lp += u64::from(!self.s.hp[task]);
-                best = best.max(v);
-            }
-        }
-        let idle_useful = k >= 1 && self.free_cancel(k - 1) > 0;
-        let surplus_slot = (self.n - 1 - k) as u64 > self.usable_budget(k);
-        if !any_candidate || idle_useful || surplus_slot {
-            if let Some(d) = self.score(k, prev, prev2, Choice::Idle) {
-                let v = d + self.dp_rec(k + 1, Choice::Idle, prev, rec);
-                best = best.max(v);
-            }
-        }
+        };
+        let max_demand = (0..m).map(demand).max().unwrap_or(0);
+        let slot_cap = max_demand.max(self.max_l + self.max_u);
+        let last2_cap =
+            max_demand.max(self.l_i + self.max_u) + self.c_i.max(self.max_l + self.max_u);
+        // Δ_0 … Δ_{N−1}: the two terminal intervals plus `N−2` middle ones.
+        let per_slot = slot_cap * (self.n as i64 - 2) + last2_cap;
 
-        if rec.len() >= self.max_states {
-            self.aborted = true;
-        } else {
-            rec.insert(key, best);
+        let mut cpu_sum = 0i64;
+        let mut dma_sum = 0i64;
+        let mut ls_jobs = 0i64;
+        for j in 0..m {
+            let b = self.s.budget[j] as i64;
+            cpu_sum += b * demand(j);
+            dma_sum += b * (self.s.cin[j] + self.s.cout[j]);
+            if self.s.ls[j] {
+                ls_jobs += b;
+            }
         }
-        best
+        // Cancellation charges can fill slots without executions and slots
+        // preceding urgent executions.
+        let slots = (self.n - 1) as i64;
+        let free_slots = (slots - self.remaining_budget as i64).max(0) + ls_jobs;
+        let cancel_extra = free_slots * self.max_cancel_i0;
+        let decoupled =
+            cpu_sum + self.c_i + dma_sum + cancel_extra + self.l_i + self.max_l + self.max_u;
+
+        per_slot.min(decoupled)
     }
+}
 
+impl Search<'_, PackedMemo> {
+    /// Solves the window, starting from the memo of the previous solve
+    /// when it has the same shape (see the module docs).
+    fn run(&mut self) -> Option<i64> {
+        if self.n < 2 {
+            return Some(self.c_i.max(self.max_l + self.max_u));
+        }
+        let warm = self.carry && self.s.shape == self.s.memo_shape;
+        if !warm {
+            self.memo.clear();
+        }
+        // Until this solve completes, the memo holds no reusable values.
+        self.s.memo_shape.clear();
+        if self.hopeless(self.key_feasible) {
+            self.aborted = true;
+            return None;
+        }
+        let mut v = self.dp(0, Choice::Idle, Choice::Idle);
+        if self.aborted && warm {
+            // The carried entries crowded the memo budget: re-run cold.
+            self.memo.clear();
+            self.aborted = false;
+            self.node_limit = self.nodes + NODE_BUDGET;
+            v = self.dp(0, Choice::Idle, Choice::Idle);
+        }
+        if self.aborted {
+            return None;
+        }
+        if self.carry {
+            std::mem::swap(&mut self.s.memo_shape, &mut self.s.shape);
+        }
+        Some(v)
+    }
+}
+
+impl Search<'_, RecMemo> {
     /// Recovers one optimal placement from a recorded memo: walks forward
-    /// from the root re-enumerating the explored choices of each state and
-    /// following any choice whose score plus child value reproduces the
-    /// state's recorded optimum.
-    fn traceback(&mut self, rec: &RecMemo, total: i64) -> Option<Vec<u64>> {
+    /// from the root through the search's own candidate test and idle
+    /// gate, taking at each slot the first explored choice whose score
+    /// plus child value reproduces the state's recorded optimum.
+    fn traceback(&mut self, total: i64) -> Option<Vec<u64>> {
         let mut witness = Vec::with_capacity(self.n - 1);
         let (mut prev, mut prev2) = (Choice::Idle, Choice::Idle);
         let mut v = total;
-        let m = self.s.exec.len();
         for k in 0..self.n - 1 {
-            let mut found: Option<(Choice, i64)> = None;
-            let mut any_candidate = false;
-            'runs: for task in 0..m {
-                if self.s.budget[task] == 0 {
-                    continue;
-                }
-                for urgent in [false, true] {
-                    if urgent && !self.s.ls[task] {
-                        continue;
-                    }
-                    if !self.placement_ok(k, task, urgent) {
-                        continue;
-                    }
-                    let cand = Choice::Run { task, urgent };
-                    let Some(d) = self.score(k, prev, prev2, cand) else {
-                        continue;
-                    };
-                    any_candidate = true;
-                    self.s.budget[task] -= 1;
-                    let cv = if k + 1 == self.n - 1 {
-                        Some(self.terminal_value(cand, prev))
-                    } else {
-                        rec.get(&(k + 1, cand.code(), prev.code(), self.canon_vec(k + 1)))
-                            .copied()
-                    };
-                    if cv == Some(v - d) {
-                        // Keep the budget decremented: the choice is taken.
-                        found = Some((cand, v - d));
-                        break 'runs;
-                    }
-                    self.s.budget[task] += 1;
-                }
-            }
-            if found.is_none() {
-                let idle_useful = k >= 1 && self.free_cancel(k - 1) > 0;
-                let usable: u64 = (0..m)
-                    .filter(|&j| self.s.hp[j] || k <= self.last_lp_exec)
-                    .map(|j| self.s.budget[j])
-                    .sum();
-                let surplus_slot = (self.n - 1 - k) as u64 > usable;
-                if !any_candidate || idle_useful || surplus_slot {
-                    if let Some(d) = self.score(k, prev, prev2, Choice::Idle) {
-                        let cv = if k + 1 == self.n - 1 {
-                            Some(self.terminal_value(Choice::Idle, prev))
-                        } else {
-                            rec.get(&(k + 1, 0, prev.code(), self.canon_vec(k + 1)))
-                                .copied()
-                        };
-                        if cv == Some(v - d) {
-                            found = Some((Choice::Idle, v - d));
-                        }
-                    }
-                }
-            }
-            let (cand, cv) = found?;
+            let (cand, d) = self.optimal_choice(k, prev, prev2, v)?;
             witness.push(cand.code());
-            v = cv;
+            v -= d;
             prev2 = prev;
             prev = cand;
         }
         Some(witness)
     }
 
-    /// Safe upper bound used when the DP aborts: [`Search::suffix_cap`]
-    /// evaluated at the root (full budgets, all slots).
-    fn fallback_bound(&self) -> i64 {
-        self.suffix_cap(0, Choice::Idle, Choice::Idle)
+    /// The first choice of slot `k`, in search order, whose `Δ_{k−1}`
+    /// contribution `d` plus its child's recorded value equals `v`, with
+    /// its budget taken; `None` when no explored choice attains `v`.
+    fn optimal_choice(
+        &mut self,
+        k: usize,
+        prev: Choice,
+        prev2: Choice,
+        v: i64,
+    ) -> Option<(Choice, i64)> {
+        let mut any_candidate = false;
+        for task in 0..self.s.exec.len() {
+            for urgent in [false, true] {
+                let Some(d) = self.candidate(k, prev, prev2, task, urgent) else {
+                    continue;
+                };
+                any_candidate = true;
+                let cand = Choice::Run { task, urgent };
+                self.take(task);
+                if self.child_value(k, cand, prev) == Some(v - d) {
+                    return Some((cand, d));
+                }
+                self.restore(task);
+            }
+        }
+        if !self.idle_admissible(k, any_candidate) {
+            return None;
+        }
+        let d = self.score(k, prev, prev2, Choice::Idle)?;
+        (self.child_value(k, Choice::Idle, prev) == Some(v - d)).then_some((Choice::Idle, d))
     }
 
-    /// Admissible upper bound on `dp(k, prev, prev2)` from the **current**
-    /// remaining budgets: the tighter of
-    ///
-    /// * per-slot caps: every middle interval is below
-    ///   `max(max demand, l̂+û)`;
-    /// * decoupled sums: `Σ_k Δ_k ≤ Σ_k Δ^cpu_k + Σ_k (Δ^in_k + Δ^out_k)`,
-    ///   with the DMA side budgeted by the copies each job performs once,
-    ///   plus cancellation and boundary charges. `Δ_{k-1}`'s execution
-    ///   (`prev`) and copy-out (`prev2`), and `Δ_k`'s copy-out (`prev`),
-    ///   belong to already-placed jobs whose budget is no longer in the
-    ///   remaining sums, so they are charged explicitly.
-    ///
-    /// At `k = 0` this is the engine's coarse fallback bound (`prev` and
-    /// `prev2` are idle and the extra charges reduce to the window-start
-    /// `max_u` boundary).
-    fn suffix_cap(&self, k: usize, prev: Choice, prev2: Choice) -> i64 {
-        let m = self.s.exec.len();
-        let max_demand = (0..m)
-            .map(|j| {
-                if self.s.ls[j] {
-                    self.s.cin[j] + self.s.exec[j]
-                } else {
-                    self.s.exec[j]
-                }
-            })
-            .max()
-            .unwrap_or(0);
-        let slot_cap = max_demand.max(self.max_l + self.max_u);
-        let last2_cap =
-            max_demand.max(self.l_i + self.max_u) + self.c_i.max(self.max_l + self.max_u);
-        // `dp(k, ·)` covers Δ_{k−1} … Δ_{N−1}: the two terminal intervals
-        // plus the middle ones (Δ_{−1} does not exist — `score` returns 0
-        // at the window start).
-        let mid_slots = (self.n as i64 - 1 - k as i64 - i64::from(k == 0)).max(0);
-        let per_slot = slot_cap * mid_slots + last2_cap;
-
-        let total_jobs: u64 = self.s.budget.iter().sum();
-        let slots = (self.n - 1 - k) as i64;
-        let mut cpu_sum = 0i64;
-        let mut dma_sum = 0i64;
-        for j in 0..m {
-            let b = self.s.budget[j] as i64;
-            cpu_sum += b * if self.s.ls[j] {
-                self.s.cin[j] + self.s.exec[j]
-            } else {
-                self.s.exec[j]
-            };
-            dma_sum += b * (self.s.cin[j] + self.s.cout[j]);
+    /// Recorded value of the state after choosing `cand` at slot `k`.
+    fn child_value(&self, k: usize, cand: Choice, prev: Choice) -> Option<i64> {
+        if k + 1 == self.n - 1 {
+            return Some(self.terminal_value(cand, prev));
         }
-        // Cancellation charges can fill slots without executions and slots
-        // preceding urgent executions.
-        let ls_jobs: i64 = (0..m)
-            .filter(|&j| self.s.ls[j])
-            .map(|j| self.s.budget[j] as i64)
-            .sum();
-        let free_slots = (slots - total_jobs as i64).max(0) + ls_jobs;
-        let cancel_extra = free_slots * self.max_cancel_i0;
-        // Copy-outs at slots `k-1` and `k` are produced by `prev2` / `prev`
-        // (`max_u` at the window boundary); later slots copy out remaining
-        // jobs, which `dma_sum` already covers.
-        let placed_out = if k == 0 {
-            self.max_u
-        } else {
-            self.out_at(k - 1, prev2) + self.out_of(prev)
-        };
-        let decoupled = cpu_sum
-            + self.cpu(prev)
-            + self.c_i
-            + dma_sum
-            + cancel_extra
-            + self.l_i
-            + self.max_l
-            + placed_out;
-
-        per_slot.min(decoupled)
+        RecMemo::key(self, k + 1, cand, prev).and_then(|key| self.memo.lookup(&key))
     }
 }
 

@@ -20,7 +20,7 @@ use pmcs_model::{Sensitivity, TaskId, TaskSet, Time};
 
 use crate::error::CoreError;
 use crate::session::{AnalysisSession, VerdictCache, VerdictKey};
-use crate::wcrt::{DelayEngine, TaskAnalysis, WcrtAnalyzer};
+use crate::wcrt::{DelayEngine, TaskAnalysis, TaskTrace, WcrtAnalyzer};
 
 /// `true` iff promoting `promoted` to latency-sensitive can change the
 /// WCRT analysis of `analyzed`.
@@ -37,9 +37,10 @@ use crate::wcrt::{DelayEngine, TaskAnalysis, WcrtAnalyzer};
 ///   executions only at the expense of a lower-priority victim, so with no
 ///   victim the flag enables nothing.
 ///
-/// This is the same canonicalization applied by
-/// [`cache::WindowKey`](crate::cache::WindowKey) and by the DP engine, so
-/// a "not affected" verdict is exact, not heuristic: every window of
+/// This is [`WindowModel::ls_inert`](crate::window::WindowModel::ls_inert)
+/// asked of `promoted` in the windows of `analyzed`, the rule
+/// [`cache::WindowKey`](crate::cache::WindowKey) and the DP engine apply,
+/// so a "not affected" verdict is exact, not heuristic: every window of
 /// `analyzed` before and after the promotion maps to the same canonical
 /// key and the same delay bound.
 pub fn promotion_affects(set: &TaskSet, promoted: TaskId, analyzed: TaskId) -> bool {
@@ -202,15 +203,16 @@ pub struct RoundEntry {
     pub wcrt: Time,
     /// `wcrt ≤ deadline`.
     pub schedulable: bool,
-    /// `true` iff the analysis ran fresh this round; `false` when the
-    /// verdict was reused from an earlier round across a provably inert
-    /// promotion (see [`promotion_affects`]).
-    pub fresh: bool,
+    /// The fixed-point transcript when the analysis ran fresh this round;
+    /// `None` when the verdict was reused from an earlier round across a
+    /// provably inert promotion (see [`promotion_affects`]).
+    pub fresh: Option<TaskTrace>,
 }
 
 /// Transcript of a greedy LS-marking run: per round the scanned tasks in
-/// priority order, plus the promotion sequence — everything certificate
-/// emission needs to replay the marking decisions.
+/// priority order with the fixed-point transcript of every fresh
+/// analysis, plus the promotion sequence — everything certificate
+/// emission needs to prove the verdicts and the marking decisions.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GreedyTrace {
     /// One entry list per round, in scan order (a prefix of the set's
@@ -261,7 +263,8 @@ pub fn analyze_task_set_no_reuse(
 /// [`VerdictKey`] before running and stored after. This is orthogonal to
 /// the *round-level* `carried` reuse (which survives provably inert
 /// promotions within one call) — the cache additionally survives across
-/// calls, i.e. across session operations.
+/// calls, i.e. across session operations. A traced run bypasses the
+/// cache: every fresh analysis runs traced.
 pub(crate) fn greedy_analyze(
     set: &TaskSet,
     engine: &impl DelayEngine,
@@ -286,23 +289,27 @@ pub(crate) fn greedy_analyze(
         let mut verdicts = Vec::with_capacity(current.len());
         let mut failing: Option<TaskId> = None;
         for (idx, task) in current.iter().enumerate() {
-            let fresh = carried[idx].is_none();
+            let mut fresh = None;
             let analysis = match carried[idx].as_ref() {
                 Some(a) => a.clone(),
                 None => {
-                    let a = match verdict_cache.as_deref_mut() {
-                        Some(cache) => {
-                            let key = VerdictKey::of(&current, task.id());
-                            match cache.get(&key, task.id()) {
-                                Some(hit) => hit,
-                                None => {
-                                    let a = analyzer.analyze_task(&current, task.id(), engine)?;
-                                    cache.insert(key, a.clone());
-                                    a
-                                }
+                    let a = if trace.is_some() {
+                        let (a, task_trace) =
+                            analyzer.analyze_task_traced(&current, task.id(), engine)?;
+                        fresh = Some(task_trace);
+                        a
+                    } else if let Some(cache) = verdict_cache.as_deref_mut() {
+                        let key = VerdictKey::of(&current, task.id());
+                        match cache.get(&key, task.id()) {
+                            Some(hit) => hit,
+                            None => {
+                                let a = analyzer.analyze_task(&current, task.id(), engine)?;
+                                cache.insert(key, a.clone());
+                                a
                             }
                         }
-                        None => analyzer.analyze_task(&current, task.id(), engine)?,
+                    } else {
+                        analyzer.analyze_task(&current, task.id(), engine)?
                     };
                     carried[idx] = Some(a.clone());
                     a

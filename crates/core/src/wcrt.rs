@@ -112,7 +112,8 @@ impl WcrtAnalyzer {
     ///
     /// Propagates engine failures and unknown-task errors; returns
     /// [`CoreError::NoConvergence`] if the iteration cap is exhausted
-    /// before a fixed point or deadline miss.
+    /// before a fixed point or deadline miss, and
+    /// [`CoreError::TimeOverflow`] if a response leaves the tick range.
     pub fn analyze_task(
         &self,
         set: &TaskSet,
@@ -224,9 +225,10 @@ impl WcrtAnalyzer {
         mut trace: Option<&mut Vec<TraceStep>>,
     ) -> Result<FixedPoint, CoreError> {
         let t = set.require(task)?;
-        let base = t.exec() + t.copy_out();
+        let add = |a: Time, b: Time| a.checked_add(b).ok_or(CoreError::TimeOverflow);
+        let base = add(t.exec(), t.copy_out())?;
         // Interference-free response: copy-in + execute + copy-out.
-        let mut response = t.copy_in() + base;
+        let mut response = add(t.copy_in(), base)?;
         let mut exact = true;
         for iteration in 1..=self.max_iterations {
             let window_len = response - base;
@@ -241,7 +243,7 @@ impl WcrtAnalyzer {
                     exact: bound.exact,
                 });
             }
-            let next = bound.delay + t.copy_out();
+            let next = add(bound.delay, t.copy_out())?;
             if next > deadline {
                 return Ok(FixedPoint {
                     response: next,

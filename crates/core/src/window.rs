@@ -223,6 +223,17 @@ impl WindowModel {
             .is_higher_than(self.tasks[canceled].priority)
     }
 
+    /// `true` iff task index `j`'s LS marking is inert: the task has no
+    /// copy-in (an urgent execution then costs exactly a plain one) and no
+    /// cancellation victim ([`WindowModel::cancellation_enables`] holds for
+    /// no other window task, so rules R3/R4 enable nothing). An inert LS
+    /// task behaves exactly like an NLS task, so the delay engine and the
+    /// window cache key both treat it as NLS.
+    pub fn ls_inert(&self, j: usize) -> bool {
+        self.tasks[j].copy_in == Time::ZERO
+            && !(0..self.tasks.len()).any(|v| v != j && self.cancellation_enables(v, j))
+    }
+
     /// `true` iff a cancellation of task index `victim`'s copy-in is
     /// physically possible at all: rule R3 requires the release of a
     /// **latency-sensitive task with higher priority** than the victim.

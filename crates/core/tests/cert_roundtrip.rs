@@ -227,3 +227,60 @@ fn truncated_proof_tree_is_rejected_with_stable_code() {
         report.rejections
     );
 }
+
+/// A window whose packed production memo key would need 143 bits: two
+/// higher-priority tasks with two jobs each and 120 distinct
+/// lower-priority competitors (`N = 7`). Production solves it exactly
+/// without a memo; the recorder keeps an explicit state map with no
+/// width limit, so the window is still certified state by state.
+#[test]
+fn window_beyond_the_packed_key_is_certified() {
+    let mut params = vec![(4, 2, 100, false), (5, 3, 100, false), (6, 1, 1_000, false)];
+    params.extend((0..120).map(|j| (7 + j, 1 + j % 3, 1_000, false)));
+    let set = build_set(&params);
+    let w =
+        WindowModel::build(&set, TaskId(2), WindowCase::Nls, Time::from_ticks(10)).expect("window");
+    assert_eq!((w.n(), w.tasks.len()), (7, 122));
+    let engine = ExactEngine::default();
+    let bound = engine.max_total_delay(&w).expect("bound");
+    assert!(bound.exact, "production must solve the window exactly");
+    let cert = certify_window_dp(&engine, &w, bound).expect("certify");
+    assert!(matches!(cert.upper, UpperProof::DpTable(_)));
+    let mut bundle = CertificateSet::new(cert_task_set_of(&set).expect("encodable set"));
+    bundle.windows.push(cert);
+    let report = check_certificate_set(&bundle);
+    assert!(report.ok(), "rejections: {:?}", report.rejections);
+}
+
+/// The fallback cap of a starved engine, pinned on fixed windows (the
+/// cap is computed at the root only), and accepted by the checker's own
+/// re-derivation as a `SafeCap` certificate.
+#[test]
+fn fallback_caps_are_pinned_and_certified() {
+    let set = build_set(&[
+        (12, 4, 60, true),
+        (25, 9, 90, false),
+        (7, 1, 45, true),
+        (500, 2, 1_000, false),
+    ]);
+    let starved = ExactEngine::with_max_states(1);
+    let mut bundle = CertificateSet::new(cert_task_set_of(&set).expect("encodable set"));
+    for (task, case, t, cap) in [
+        (3, WindowCase::Nls, 80, 700),
+        (1, WindowCase::LsCaseA, 30, 620),
+        (2, WindowCase::Nls, 120, 767),
+    ] {
+        let w = WindowModel::build(&set, TaskId(task), case, Time::from_ticks(t)).expect("window");
+        let bound = starved.max_total_delay(&w).expect("bound");
+        assert!(
+            !bound.exact,
+            "τ{task} {case:?} t={t} must exhaust the budget"
+        );
+        assert_eq!(bound.delay.as_ticks(), cap, "τ{task} {case:?} t={t}");
+        let cert = certify_window_dp(&starved, &w, bound).expect("certify");
+        assert!(matches!(cert.upper, UpperProof::SafeCap));
+        bundle.windows.push(cert);
+    }
+    let report = check_certificate_set(&bundle);
+    assert!(report.ok(), "rejections: {:?}", report.rejections);
+}

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use pmcs_core::wcrt::DelayBound;
-use pmcs_core::{DelayEngine, ExactEngine, MilpEngine, WindowCase, WindowModel};
+use pmcs_core::{certify_window_dp, DelayEngine, ExactEngine, MilpEngine, WindowCase, WindowModel};
 use pmcs_model::{Priority, Sensitivity, Task, TaskId, TaskSet, Time};
 
 #[derive(Debug, Clone)]
@@ -80,6 +80,11 @@ fn check_equivalence(set: &TaskSet, under: TaskId, case: WindowCase, t: i64) {
         "engine mismatch for window {w:?}: engine={} milp={}",
         fast.delay, milp.delay
     );
+    // The recording solve must reproduce the production optimum
+    // (`certify_window_dp` rejects any other value).
+    let cert = certify_window_dp(&ExactEngine::default(), &w, fast)
+        .unwrap_or_else(|e| panic!("recording diverged from production on {w:?}: {e}"));
+    assert_eq!(cert.claimed, fast.delay.as_ticks());
 }
 
 proptest! {
@@ -240,11 +245,21 @@ proptest! {
         let set = build_set(&specs);
         for case in [WindowCase::Nls, WindowCase::LsCaseA] {
             let warm = ExactEngine::default();
+            // Certifies every window between its production calls:
+            // recording must leave the carried memo as it was, so this
+            // engine's calls match `warm`'s, node counts included.
+            let recording = ExactEngine::default();
             let mut ts = lengths(t0, &steps);
             ts.push(t0);
             for t in ts {
                 let w = WindowModel::build(&set, under, case, Time::from_ticks(t)).unwrap();
-                check_warm_matches_fresh(&warm, ExactEngine::default, &w);
+                let (got, _) = check_warm_matches_fresh(&warm, ExactEngine::default, &w);
+                let rec = recording.max_total_delay(&w).unwrap();
+                prop_assert_eq!(rec, got);
+                if rec.exact {
+                    let cert = certify_window_dp(&recording, &w, rec).unwrap();
+                    prop_assert_eq!(cert.claimed, rec.delay.as_ticks());
+                }
             }
         }
     }

@@ -74,7 +74,8 @@ impl BusModel {
     /// Returns [`ModelError::InvalidBus`] unless `P > 0`, at least one
     /// budget is given, every budget is at least one tick, and the
     /// budgets sum to at most `P` (so every backlogged core drains its
-    /// full budget each period regardless of arbitration order).
+    /// full budget each period regardless of arbitration order) without
+    /// leaving the tick range.
     pub fn regulated(period: Time, budgets: Vec<Time>) -> Result<Self, ModelError> {
         if period <= Time::ZERO {
             return Err(ModelError::InvalidBus {
@@ -93,7 +94,12 @@ impl BusModel {
                 });
             }
         }
-        let total: Time = budgets.iter().fold(Time::ZERO, |acc, &q| acc + q);
+        let total = budgets
+            .iter()
+            .try_fold(Time::ZERO, |acc, &q| acc.checked_add(q))
+            .ok_or_else(|| ModelError::InvalidBus {
+                reason: "budgets sum beyond the tick range".to_string(),
+            })?;
         if total > period {
             return Err(ModelError::InvalidBus {
                 reason: format!("budgets sum to {total}, exceeding the period {period}"),
@@ -255,6 +261,8 @@ mod tests {
             (t(100), vec![t(10), t(0)]),  // zero budget
             (t(100), vec![t(60), t(50)]), // budgets exceed period
             (t(100), vec![t(100), t(1)]), // just over
+            // budgets whose sum leaves the tick range
+            (Time::MAX, vec![t(i64::MAX / 2 + 1), t(i64::MAX / 2 + 1)]),
         ] {
             let err = BusModel::regulated(period, budgets.clone()).unwrap_err();
             assert!(

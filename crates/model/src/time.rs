@@ -125,6 +125,18 @@ impl Time {
         Time((self.0 - rhs.0).max(0))
     }
 
+    /// Checked addition: `None` when the sum leaves the tick range.
+    ///
+    /// ```
+    /// # use pmcs_model::Time;
+    /// assert_eq!(Time::from_ticks(2).checked_add(Time::from_ticks(3)), Some(Time::from_ticks(5)));
+    /// assert_eq!(Time::MAX.checked_add(Time::TICK), None);
+    /// ```
+    #[inline]
+    pub fn checked_add(self, rhs: Time) -> Option<Time> {
+        self.0.checked_add(rhs.0).map(Time)
+    }
+
     /// Checked addition that saturates at [`Time::MAX`] (infinity sentinel
     /// stays infinite).
     #[inline]

@@ -521,6 +521,14 @@ fn partition_rejects_inconsistent_bus_parameters() {
         task_json(0, 10, 0),
     );
     assert_eq!(error_code(&client.send(&oversubscribed)), E_BAD_FIELD);
+    // Budgets whose sum leaves the tick range cannot satisfy ΣQ ≤ P either.
+    let overflowing = format!(
+        "{{\"op\":\"partition\",\"cores\":2,\"period\":{},\"budget\":{},\"tasks\":[{}]}}",
+        i64::MAX,
+        i64::MAX / 2 + 1,
+        task_json(0, 10, 0),
+    );
+    assert_eq!(error_code(&client.send(&overflowing)), E_BAD_FIELD);
     // Unknown heuristics are named.
     let bad_heuristic = format!(
         "{{\"op\":\"partition\",\"cores\":2,\"heuristic\":\"next-fit\",\"tasks\":[{}]}}",
@@ -574,6 +582,15 @@ fn partition_with_an_overflowing_bus_period_is_an_engine_error() {
         task(1),
     );
     assert_eq!(error_code(&client.send(&line)), E_ENGINE);
+    // With 2-tick copies each inflated copy phase fits (about 2^62 ticks),
+    // but the interference-free response `l + C + u` does not.
+    let short_copies = format!(
+        "{{\"op\":\"partition\",\"cores\":2,\"period\":{huge},\"budget\":10,\
+         \"heuristic\":\"worst-fit\",\"tasks\":[{},{}]}}",
+        task_json(0, 10, 0),
+        task_json(1, 10, 1),
+    );
+    assert_eq!(error_code(&client.send(&short_copies)), E_ENGINE);
     // The budget search derives its budgets from the period too; an
     // unschedulable task makes it try every budget level.
     let search = format!(
