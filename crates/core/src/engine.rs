@@ -25,9 +25,19 @@
 //!
 //! The engine is called millions of times per sweep (one call per
 //! fixed-point iteration per task per set). To keep the per-call cost at
-//! the DP itself, the engine holds its working memory — the memo table and
-//! the per-task vectors — in a reusable `Scratch` behind a `RefCell`,
-//! clearing instead of reallocating between calls.
+//! the DP itself, the engine holds its working memory — one memo table per
+//! key width and the per-task vectors — in a reusable `Scratch` behind a
+//! `RefCell`, clearing instead of reallocating between calls.
+//!
+//! Most visits of the DP are memo lookups, so their cost is the memo's
+//! memory footprint. Two rules keep the table small enough to stay in
+//! cache:
+//!
+//! * the key is a `u64` (16-byte buckets) when the window's key layout
+//!   fits in 64 bits, and a `u128` (32-byte buckets) otherwise;
+//! * a cold solve clears its table and shrinks it to the entries of the
+//!   solve that filled it, so the table tracks recent solve sizes instead
+//!   of the largest solve the engine has seen.
 //!
 //! ## Memo carried across fixed-point iterations
 //!
@@ -59,19 +69,22 @@
 //!   completes proves the cold solve's states fit the budget too: results
 //!   and fallbacks match a cold engine call for call.
 //!
-//! A carried memo only saves work, so the effort counters (`nodes`,
-//! `bb_nodes`) count only the states a call actually expanded.
+//! A carried memo only saves work. The effort counters (`nodes`,
+//! `bb_nodes`) count every visit of the DP, memo hits and terminal slots
+//! included, so a carried memo shows up as fewer visits.
 //!
-//! The key is a `u128`. When the fixed layout does not fit (many tasks or
-//! `N−1` beyond the fixed width), the key falls back to *adaptive* field
-//! widths indexed by `k`, and the memo is cleared before every solve, so
-//! wide windows still memoize instead of degrading to the node-budget
-//! backstop.
+//! When the fixed layout does not fit in 128 bits (many tasks or `N−1`
+//! beyond the fixed width), the key falls back to *adaptive* field widths
+//! indexed by `k`, and the memo is cleared before every solve, so wide
+//! windows still memoize instead of degrading to the node-budget
+//! backstop. Either layout takes the `u64` table when it fits in 64 bits.
 //!
 //! ## One recursion, two memo tables
 //!
-//! `Search::dp` is the only recursion. `Search` is generic over its memo
-//! table: production solves hold the packed `u128` scratch memo above,
+//! `Search::dp` is the only recursion: an inlined visit (budget checks,
+//! terminal slot, memo lookup) that calls the out-of-line `Search::expand`
+//! only on a memo miss. `Search` is generic over its memo table:
+//! production solves hold the packed scratch memo of their key width,
 //! and certificate recording (`ExactEngine::solve_recorded`) a map keyed
 //! by explicit `(k, prev, prev2, canonical budgets)` tuples.
 //! The map has no 128-bit limit, so a window that production solves
@@ -82,11 +95,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::{BitOr, Shl};
 
 use pmcs_model::Time;
 
-/// Multiplicative hasher for the dense 128-bit memo keys (the default
+/// Multiplicative hasher for the dense packed memo keys (the default
 /// SipHash costs more than the DP transition itself).
 #[derive(Debug, Default)]
 struct KeyHasher(u64);
@@ -117,8 +131,30 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// The production memo: packed `u128` keys (see [`Search::memo_key`]).
-type PackedMemo = HashMap<u128, i64, BuildHasherDefault<KeyHasher>>;
+/// The production memo: packed keys (see [`Search::memo_key`]), `u64`
+/// when the window's key layout fits in 64 bits and `u128` otherwise.
+type PackedMemo<K> = HashMap<K, i64, BuildHasherDefault<KeyHasher>>;
+
+/// A packed memo key width. Each width has its own table in [`Scratch`].
+trait PackedKey: Copy + Eq + Hash + From<u64> + Shl<u32, Output = Self> + BitOr<Output = Self> {
+    const BITS: u32;
+    /// This width's table in `scratch`.
+    fn table(scratch: &mut Scratch) -> &mut PackedMemo<Self>;
+}
+
+impl PackedKey for u64 {
+    const BITS: u32 = u64::BITS;
+    fn table(scratch: &mut Scratch) -> &mut PackedMemo<u64> {
+        &mut scratch.memo64
+    }
+}
+
+impl PackedKey for u128 {
+    const BITS: u32 = u128::BITS;
+    fn table(scratch: &mut Scratch) -> &mut PackedMemo<u128> {
+        &mut scratch.memo128
+    }
+}
 
 /// The recorder's memo: explicit `(k, prev, prev2, canonical budgets)`
 /// keys, with choices in the wire encoding.
@@ -136,16 +172,16 @@ trait MemoTable: Sized {
     fn store(&mut self, key: Self::Key, value: i64);
 }
 
-impl MemoTable for PackedMemo {
-    type Key = u128;
+impl<K: PackedKey> MemoTable for PackedMemo<K> {
+    type Key = K;
 
     #[inline]
-    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<u128> {
+    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<K> {
         search.memo_key(k, prev, prev2)
     }
 
     #[inline]
-    fn lookup(&self, key: &u128) -> Option<i64> {
+    fn lookup(&self, key: &K) -> Option<i64> {
         self.get(key).copied()
     }
 
@@ -155,7 +191,7 @@ impl MemoTable for PackedMemo {
     }
 
     #[inline]
-    fn store(&mut self, key: u128, value: i64) {
+    fn store(&mut self, key: K, value: i64) {
         self.insert(key, value);
     }
 }
@@ -197,29 +233,27 @@ enum Choice {
 }
 
 impl Choice {
-    /// Compact encoding for memo keys: 0 = idle, else `1 + 2·task + urgent`.
-    #[inline]
-    fn encode(self) -> u128 {
-        match self {
-            Choice::Idle => 0,
-            Choice::Run { task, urgent } => 1 + 2 * task as u128 + u128::from(urgent),
-        }
-    }
-
-    /// The same encoding as a `u64` (the certificate wire encoding).
+    /// Compact encoding for memo keys and the certificate wire format:
+    /// 0 = idle, else `1 + 2·task + urgent`.
     #[inline]
     fn code(self) -> u64 {
-        self.encode() as u64
+        match self {
+            Choice::Idle => 0,
+            Choice::Run { task, urgent } => 1 + 2 * task as u64 + u64::from(urgent),
+        }
     }
 }
 
 /// Reusable per-engine working memory: cleared, never reallocated.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    memo: PackedMemo,
+    /// The packed memo of windows whose key fits in 64 bits.
+    memo64: PackedMemo<u64>,
+    /// The packed memo of wider windows.
+    memo128: PackedMemo<u128>,
     /// Shape signature (see [`Search::record_signature`]) of the
-    /// completed solves whose values `memo` holds; empty when the memo
-    /// holds nothing reusable.
+    /// completed solves whose values the memo of their key width holds;
+    /// empty when no memo holds anything reusable.
     memo_shape: Vec<i64>,
     /// Shape signature of the current solve.
     shape: Vec<i64>,
@@ -231,7 +265,8 @@ pub(crate) struct Scratch {
     budget: Vec<u64>,
     max_lower_hp: Vec<Option<i64>>,
     max_lower_i0: Vec<Option<i64>>,
-    /// Per-task bit width of the budget field in the packed memo key.
+    /// Per-task bit width of the budget field in the packed memo key
+    /// (written by [`KeyLayout::new`]).
     budget_bits: Vec<u32>,
     /// Nearest lower-indexed task of the same interchangeability class
     /// (identical shape and protocol flags), if any. Used for symmetry
@@ -254,7 +289,6 @@ impl Scratch {
         self.max_lower_hp.resize(m, None);
         self.max_lower_i0.clear();
         self.max_lower_i0.resize(m, None);
-        self.budget_bits.clear();
         self.class_prev.clear();
     }
 }
@@ -377,8 +411,10 @@ impl ExactEngine {
     /// left as it was.
     pub(crate) fn solve_recorded(&self, w: &WindowModel) -> Option<RecordedSolve> {
         let mut scratch = self.scratch.borrow_mut();
+        let layout = KeyLayout::new(w, self.max_states, &mut scratch.budget_bits);
         let mut search = Search::new(
             w,
+            layout,
             self.max_states,
             self.symmetry,
             &mut scratch,
@@ -386,7 +422,7 @@ impl ExactEngine {
         );
         if search.n < 2 {
             return Some(RecordedSolve {
-                value: search.c_i.max(search.max_l + search.max_u),
+                value: search.degenerate_value()?,
                 states: Vec::new(),
                 witness: Vec::new(),
             });
@@ -443,30 +479,49 @@ pub(crate) struct RecordedSolve {
     pub witness: Vec<u64>,
 }
 
+impl ExactEngine {
+    /// Solves `w` with the packed memo of key width `K`, which is moved
+    /// into the search and handed back afterwards for the next solve of
+    /// the same shape.
+    fn solve_packed<K: PackedKey>(
+        &self,
+        w: &WindowModel,
+        layout: KeyLayout,
+        scratch: &mut Scratch,
+    ) -> Result<DelayBound, CoreError> {
+        let memo = std::mem::take(K::table(scratch));
+        let mut search = Search::new(w, layout, self.max_states, self.symmetry, scratch, memo);
+        let outcome = search.run();
+        *K::table(search.s) = std::mem::take(&mut search.memo);
+        self.nodes.set(self.nodes.get() + search.nodes);
+        if search.overflowed {
+            return Err(CoreError::TimeOverflow);
+        }
+        let (delay, exact) = match outcome {
+            Some(best) => (best, true),
+            None => {
+                let cap = search.fallback_bound().ok_or(CoreError::TimeOverflow)?;
+                self.fallbacks.set(self.fallbacks.get() + 1);
+                warn_fallback_once();
+                (cap, false)
+            }
+        };
+        Ok(DelayBound {
+            delay: Time::from_ticks(delay),
+            exact,
+            nodes: search.nodes,
+        })
+    }
+}
+
 impl DelayEngine for ExactEngine {
     fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
         let mut scratch = self.scratch.borrow_mut();
-        let memo = std::mem::take(&mut scratch.memo);
-        let mut search = Search::new(w, self.max_states, self.symmetry, &mut scratch, memo);
-        let outcome = search.run();
-        // Hand the memo back for the next solve of the same shape.
-        search.s.memo = std::mem::take(&mut search.memo);
-        self.nodes.set(self.nodes.get() + search.nodes);
-        match outcome {
-            Some(best) => Ok(DelayBound {
-                delay: Time::from_ticks(best),
-                exact: true,
-                nodes: search.nodes,
-            }),
-            None => {
-                self.fallbacks.set(self.fallbacks.get() + 1);
-                warn_fallback_once();
-                Ok(DelayBound {
-                    delay: Time::from_ticks(search.fallback_bound()),
-                    exact: false,
-                    nodes: search.nodes,
-                })
-            }
+        let layout = KeyLayout::new(w, self.max_states, &mut scratch.budget_bits);
+        if layout.bits <= u64::BITS {
+            self.solve_packed::<u64>(w, layout, &mut scratch)
+        } else {
+            self.solve_packed::<u128>(w, layout, &mut scratch)
         }
     }
 }
@@ -512,27 +567,85 @@ struct Search<'a, M> {
     /// `remaining_budget − remaining_lp` instead.
     remaining_lp: u64,
     max_states: usize,
+    /// Visits of [`Search::dp`], memo hits and terminals included.
     nodes: u64,
     /// `nodes` value beyond which the current run aborts (the node budget
     /// of a cold re-run starts at the nodes already spent).
     node_limit: u64,
     aborted: bool,
-    /// `false` when the packed key would exceed 128 bits; the DP then runs
-    /// unmemoized until the node budget trips.
-    key_feasible: bool,
+    /// `true` when a delay sum left the `i64` tick range; the search is
+    /// then aborted and its caller reports [`CoreError::TimeOverflow`].
+    overflowed: bool,
+    layout: KeyLayout,
+}
+
+/// Bit layout of a window's packed memo key (see [`Search::memo_key`]);
+/// the per-task budget field widths live in `Scratch::budget_bits`.
+#[derive(Debug, Clone, Copy)]
+struct KeyLayout {
+    /// Total key width; beyond 128 bits the DP runs unmemoized until the
+    /// node budget trips.
+    bits: u32,
     /// `true` when the key indexes slots by slots remaining in the fixed
     /// layout, so the memo may carry over to the next solve of the same
     /// shape; `false` for the adaptive layout indexed by slot.
     carry: bool,
-    /// Bit width of the slot field of the packed key.
+    /// Bit width of the slot field.
     slot_bits: u32,
-    /// Bit width of each choice field of the packed key.
+    /// Bit width of each choice field.
     c_bits: u32,
+}
+
+impl KeyLayout {
+    /// Lays out the packing of `(slot, prev, prev2, budgets)` into a memo
+    /// key for `w`, writing the budget field widths into `budget_bits`.
+    ///
+    /// The carried layout keys the slot by slots remaining plus a two-bit
+    /// gate and gives the slot and every hp budget a fixed width
+    /// (canonical budgets never exceed `N−1`); lp budgets keep their own
+    /// width. It is used when it fits in 128 bits and when a cold solve
+    /// within the memo budget cannot trip the node budget (each memoized
+    /// state expands at most `2m+1` children), the condition under which
+    /// a carried solve completes exactly when a cold one does. Otherwise
+    /// each field gets exactly the bits its range needs, keyed by slot
+    /// index.
+    fn new(w: &WindowModel, max_states: usize, budget_bits: &mut Vec<u32>) -> Self {
+        let m = w.tasks.len();
+        let n = w.n();
+        let c_bits = bit_width(2 * m as u64 + 1);
+        let field = bit_width(n.saturating_sub(1) as u64).max(CARRY_FIELD_BITS);
+        budget_bits.clear();
+        budget_bits.extend(
+            w.tasks
+                .iter()
+                .map(|t| if t.hp { field } else { bit_width(t.budget) }),
+        );
+        let key_bits = |slot_bits: u32, budget_bits: &[u32]| {
+            slot_bits + 2 * c_bits + budget_bits.iter().sum::<u32>()
+        };
+        let node_bound = (max_states as u64)
+            .saturating_mul(2 * m as u64 + 1)
+            .saturating_add(1);
+        let mut slot_bits = field + 2;
+        let carry = key_bits(slot_bits, budget_bits) <= u128::BITS && node_bound <= NODE_BUDGET;
+        if !carry {
+            slot_bits = bit_width(n as u64);
+            budget_bits.clear();
+            budget_bits.extend(w.tasks.iter().map(|t| bit_width(t.budget)));
+        }
+        KeyLayout {
+            bits: key_bits(slot_bits, budget_bits),
+            carry,
+            slot_bits,
+            c_bits,
+        }
+    }
 }
 
 impl<'a, M: MemoTable> Search<'a, M> {
     fn new(
         w: &WindowModel,
+        layout: KeyLayout,
         max_states: usize,
         symmetry: bool,
         scratch: &'a mut Scratch,
@@ -610,42 +723,7 @@ impl<'a, M: MemoTable> Search<'a, M> {
             scratch.class_prev.push(prev.filter(|_| symmetry));
         }
 
-        // Packing of `(slot, prev, prev2, budgets)` into a `u128` memo key.
-        // The carried layout keys the slot by slots remaining plus a
-        // two-bit gate and gives the slot and every hp budget a fixed
-        // width (canonical budgets never exceed `N−1`); lp budgets keep
-        // their own width. It is used when it fits and when a cold solve
-        // within the memo budget cannot trip the node budget (each
-        // memoized state expands at most `2m+1` children), the condition
-        // under which a carried solve completes exactly when a cold one
-        // does. Otherwise each field gets exactly the bits its range needs,
-        // keyed by slot index.
         let n = w.n();
-        let c_bits = bit_width(2 * m as u64 + 1);
-        let field = bit_width(n.saturating_sub(1) as u64).max(CARRY_FIELD_BITS);
-        scratch.budget_bits.extend((0..m).map(|j| {
-            if scratch.hp[j] {
-                field
-            } else {
-                bit_width(scratch.budget[j])
-            }
-        }));
-        let mut slot_bits = field + 2;
-        let key_bits = |slot_bits: u32, budget_bits: &[u32]| {
-            slot_bits + 2 * c_bits + budget_bits.iter().sum::<u32>()
-        };
-        let node_bound = (max_states as u64)
-            .saturating_mul(2 * m as u64 + 1)
-            .saturating_add(1);
-        let carry = key_bits(slot_bits, &scratch.budget_bits) <= 128 && node_bound <= NODE_BUDGET;
-        if !carry {
-            slot_bits = bit_width(n as u64);
-            scratch.budget_bits.clear();
-            scratch
-                .budget_bits
-                .extend(scratch.budget.iter().map(|&b| bit_width(b)));
-        }
-        let key_feasible = key_bits(slot_bits, &scratch.budget_bits) <= 128;
         let remaining_budget: u64 = scratch.budget.iter().sum();
         let remaining_lp: u64 = (0..m)
             .filter(|&j| !scratch.hp[j])
@@ -669,10 +747,8 @@ impl<'a, M: MemoTable> Search<'a, M> {
             nodes: 0,
             node_limit: NODE_BUDGET,
             aborted: false,
-            key_feasible,
-            carry,
-            slot_bits,
-            c_bits,
+            overflowed: false,
+            layout,
         };
         search.record_signature();
         search
@@ -694,7 +770,7 @@ impl<'a, M: MemoTable> Search<'a, M> {
             self.l_i,
             self.c_i,
             self.last_lp_exec as i64,
-            i64::from(self.slot_bits),
+            i64::from(self.layout.slot_bits),
         ]);
         for j in 0..s.exec.len() {
             s.shape.extend([
@@ -711,13 +787,30 @@ impl<'a, M: MemoTable> Search<'a, M> {
         }
     }
 
+    /// `a + b`, or 0 with the search aborted as overflowed when the sum
+    /// leaves the `i64` tick range.
     #[inline]
-    fn cpu(&self, c: Choice) -> i64 {
+    fn add(&mut self, a: i64, b: i64) -> i64 {
+        a.checked_add(b).unwrap_or_else(|| {
+            self.overflowed = true;
+            self.aborted = true;
+            0
+        })
+    }
+
+    /// Value of a window with fewer than two intervals (no DP); `None` on
+    /// overflow.
+    fn degenerate_value(&self) -> Option<i64> {
+        Some(self.c_i.max(self.max_l.checked_add(self.max_u)?))
+    }
+
+    #[inline]
+    fn cpu(&mut self, c: Choice) -> i64 {
         match c {
             Choice::Idle => 0,
             Choice::Run { task, urgent } => {
                 if urgent {
-                    self.s.cin[task] + self.s.exec[task]
+                    self.add(self.s.cin[task], self.s.exec[task])
                 } else {
                     self.s.exec[task]
                 }
@@ -787,7 +880,7 @@ impl<'a, M: MemoTable> Search<'a, M> {
     /// 3/14), urgent without a victim (Constraint 8), out of the symmetry
     /// order, or an infeasible copy-in.
     fn candidate(
-        &self,
+        &mut self,
         k: usize,
         prev: Choice,
         prev2: Choice,
@@ -1034,8 +1127,14 @@ impl<'a, M: MemoTable> Search<'a, M> {
 
     /// Exact maximum of `Δ_{k-1} + … + Δ_{N-1}` over all legal completions
     /// of slots `k … N-2`, given the previous two slot decisions. The only
-    /// recursion of the engine: production solves and certificate
-    /// recording differ only in their memo table (see the module docs).
+    /// recursion of the engine (with [`Search::expand`]): production solves
+    /// and certificate recording differ only in their memo table (see the
+    /// module docs).
+    ///
+    /// This is one visit: the abort and node-budget checks, the terminal
+    /// slot and the memo lookup. It is inlined into its callers, so a memo
+    /// hit costs no call; only a miss calls [`Search::expand`].
+    #[inline(always)]
     fn dp(&mut self, k: usize, prev: Choice, prev2: Choice) -> i64 {
         if self.aborted {
             return 0;
@@ -1055,7 +1154,14 @@ impl<'a, M: MemoTable> Search<'a, M> {
         if let Some(v) = key.as_ref().and_then(|key| self.memo.lookup(key)) {
             return v;
         }
+        self.expand(k, prev, prev2, key)
+    }
 
+    /// Expands the state `(k, prev, prev2)` that [`Search::dp`] did not
+    /// find in the memo: tries every candidate and the idle gate, and
+    /// stores the best value under `key`.
+    #[inline(never)]
+    fn expand(&mut self, k: usize, prev: Choice, prev2: Choice, key: Option<M::Key>) -> i64 {
         let mut best = i64::MIN;
         let mut any_candidate = false;
         for task in 0..self.s.exec.len() {
@@ -1065,14 +1171,16 @@ impl<'a, M: MemoTable> Search<'a, M> {
                 };
                 any_candidate = true;
                 self.take(task);
-                let v = d + self.dp(k + 1, Choice::Run { task, urgent }, prev);
+                let child = self.dp(k + 1, Choice::Run { task, urgent }, prev);
+                let v = self.add(d, child);
                 self.restore(task);
                 best = best.max(v);
             }
         }
         if self.idle_admissible(k, any_candidate) {
             if let Some(d) = self.score(k, prev, prev2, Choice::Idle) {
-                let v = d + self.dp(k + 1, Choice::Idle, prev);
+                let child = self.dp(k + 1, Choice::Idle, prev);
+                let v = self.add(d, child);
                 best = best.max(v);
             }
         }
@@ -1091,29 +1199,30 @@ impl<'a, M: MemoTable> Search<'a, M> {
     /// interval's DMA) and Δ_{N-1} (τ_i executes; DMA may copy out `prev`
     /// and load a future task).
     #[inline]
-    fn terminal_value(&self, prev: Choice, prev2: Choice) -> i64 {
-        let d_nm2 = self
-            .cpu(prev)
-            .max(self.l_i + self.out_at(self.n - 2, prev2));
-        let d_nm1 = self.c_i.max(self.max_l + self.out_of(prev));
-        d_nm2 + d_nm1
+    fn terminal_value(&mut self, prev: Choice, prev2: Choice) -> i64 {
+        let dma = self.add(self.l_i, self.out_at(self.n - 2, prev2));
+        let d_nm2 = self.cpu(prev).max(dma);
+        let dma = self.add(self.max_l, self.out_of(prev));
+        let d_nm1 = self.c_i.max(dma);
+        self.add(d_nm2, d_nm1)
     }
 
     /// Contribution of `Δ_{k-1}` once slot `k`'s choice is fixed (the slot
     /// `k-1` copy-in serves the execution of `I_k`); `None` if the choice
     /// is infeasible, `0` at the window start.
     #[inline]
-    fn score(&self, k: usize, prev: Choice, prev2: Choice, cand: Choice) -> Option<i64> {
+    fn score(&mut self, k: usize, prev: Choice, prev2: Choice, cand: Choice) -> Option<i64> {
         if k == 0 {
             return Some(0);
         }
         let input = self.in_at(k - 1, cand)?;
-        Some(self.cpu(prev).max(input + self.out_at(k - 1, prev2)))
+        let dma = self.add(input, self.out_at(k - 1, prev2));
+        Some(self.cpu(prev).max(dma))
     }
 
-    /// Packs `(slot, prev, prev2, canonical budgets)` into a 128-bit memo
-    /// key with the field widths computed in [`Search::new`]; `None` when
-    /// the instance is too large to pack (the caller then runs without
+    /// Packs `(slot, prev, prev2, canonical budgets)` into a memo key of
+    /// width `K` with the [`KeyLayout`] computed before the search; `None`
+    /// when the layout exceeds 128 bits (the caller then runs without
     /// memoization until the node budget trips). In the carried layout the
     /// slot is `(N−1−k, min(k, 2))`: slots remaining plus the gate through
     /// which `k` enters the search (`k = 0`, `k = 1`; every `k ≥ 2` lies
@@ -1123,21 +1232,23 @@ impl<'a, M: MemoTable> Search<'a, M> {
     /// never exceed the raw budget or `N−1`, so the precomputed field
     /// widths still fit.
     #[inline]
-    fn memo_key(&self, k: usize, prev: Choice, prev2: Choice) -> Option<u128> {
-        if !self.key_feasible {
+    fn memo_key<K: PackedKey>(&self, k: usize, prev: Choice, prev2: Choice) -> Option<K> {
+        let layout = self.layout;
+        if layout.bits > u128::BITS {
             return None;
         }
-        let slot = if self.carry {
-            (((self.n - 1 - k) as u128) << 2) | k.min(2) as u128
+        debug_assert!(layout.bits <= K::BITS);
+        let slot = if layout.carry {
+            (((self.n - 1 - k) as u64) << 2) | k.min(2) as u64
         } else {
-            k as u128
+            k as u64
         };
-        debug_assert!(bit_width(slot as u64) <= self.slot_bits);
-        let mut key: u128 = slot;
-        key = (key << self.c_bits) | prev.encode();
-        key = (key << self.c_bits) | prev2.encode();
+        debug_assert!(bit_width(slot) <= layout.slot_bits);
+        let mut key = K::from(slot);
+        key = (key << layout.c_bits) | K::from(prev.code());
+        key = (key << layout.c_bits) | K::from(prev2.code());
         for (j, &bits) in self.s.budget_bits.iter().enumerate() {
-            key = (key << bits) | u128::from(self.canon_budget(j, k));
+            key = (key << bits) | K::from(self.canon_budget(j, k));
         }
         Some(key)
     }
@@ -1151,65 +1262,91 @@ impl<'a, M: MemoTable> Search<'a, M> {
     ///   with the DMA side budgeted by the copies each job performs once,
     ///   plus cancellation charges and the window-start `max_u` boundary.
     ///
-    /// Computed at the root only: full budgets, all `N−1` placement slots.
-    fn fallback_bound(&self) -> i64 {
+    /// Computed at the root only: full budgets, all `N−1` placement slots,
+    /// in checked arithmetic: a cap that overflows is dropped, and `None`
+    /// means both overflowed.
+    fn fallback_bound(&self) -> Option<i64> {
         let m = self.s.exec.len();
         let demand = |j: usize| {
             if self.s.ls[j] {
-                self.s.cin[j] + self.s.exec[j]
+                self.s.cin[j].checked_add(self.s.exec[j])
             } else {
-                self.s.exec[j]
+                Some(self.s.exec[j])
             }
         };
-        let max_demand = (0..m).map(demand).max().unwrap_or(0);
-        let slot_cap = max_demand.max(self.max_l + self.max_u);
-        let last2_cap =
-            max_demand.max(self.l_i + self.max_u) + self.c_i.max(self.max_l + self.max_u);
-        // Δ_0 … Δ_{N−1}: the two terminal intervals plus `N−2` middle ones.
-        let per_slot = slot_cap * (self.n as i64 - 2) + last2_cap;
-
-        let mut cpu_sum = 0i64;
-        let mut dma_sum = 0i64;
-        let mut ls_jobs = 0i64;
-        for j in 0..m {
-            let b = self.s.budget[j] as i64;
-            cpu_sum += b * demand(j);
-            dma_sum += b * (self.s.cin[j] + self.s.cout[j]);
-            if self.s.ls[j] {
-                ls_jobs += b;
+        let per_slot = || -> Option<i64> {
+            let mut max_demand = 0;
+            for j in 0..m {
+                max_demand = max_demand.max(demand(j)?);
             }
-        }
-        // Cancellation charges can fill slots without executions and slots
-        // preceding urgent executions.
-        let slots = (self.n - 1) as i64;
-        let free_slots = (slots - self.remaining_budget as i64).max(0) + ls_jobs;
-        let cancel_extra = free_slots * self.max_cancel_i0;
-        let decoupled =
-            cpu_sum + self.c_i + dma_sum + cancel_extra + self.l_i + self.max_l + self.max_u;
-
-        per_slot.min(decoupled)
+            let slot_cap = max_demand.max(self.max_l.checked_add(self.max_u)?);
+            let last2_cap = max_demand
+                .max(self.l_i.checked_add(self.max_u)?)
+                .checked_add(self.c_i.max(self.max_l.checked_add(self.max_u)?))?;
+            // Δ_0 … Δ_{N−1}: the two terminal intervals plus `N−2` middle ones.
+            slot_cap
+                .checked_mul(self.n as i64 - 2)?
+                .checked_add(last2_cap)
+        };
+        let decoupled = || -> Option<i64> {
+            let mut cpu_sum = 0i64;
+            let mut dma_sum = 0i64;
+            let mut ls_jobs = 0i64;
+            for j in 0..m {
+                let b = i64::try_from(self.s.budget[j]).ok()?;
+                cpu_sum = cpu_sum.checked_add(b.checked_mul(demand(j)?)?)?;
+                let copies = self.s.cin[j].checked_add(self.s.cout[j])?;
+                dma_sum = dma_sum.checked_add(b.checked_mul(copies)?)?;
+                if self.s.ls[j] {
+                    ls_jobs = ls_jobs.checked_add(b)?;
+                }
+            }
+            // Cancellation charges can fill slots without executions and
+            // slots preceding urgent executions.
+            let slots = (self.n - 1) as i64;
+            let jobs = i64::try_from(self.remaining_budget).ok()?;
+            let free_slots = (slots - jobs).max(0).checked_add(ls_jobs)?;
+            [
+                dma_sum,
+                free_slots.checked_mul(self.max_cancel_i0)?,
+                self.c_i,
+                self.l_i,
+                self.max_l,
+                self.max_u,
+            ]
+            .into_iter()
+            .try_fold(cpu_sum, i64::checked_add)
+        };
+        [per_slot(), decoupled()].into_iter().flatten().min()
     }
 }
 
-impl Search<'_, PackedMemo> {
+impl<K: PackedKey> Search<'_, PackedMemo<K>> {
     /// Solves the window, starting from the memo of the previous solve
-    /// when it has the same shape (see the module docs).
+    /// when it has the same shape (see the module docs). `None` when the
+    /// search aborted, as `overflowed` or out of budget.
     fn run(&mut self) -> Option<i64> {
         if self.n < 2 {
-            return Some(self.c_i.max(self.max_l + self.max_u));
+            let v = self.degenerate_value();
+            self.overflowed = v.is_none();
+            return v;
         }
-        let warm = self.carry && self.s.shape == self.s.memo_shape;
+        let warm = self.layout.carry && self.s.shape == self.s.memo_shape;
         if !warm {
+            // A cold solve starts from a table sized for the solve that
+            // filled it, not for the largest solve this engine has seen.
+            let filled = self.memo.len();
             self.memo.clear();
+            self.memo.shrink_to(filled);
         }
         // Until this solve completes, the memo holds no reusable values.
         self.s.memo_shape.clear();
-        if self.hopeless(self.key_feasible) {
+        if self.hopeless(self.layout.bits <= u128::BITS) {
             self.aborted = true;
             return None;
         }
         let mut v = self.dp(0, Choice::Idle, Choice::Idle);
-        if self.aborted && warm {
+        if self.aborted && warm && !self.overflowed {
             // The carried entries crowded the memo budget: re-run cold.
             self.memo.clear();
             self.aborted = false;
@@ -1219,7 +1356,7 @@ impl Search<'_, PackedMemo> {
         if self.aborted {
             return None;
         }
-        if self.carry {
+        if self.layout.carry {
             std::mem::swap(&mut self.s.memo_shape, &mut self.s.shape);
         }
         Some(v)
@@ -1278,7 +1415,7 @@ impl Search<'_, RecMemo> {
     }
 
     /// Recorded value of the state after choosing `cand` at slot `k`.
-    fn child_value(&self, k: usize, cand: Choice, prev: Choice) -> Option<i64> {
+    fn child_value(&mut self, k: usize, cand: Choice, prev: Choice) -> Option<i64> {
         if k + 1 == self.n - 1 {
             return Some(self.terminal_value(cand, prev));
         }
@@ -1500,6 +1637,104 @@ mod tests {
             .expect("engine result");
         assert!(b.exact, "an 11-task window must still memoize");
         assert!(b.nodes < 50_000_000, "nodes={}", b.nodes);
+    }
+
+    /// A window's key width, as [`ExactEngine::max_total_delay`] picks it.
+    fn key_bits(w: &WindowModel) -> u32 {
+        KeyLayout::new(w, DEFAULT_MAX_STATES, &mut Vec::new()).bits
+    }
+
+    /// Solves `w` with a long-lived engine (twice, so the second solve
+    /// runs on the carried memo), a fresh engine and the recorder, and
+    /// checks that all three agree.
+    fn assert_engines_agree(long_lived: &ExactEngine, w: &WindowModel) {
+        let fresh = ExactEngine::default().max_total_delay(w).expect("fresh");
+        assert!(fresh.exact);
+        for _ in 0..2 {
+            let warm = long_lived.max_total_delay(w).expect("long-lived");
+            assert_eq!((warm.delay, warm.exact), (fresh.delay, fresh.exact));
+        }
+        let rec = long_lived.solve_recorded(w).expect("recording solve");
+        assert_eq!(rec.value, fresh.delay.as_ticks());
+    }
+
+    /// Seven hp tasks ahead of the lowest-priority `τ7` (`n = 8`), in two
+    /// shapes plus one LS task, so the window stays cheap to solve.
+    fn eight_task_set() -> TaskSet {
+        let tasks = (0..8u32)
+            .map(|i| {
+                let exec = 20 + 5 * i64::from(i % 2) + 40 * i64::from(i / 7);
+                test_task(i, exec, 2, 2, 400 + 150 * i64::from(i), i, i == 0)
+            })
+            .collect();
+        TaskSet::new(tasks).expect("valid task set")
+    }
+
+    #[test]
+    fn key_width_follows_the_layout() {
+        let long_lived = ExactEngine::default();
+        // The lowest-priority task of an n = 8 set: a 9-bit slot field,
+        // two 4-bit choices and seven 7-bit hp budgets, 66 bits.
+        let set = eight_task_set();
+        let wide = WindowModel::build(&set, TaskId(7), WindowCase::Nls, Time::from_ticks(100))
+            .expect("τ7 is in the set");
+        assert_eq!(key_bits(&wide), 66);
+        // A mid-priority window of the same set fits a u64 key.
+        let narrow = WindowModel::build(&set, TaskId(3), WindowCase::Nls, Time::from_ticks(300))
+            .expect("τ3 is in the set");
+        assert!(key_bits(&narrow) <= 64, "{} bits", key_bits(&narrow));
+        for w in [&wide, &narrow, &wide, &narrow] {
+            assert_engines_agree(&long_lived, w);
+        }
+        let scratch = long_lived.scratch.borrow();
+        assert!(!scratch.memo64.is_empty() && !scratch.memo128.is_empty());
+    }
+
+    #[test]
+    fn cold_solves_start_from_a_right_sized_table() {
+        let engine = ExactEngine::default();
+        let solve = |set: &TaskSet, id: u32, t: i64| {
+            let w = WindowModel::build(set, TaskId(id), WindowCase::Nls, Time::from_ticks(t))
+                .expect("task id is in the set");
+            assert!(key_bits(&w) <= 64);
+            engine.max_total_delay(&w).expect("engine result");
+            let scratch = engine.scratch.borrow();
+            (scratch.memo64.len(), scratch.memo64.capacity())
+        };
+        let set = eight_task_set();
+        let (large, _) = solve(&set, 5, 900);
+        let (small, _) = solve(&set, 1, 60);
+        assert!(small * 16 < large, "small {small} vs large {large} states");
+        // The next cold solve starts from a table sized for the small
+        // solve before it, not for the large one.
+        let (_, capacity) = solve(&set, 2, 80);
+        assert!(
+            capacity * 4 < large,
+            "capacity {capacity} after {large} states"
+        );
+    }
+
+    #[test]
+    fn delay_overflow_is_an_error() {
+        // Copy phases of 2^61 ticks: every interval fits the tick range,
+        // but their sum in the DP does not.
+        let big = 1i64 << 61;
+        let set = TaskSet::new(vec![
+            test_task(0, 10, big, big, i64::MAX / 2, 0, false),
+            test_task(1, 10, big, big, i64::MAX / 2, 1, false),
+        ])
+        .expect("valid task set");
+        assert_eq!(
+            crate::analyze_task_set(&set, &ExactEngine::default()),
+            Err(CoreError::TimeOverflow)
+        );
+        // A starved engine skips the DP; its fallback cap overflows too.
+        let w = WindowModel::build(&set, TaskId(1), WindowCase::Nls, Time::from_ticks(10))
+            .expect("τ1 is in the set");
+        assert_eq!(
+            ExactEngine::with_max_states(1).max_total_delay(&w),
+            Err(CoreError::TimeOverflow)
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! every set twice behind a shared window cache: once with one long-lived
 //! engine, once with a fresh engine per solve. The reports must be equal,
 //! and the long-lived engine must expand at most [`MAX_NODE_RATIO`] of the
-//! fresh engines' DP nodes.
+//! fresh engines' DP nodes. Both node totals are pinned exactly: a change
+//! to how the memo is stored must not change what the search visits.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -25,6 +26,10 @@ const SEED: u64 = 1;
 /// Largest accepted ratio of long-lived to fresh DP nodes (0.656 on these
 /// sets; 0.60–0.71 with seeds 2–4).
 const MAX_NODE_RATIO: f64 = 0.8;
+/// DP visits of the long-lived engine and of the fresh engines on these
+/// sets.
+const LONG_LIVED_NODES: u64 = 1_395_477;
+const FRESH_NODES: u64 = 2_128_138;
 
 /// The Figure 2 a–b grid at n = 5 and U = 0.05 … 0.25.
 fn grid() -> Vec<TaskSetConfig> {
@@ -98,6 +103,7 @@ fn long_lived_engine_saves_dp_nodes_with_equal_reports() {
         0,
         "the grid never exhausts the default budget"
     );
+    assert_eq!((warm, cold), (LONG_LIVED_NODES, FRESH_NODES));
     let ratio = warm as f64 / cold as f64;
     assert!(
         ratio <= MAX_NODE_RATIO,
