@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pmcs_core::{CacheStats, SharedDelayCache, SolverStats};
+use pmcs_core::{CacheStats, DpStats, SharedDelayCache};
 use pmcs_model::TaskSet;
 
 use crate::config::AnalysisConfig;
@@ -53,7 +53,7 @@ impl AnalysisContext {
         &self.cfg
     }
 
-    /// The engine stack (for analyzers that run the MILP pipeline).
+    /// The engine stack (for analyzers that run the delay maximization).
     pub fn engine(&self) -> &EngineStack {
         &self.engine
     }
@@ -63,10 +63,10 @@ impl AnalysisContext {
         self.engine.cache_stats()
     }
 
-    /// Cumulative solver effort accumulated by the stack's engines.
+    /// Cumulative exact-DP effort accumulated by the stack's engine.
     /// Analyzers snapshot this before and after a run and attribute the
-    /// difference (via [`SolverStats::since`]) to their report.
-    pub fn solver_stats(&self) -> SolverStats {
+    /// difference (via [`DpStats::since`]) to their report.
+    pub fn solver_stats(&self) -> DpStats {
         self.engine.solver_stats()
     }
 }

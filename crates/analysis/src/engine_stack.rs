@@ -23,30 +23,31 @@ use std::sync::Arc;
 use pmcs_core::cache::DEFAULT_CAPACITY;
 use pmcs_core::wcrt::DelayBound;
 use pmcs_core::{
-    CacheStats, CoreError, DelayEngine, ExactEngine, MilpEngine, SharedCachedEngine,
-    SharedDelayCache, SolverStats, WindowModel,
+    CacheStats, CoreError, DelayEngine, DpStats, ExactEngine, SharedCachedEngine, SharedDelayCache,
+    WindowModel,
 };
 
 use crate::config::AnalysisConfig;
+use crate::formulation::MilpEngine;
 
 /// A delay engine usable as a stack layer: a [`DelayEngine`] that can be
 /// moved to a worker thread and reports cache statistics (zero for
-/// layers that do not cache) plus cumulative solver effort.
+/// layers that do not cache) plus the cumulative exact-DP effort.
 pub trait StackEngine: DelayEngine + Send {
     /// Hit/miss counters of every cache in this layer and below.
     fn cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }
 
-    /// Cumulative solver effort (nodes, LP pivots, presolve reductions,
-    /// warm starts) of this layer and below.
-    fn solver_stats(&self) -> SolverStats {
-        SolverStats::default()
+    /// Cumulative exact-DP effort (search nodes, budget fallbacks) of
+    /// this layer and below.
+    fn solver_stats(&self) -> DpStats {
+        DpStats::default()
     }
 }
 
 impl StackEngine for ExactEngine {
-    fn solver_stats(&self) -> SolverStats {
+    fn solver_stats(&self) -> DpStats {
         self.solver_stats()
     }
 }
@@ -61,7 +62,7 @@ impl<E: StackEngine> StackEngine for SharedCachedEngine<E> {
         stats
     }
 
-    fn solver_stats(&self) -> SolverStats {
+    fn solver_stats(&self) -> DpStats {
         self.inner().solver_stats()
     }
 }
@@ -77,7 +78,7 @@ impl StackEngine for Box<dyn StackEngine> {
         (**self).cache_stats()
     }
 
-    fn solver_stats(&self) -> SolverStats {
+    fn solver_stats(&self) -> DpStats {
         (**self).solver_stats()
     }
 }
@@ -94,7 +95,10 @@ impl StackEngine for Box<dyn StackEngine> {
 ///   passes through (the MILP relaxation bound is itself audit-checked).
 ///
 /// Exponentially slower than the bare engine on large windows; meant for
-/// validation runs, enabled by `AnalysisConfig { audit: true, .. }`.
+/// validation runs, enabled by `AnalysisConfig { audit: true, .. }`. The
+/// reference's effort stays out of [`StackEngine::solver_stats`], which
+/// reports the production DP's alone, so audited and unaudited runs
+/// record the same counts.
 #[derive(Debug)]
 pub struct AuditedEngine<E> {
     inner: E,
@@ -149,10 +153,8 @@ impl<E: StackEngine> StackEngine for AuditedEngine<E> {
         self.inner.cache_stats()
     }
 
-    fn solver_stats(&self) -> SolverStats {
-        let mut stats = self.inner.solver_stats();
-        stats.merge(self.reference.solver_stats());
-        stats
+    fn solver_stats(&self) -> DpStats {
+        self.inner.solver_stats()
     }
 }
 
@@ -204,8 +206,8 @@ impl EngineStack {
         self.engine.cache_stats()
     }
 
-    /// Cumulative solver effort of every layer in the stack.
-    pub fn solver_stats(&self) -> SolverStats {
+    /// Cumulative exact-DP effort of the stack's base engine.
+    pub fn solver_stats(&self) -> DpStats {
         self.engine.solver_stats()
     }
 
@@ -349,23 +351,23 @@ mod tests {
 
     #[test]
     fn solver_stats_flow_through_the_stack() {
-        let exact = EngineStack::build(&AnalysisConfig {
-            cache: false,
-            ..AnalysisConfig::default()
-        });
-        assert!(exact.solver_stats().is_empty());
-        let _ = exact.max_total_delay(&demo_window()).expect("stack result");
-        assert!(exact.solver_stats().bb_nodes > 0);
-        // The audit layer adds its reference MILP's LP effort.
-        let audited = EngineStack::build(&AnalysisConfig {
-            cache: false,
-            audit: true,
-            ..AnalysisConfig::default()
-        });
-        let _ = audited
-            .max_total_delay(&demo_window())
-            .expect("stack result");
-        let stats = audited.solver_stats();
-        assert!(stats.lp_solves > 0, "stats not threaded: {stats}");
+        let cached = EngineStack::build(&AnalysisConfig::default());
+        assert!(cached.solver_stats().is_empty());
+        let w = demo_window();
+        let _ = cached.max_total_delay(&w).expect("stack result");
+        let solved = cached.solver_stats();
+        assert!(solved.nodes > 0, "stats not threaded: {solved:?}");
+        // A cache hit runs no search.
+        let _ = cached.max_total_delay(&w).expect("stack result");
+        assert_eq!(cached.solver_stats(), solved);
+        // The audit layer reports the production DP's counts only.
+        for audit in [false, true] {
+            let stack = EngineStack::build(&AnalysisConfig {
+                audit,
+                ..AnalysisConfig::default()
+            });
+            let _ = stack.max_total_delay(&w).expect("stack result");
+            assert_eq!(stack.solver_stats(), solved, "stack {}", stack.layers());
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Unified analysis facade for the PMCS co-scheduling analyses.
 //!
 //! Every schedulability approach the paper evaluates — the proposed
-//! MILP-plus-greedy-marking protocol, the Wasly–Pellizzoni baseline and
-//! the two NPS variants — hides behind one [`Analyzer`] trait returning
-//! one [`ApproachReport`] shape. A dynamic [`Registry`] replaces the old
+//! protocol (delay maximization plus greedy marking), the
+//! Wasly–Pellizzoni baseline and the two NPS variants — hides behind one
+//! [`Analyzer`] trait returning one [`ApproachReport`] shape. A dynamic
+//! [`Registry`] replaces the old
 //! fixed-arity `[bool; 4]` dispatch, and the delay-engine configuration
 //! (cache, audit, solver limits, worker count) lives in one typed
 //! [`AnalysisConfig`] resolved exactly once at the CLI edge.
@@ -53,6 +54,7 @@ pub mod config;
 pub mod cross_validate;
 pub mod engine_stack;
 pub mod error;
+pub mod formulation;
 pub mod multicore;
 pub mod registry;
 pub mod report;
@@ -69,6 +71,7 @@ pub use cross_validate::{
 };
 pub use engine_stack::{AuditedEngine, EngineStack, StackEngine};
 pub use error::AnalysisError;
+pub use formulation::MilpEngine;
 pub use multicore::{
     cross_validate_platform, extract_transfers, extract_transfers_into, refute_bus_bounds,
     ContentionAware, CoreValidation, PlatformValidation,

@@ -13,7 +13,7 @@ use std::fmt;
 
 use pmcs_baselines::{NpsTaskResult, WpTaskResult};
 use pmcs_core::schedulability::{LsAssignment, SchedulabilityReport};
-use pmcs_core::SolverStats;
+use pmcs_core::DpStats;
 use pmcs_model::{Sensitivity, TaskId, TaskSet, Time};
 
 /// One task's verdict inside an [`ApproachReport`].
@@ -44,10 +44,10 @@ pub struct ApproachReport {
     pub assignment: Option<LsAssignment>,
     /// Greedy rounds performed, where applicable.
     pub rounds: Option<usize>,
-    /// Solver effort this analysis spent (B&B nodes, LP pivots, presolve
-    /// reductions, warm-start hits). All-zero for closed-form approaches
-    /// and for analyzers run outside an engine-stack context.
-    pub solver: SolverStats,
+    /// Exact-DP effort this analysis spent (search nodes, budget
+    /// fallbacks). All-zero for closed-form approaches and for analyzers
+    /// run outside an engine-stack context.
+    pub solver: DpStats,
 }
 
 impl ApproachReport {
@@ -79,13 +79,13 @@ impl ApproachReport {
                 .collect(),
             assignment: Some(r.assignment().clone()),
             rounds: Some(r.rounds()),
-            solver: SolverStats::default(),
+            solver: DpStats::default(),
         }
     }
 
     /// A copy carrying the solver effort spent producing it.
     #[must_use]
-    pub fn with_solver(mut self, solver: SolverStats) -> Self {
+    pub fn with_solver(mut self, solver: DpStats) -> Self {
         self.solver = solver;
         self
     }
@@ -109,7 +109,7 @@ impl ApproachReport {
                 .collect(),
             assignment: None,
             rounds: None,
-            solver: SolverStats::default(),
+            solver: DpStats::default(),
         }
     }
 
@@ -130,7 +130,7 @@ impl ApproachReport {
                 .collect(),
             assignment: None,
             rounds: None,
-            solver: SolverStats::default(),
+            solver: DpStats::default(),
         }
     }
 }

@@ -8,9 +8,9 @@ use proptest::prelude::*;
 
 use pmcs_analysis::{
     cross_validate, cross_validate_report, AnalysisConfig, AnalysisContext, ApproachReport,
-    Registry,
+    MilpEngine, Registry,
 };
-use pmcs_core::{analyze_task_set, MilpEngine};
+use pmcs_core::analyze_task_set;
 use pmcs_model::TaskSet;
 use pmcs_workload::{adversarial_specs, TaskSetConfig, TaskSetGenerator};
 

@@ -51,12 +51,12 @@ use std::process::ExitCode;
 
 use pmcs_analysis::{
     cross_validate, cross_validate_bounds, plan_horizon, AnalysisConfig, AnalysisContext,
-    CliOverrides, RefutationKind, Registry,
+    CliOverrides, MilpEngine, RefutationKind, Registry,
 };
 use pmcs_audit::{check_conformance, lint, lint_sequence, Severity, LINT_CODES};
 use pmcs_core::window::case_for;
 use pmcs_core::Heuristic;
-use pmcs_core::{MilpEngine, WindowModel};
+use pmcs_core::WindowModel;
 use pmcs_milp::{AuditedOutcome, Cmp, LinExpr, Problem, Solver};
 use pmcs_model::{BusModel, Sensitivity, TaskId, TaskSet, Time};
 use pmcs_sim::{simulate, simulate_with, Policy, SimResult, TraceUnit};
@@ -79,7 +79,7 @@ COMMANDS:
              then refute deliberately weakened bounds
     cert emit [--corrupt K] [--out FILE]
              emit the demo set's certificate bundle as JSON
-             (K: witness | tree | dominance applies one corruption)
+             (K: witness | dominance applies one corruption)
     cert check <FILE>
              validate a certificate bundle with the independent
              pmcs-cert checker; rejections exit nonzero
@@ -846,15 +846,8 @@ fn cmd_cert_emit(opts: &Options) -> ExitCode {
         let result = match kind {
             "witness" => pmcs_cert::corrupt::corrupt_witness(&mut bundle),
             "dominance" => pmcs_cert::corrupt::corrupt_dominance(&mut bundle),
-            "tree" => milp_tree_cert(&set).and_then(|cert| {
-                // The greedy pipeline proves its windows through the exact
-                // DP; graft one MILP-certified window (with a B&B proof
-                // tree) onto the bundle so the truncation has a target.
-                bundle.windows.push(cert);
-                pmcs_cert::corrupt::corrupt_truncate_tree(&mut bundle)
-            }),
             other => {
-                eprintln!("error: unknown corruption {other:?}; use witness|tree|dominance");
+                eprintln!("error: unknown corruption {other:?}; use witness|dominance");
                 return ExitCode::FAILURE;
             }
         };
@@ -882,51 +875,6 @@ fn cmd_cert_emit(opts: &Options) -> ExitCode {
         None => print!("{json}"),
     }
     ExitCode::SUCCESS
-}
-
-/// Finds a window of `set` whose MILP certification yields a multi-node
-/// branch-and-bound proof tree (the `--corrupt tree` target).
-fn milp_tree_cert(set: &TaskSet) -> Result<pmcs_cert::DelayCertificate, String> {
-    use pmcs_core::wcrt::DelayEngine as _;
-    let exact = pmcs_core::ExactEngine::default();
-    let milp = MilpEngine::new();
-    for task in set.iter() {
-        let case = case_for(task.sensitivity());
-        let half = Time::from_ticks((task.deadline().as_ticks() / 2).max(1));
-        for len in [task.deadline(), half] {
-            let Ok(w) = WindowModel::build(set, task.id(), case, len) else {
-                continue;
-            };
-            if w.n() < 2 {
-                continue;
-            }
-            let Ok(bound) = exact.max_total_delay(&w) else {
-                continue;
-            };
-            if !bound.exact {
-                continue;
-            }
-            let Ok(cert) = pmcs_core::certify_window_milp(
-                &milp,
-                &exact,
-                &w,
-                bound,
-                &pmcs_milp::CertifyLimits::default(),
-            ) else {
-                continue;
-            };
-            if let pmcs_cert::UpperProof::BbTree { ref tree, .. } = cert.upper {
-                if tree.nodes.len() > 1 {
-                    return Ok(cert);
-                }
-            }
-        }
-    }
-    Err(
-        "no window of the demo set produced a multi-node proof tree; \
-         try a different --seed/--tasks"
-            .to_string(),
-    )
 }
 
 fn cmd_cert_check(path: &str) -> ExitCode {

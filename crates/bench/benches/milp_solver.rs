@@ -5,8 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use pmcs_analysis::MilpEngine;
 use pmcs_core::window::{test_task, WindowCase, WindowModel};
-use pmcs_core::{DelayEngine, ExactEngine, MilpEngine};
+use pmcs_core::{DelayEngine, ExactEngine};
 use pmcs_milp::{Cmp, LinExpr, Problem, RevisedSimplex, Solver};
 use pmcs_model::{TaskId, TaskSet, Time};
 

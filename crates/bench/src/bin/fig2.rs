@@ -42,7 +42,7 @@ use pmcs_bench::{
     ascii_chart, certify_sweep, fig2_inset, sweep_with, write_csv, CertSummary, Fig2Inset,
     PerfPoint, PerfRecord,
 };
-use pmcs_core::{CacheStats, SolverStats};
+use pmcs_core::{CacheStats, DpStats};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -107,7 +107,7 @@ fn main() {
     let mut sim = pmcs_analysis::SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();
     let mut rows_by_inset = Vec::new();
-    let mut solver_by_label: Vec<(String, SolverStats)> = Vec::new();
+    let mut solver_by_label: Vec<(String, DpStats)> = Vec::new();
     let started = Instant::now();
     for &inset in &insets {
         let inset_started = Instant::now();

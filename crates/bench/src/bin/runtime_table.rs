@@ -51,7 +51,7 @@ use pmcs_analysis::{
     ProposedAnalyzer, SimCounters,
 };
 use pmcs_bench::{certify_set, parallel_map, CertSummary, PerfPoint, PerfRecord};
-use pmcs_core::{CacheStats, SolverStats};
+use pmcs_core::{CacheStats, DpStats};
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
 /// Per-configuration sample count: the full base for small n, scaled
@@ -133,7 +133,7 @@ fn main() {
         let mut schedulable = 0usize;
         let mut failures = 0usize;
         let mut stats = CacheStats::default();
-        let mut solver = SolverStats::default();
+        let mut solver = DpStats::default();
         let sim_registry = pmcs_sim::Registry::standard();
         let mut sim = SimCounters::default();
         let mut refutations: Vec<String> = Vec::new();
@@ -209,7 +209,7 @@ fn main() {
     perf.jobs = cfg.jobs;
     perf.wall_secs = started.elapsed().as_secs_f64();
     let mut merged = CacheStats::default();
-    let mut solver = SolverStats::default();
+    let mut solver = DpStats::default();
     let mut failures = 0usize;
     let mut sim = SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();

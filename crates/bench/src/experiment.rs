@@ -35,7 +35,7 @@ use pmcs_analysis::{
     cross_validate_report_in, AnalysisConfig, AnalysisContext, AnalysisError, ApproachReport,
     Registry, SimCounters, SimScratch,
 };
-use pmcs_core::{CacheStats, SharedDelayCache, SolverStats};
+use pmcs_core::{CacheStats, DpStats, SharedDelayCache};
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
 use crate::parallel::parallel_map_with;
@@ -110,7 +110,7 @@ pub struct SweepOutcome {
     pub wall_secs: f64,
     /// Solver effort per approach, in registry order (summed over every
     /// point and task set; all-zero for closed-form approaches).
-    pub solver: Vec<SolverStats>,
+    pub solver: Vec<DpStats>,
     /// Simulation cross-validation counters, merged over every point, set
     /// and approach (all-zero when `cross_validate` is off).
     pub sim: SimCounters,
@@ -151,7 +151,7 @@ pub fn evaluate_set_with_stats(
     set: &pmcs_model::TaskSet,
     registry: &Registry,
     ctx: &AnalysisContext,
-) -> Vec<(SetOutcome, SolverStats)> {
+) -> Vec<(SetOutcome, DpStats)> {
     evaluate_set_with_reports(set, registry, ctx)
         .into_iter()
         .map(|(outcome, stats, _)| (outcome, stats))
@@ -165,7 +165,7 @@ pub fn evaluate_set_with_reports(
     set: &pmcs_model::TaskSet,
     registry: &Registry,
     ctx: &AnalysisContext,
-) -> Vec<(SetOutcome, SolverStats, Option<ApproachReport>)> {
+) -> Vec<(SetOutcome, DpStats, Option<ApproachReport>)> {
     registry
         .iter()
         .map(|analyzer| match analyzer.analyze_with(set, ctx) {
@@ -178,7 +178,7 @@ pub fn evaluate_set_with_reports(
                 let solver = report.solver;
                 (outcome, solver, Some(report))
             }
-            Err(e) => (SetOutcome::Failed(e), SolverStats::default(), None),
+            Err(e) => (SetOutcome::Failed(e), DpStats::default(), None),
         })
         .collect()
 }
@@ -194,7 +194,7 @@ pub fn evaluate_set_with_reports(
 fn cross_validate_item(
     set: &pmcs_model::TaskSet,
     registry: &Registry,
-    reports: &[(SetOutcome, SolverStats, Option<ApproachReport>)],
+    reports: &[(SetOutcome, DpStats, Option<ApproachReport>)],
     plans: usize,
     item_seed: u64,
     scratch: &mut SimScratch,
@@ -279,7 +279,7 @@ pub fn sweep_with(
     let mut wins = vec![vec![0usize; n_approaches]; points.len()];
     let mut fails = vec![vec![0usize; n_approaches]; points.len()];
     let mut point_secs = vec![0.0f64; points.len()];
-    let mut solver = vec![SolverStats::default(); n_approaches];
+    let mut solver = vec![DpStats::default(); n_approaches];
     let mut sim = SimCounters::default();
     let mut refutations = Vec::new();
     for (&(pi, si), (outcomes, item_sim, item_refs, secs)) in items.iter().zip(&evaluated) {
@@ -416,7 +416,7 @@ mod tests {
         // Solver effort: one entry per approach; the engine-backed
         // "proposed" column spends search nodes, closed-form columns none.
         assert_eq!(out.solver.len(), out.labels.len());
-        assert!(out.solver[0].bb_nodes > 0);
+        assert!(out.solver[0].nodes > 0);
         assert!(out.solver[1].is_empty());
     }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pmcs_analysis::{cross_validate_platform, AnalysisConfig, AnalysisContext, SimCounters};
-use pmcs_core::{partition_regulated, CacheStats, Heuristic, SharedDelayCache, SolverStats};
+use pmcs_core::{partition_regulated, CacheStats, DpStats, Heuristic, SharedDelayCache};
 use pmcs_model::{BusModel, Time};
 use pmcs_workload::{derive_seed, TaskSetConfig, TaskSetGenerator};
 
@@ -114,7 +114,7 @@ pub struct MulticoreOutcome {
     /// Merged delay-cache statistics of all workers.
     pub cache: CacheStats,
     /// Merged solver-effort statistics of all workers.
-    pub solver: SolverStats,
+    pub solver: DpStats,
     /// Merged cross-validation counters (per-core and bus layers).
     pub sim: SimCounters,
     /// DMA transfers replayed through the shared-bus arbiter.
@@ -256,7 +256,7 @@ pub fn sweep_multicore(cfg: &MulticoreConfig) -> MulticoreOutcome {
     }
 
     let mut cache = CacheStats::default();
-    let mut solver = SolverStats::default();
+    let mut solver = DpStats::default();
     for ctx in &contexts {
         cache.merge(ctx.cache_stats());
         solver.merge(ctx.solver_stats());

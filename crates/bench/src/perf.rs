@@ -12,7 +12,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use pmcs_analysis::SimCounters;
-use pmcs_core::{CacheStats, SolverStats};
+use pmcs_core::{CacheStats, DpStats};
 
 /// One labeled timing entry (a sweep point, a figure inset, a config row).
 #[derive(Debug, Clone)]
@@ -64,31 +64,12 @@ impl PerfRecord {
         self.extras.push((key.to_string(), json_str(value)));
     }
 
-    /// Attaches one solver-effort record under `prefix` (B&B nodes, LP
-    /// solves/pivots, warm-start attempts/hits/rate, presolve
-    /// reductions), e.g. `solver_proposed_bb_nodes`.
-    pub fn extra_solver(&mut self, prefix: &str, stats: SolverStats) {
-        self.extra_num(&format!("{prefix}_bb_nodes"), stats.bb_nodes as f64);
-        self.extra_num(&format!("{prefix}_dp_fallbacks"), stats.dp_fallbacks as f64);
-        self.extra_num(&format!("{prefix}_lp_solves"), stats.lp_solves as f64);
-        self.extra_num(&format!("{prefix}_lp_pivots"), stats.lp_pivots as f64);
-        self.extra_num(
-            &format!("{prefix}_warm_start_attempts"),
-            stats.warm_start_attempts as f64,
-        );
-        self.extra_num(
-            &format!("{prefix}_warm_start_hits"),
-            stats.warm_start_hits as f64,
-        );
-        self.extra_num(&format!("{prefix}_warm_hit_rate"), stats.warm_hit_rate());
-        self.extra_num(
-            &format!("{prefix}_presolve_vars_fixed"),
-            stats.presolve_vars_fixed as f64,
-        );
-        self.extra_num(
-            &format!("{prefix}_presolve_rows_removed"),
-            stats.presolve_rows_removed as f64,
-        );
+    /// Attaches one exact-DP effort record under `prefix` as
+    /// `<prefix>_bb_nodes` (search nodes) and `<prefix>_dp_fallbacks`,
+    /// e.g. `solver_proposed_bb_nodes`.
+    pub fn extra_solver(&mut self, prefix: &str, stats: DpStats) {
+        self.extra_num(&format!("{prefix}_bb_nodes"), stats.nodes as f64);
+        self.extra_num(&format!("{prefix}_dp_fallbacks"), stats.fallbacks as f64);
     }
 
     /// Attaches the certificate-pass counters as the four `cert_*` keys
@@ -249,18 +230,15 @@ mod tests {
         let mut r = PerfRecord::new("x");
         r.extra_solver(
             "solver_proposed",
-            SolverStats {
-                bb_nodes: 7,
-                dp_fallbacks: 2,
-                warm_start_attempts: 4,
-                warm_start_hits: 3,
-                ..SolverStats::default()
+            DpStats {
+                nodes: 7,
+                fallbacks: 2,
             },
         );
         let j = r.to_json();
         assert!(j.contains("\"solver_proposed_bb_nodes\": 7"));
         assert!(j.contains("\"solver_proposed_dp_fallbacks\": 2"));
-        assert!(j.contains("\"solver_proposed_warm_hit_rate\": 0.75"));
+        assert!(!j.contains("lp_"), "the DP records no LP keys: {j}");
     }
 
     #[test]

@@ -11,9 +11,7 @@
 
 use std::collections::HashMap;
 
-use pmcs_milp::{verify_bb_tree, Rational};
-
-use crate::dp::{milp_cap, replay_witness, safe_cap, verify_dp_table, WindowSem};
+use crate::dp::{replay_witness, safe_cap, verify_dp_table, WindowSem};
 use crate::types::{
     CertCase, CertTaskSet, CertWcrtStep, CertificateSet, DelayCertificate, SchedCertificate,
     UpperProof, WcrtCertificate, CERT_FORMAT_VERSION,
@@ -226,7 +224,7 @@ fn check_window_cert(cert: &DelayCertificate, index: usize) -> Result<(), Reject
 
     if sem.n() < 2 {
         // Degenerate window: the value is a closed form; no witness or
-        // proof tree applies.
+        // upper-bound proof applies.
         if !cert.exact || claimed != sem.small_value() {
             return Err(Rejection::new(
                 "delay.small-window-mismatch",
@@ -271,33 +269,6 @@ fn check_window_cert(cert: &DelayCertificate, index: usize) -> Result<(), Reject
                     ),
                 ));
             }
-        }
-        UpperProof::MilpCap => {
-            if cert.exact {
-                return Err(Rejection::new(
-                    "delay.exactness",
-                    format!("{ctx}: a big-M-cap proof cannot assert exactness"),
-                ));
-            }
-            let cap = milp_cap(&cert.window);
-            if claimed != cap {
-                return Err(Rejection::new(
-                    "delay.cap-understates",
-                    format!(
-                        "{ctx}: claims {} but the recomputed N·M cap is {cap}",
-                        cert.claimed
-                    ),
-                ));
-            }
-        }
-        UpperProof::BbTree { problem, tree } => {
-            // The VIPR-style proof: every leaf of the branch-and-bound
-            // tree carries an exact-rational dual bound or Farkas
-            // certificate over the embedded problem. The encoding of the
-            // window *as* that problem is the trusted boundary; the
-            // witness below pinches the claim from the placement side.
-            verify_bb_tree(problem, tree, Rational::from_int(claimed))
-                .map_err(|e| Rejection::from_message(&ctx, e))?;
         }
     }
 

@@ -26,27 +26,6 @@ pub fn corrupt_witness(bundle: &mut CertificateSet) -> Result<(), String> {
     Err("corrupt: no window certificate carries a non-empty witness".to_string())
 }
 
-/// Removes the last node of the first branch-and-bound proof tree in
-/// the bundle, leaving a dangling child reference.
-///
-/// The checker rejects the result with a `bbtree.*` code.
-///
-/// # Errors
-///
-/// Fails if no window certificate carries a B&B tree with more than one
-/// node.
-pub fn corrupt_truncate_tree(bundle: &mut CertificateSet) -> Result<(), String> {
-    for cert in &mut bundle.windows {
-        if let UpperProof::BbTree { tree, .. } = &mut cert.upper {
-            if tree.nodes.len() > 1 {
-                tree.nodes.pop();
-                return Ok(());
-            }
-        }
-    }
-    Err("corrupt: no window certificate carries a multi-node proof tree".to_string())
-}
-
 /// Decrements one recorded optimum in the first DP-table proof —
 /// modelling an unsound dominance rule that pruned the true optimum and
 /// recorded a smaller "best" for the state.
@@ -136,11 +115,5 @@ mod tests {
             "{:?}",
             report.rejections
         );
-    }
-
-    #[test]
-    fn tree_corruption_requires_a_tree() {
-        let mut bundle = dp_bundle();
-        assert!(corrupt_truncate_tree(&mut bundle).is_err());
     }
 }

@@ -9,8 +9,8 @@
 //! * [`verify_dp_table`] re-derives every Bellman equation of the
 //!   producing DP's memo table over the dominance-pruned choice sets,
 //!   establishing the claim as an *upper* bound;
-//! * [`safe_cap`] / [`milp_cap`] recompute the closed-form caps used by
-//!   the inexact fallback paths.
+//! * [`safe_cap`] recomputes the closed-form cap used by the inexact
+//!   fallback path.
 //!
 //! All sums are evaluated in `i128`, so no intermediate can wrap even
 //! for adversarial tick values near `i64::MAX`.
@@ -612,79 +612,6 @@ pub fn safe_cap(sem: &WindowSem) -> i128 {
     per_slot.min(decoupled)
 }
 
-/// Recomputes the MILP formulation's deterministic `Σ_k Δcap_k` delay
-/// cap (its effort-gated fallback bound): one per-slot interval cap —
-/// `max(dcpu, din + dout)` over the placement variables that
-/// structurally exist at the slot — summed over every interval. Derived
-/// from the window's *recorded* LS flags; the MILP path applies no
-/// canonicalization. Mirrors `SlotCaps` of the production formulation
-/// in exact integer arithmetic.
-pub fn milp_cap(w: &CertWindow) -> i128 {
-    let n = w.n_intervals as usize;
-    let last_lp = match w.case {
-        CertCase::Nls => 1,
-        CertCase::LsCaseA => 0,
-    };
-    let lp_copy_in_allowed = matches!(w.case, CertCase::Nls);
-    // Rule R3: can some higher-priority LS release cancel `victim`'s
-    // copy-in? (Same derivation as `WindowSem::new`, from recorded
-    // flags.)
-    let triggerable = |victim: usize| -> bool {
-        let vp = w.tasks[victim].priority;
-        if matches!(w.case, CertCase::LsCaseA) && w.priority_i < vp {
-            return true;
-        }
-        w.tasks.iter().any(|t| t.ls && t.priority < vp)
-    };
-    let placeable = |k: usize| w.tasks.iter().filter(move |t| t.hp || k <= last_lp);
-    let mut total: i128 = 0;
-    for k in 0..n {
-        let dcpu: i128 = if k + 1 == n {
-            i128::from(w.exec_i)
-        } else {
-            placeable(k)
-                .map(|t| {
-                    if t.ls {
-                        i128::from(t.copy_in) + i128::from(t.exec)
-                    } else {
-                        i128::from(t.exec)
-                    }
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        let din: i128 = if k + 2 == n {
-            i128::from(w.copy_in_i)
-        } else if k + 1 == n {
-            i128::from(w.max_l)
-        } else {
-            // Slots 0 … N−3: the copy-in of the next slot's execution
-            // (`L_j^k`) or a canceled copy-in (`CL_j^k`).
-            w.tasks
-                .iter()
-                .enumerate()
-                .filter(|&(j, t)| {
-                    let load = (t.hp || (k < last_lp && k == 0 && lp_copy_in_allowed)) && k + 2 < n;
-                    let cancel = (t.hp || k == 0) && triggerable(j);
-                    load || cancel
-                })
-                .map(|(_, t)| i128::from(t.copy_in))
-                .max()
-                .unwrap_or(0)
-        };
-        let dout: i128 = if k == 0 {
-            i128::from(w.max_u)
-        } else {
-            placeable(k - 1)
-                .map(|t| i128::from(t.copy_out))
-                .max()
-                .unwrap_or(0)
-        };
-        total += dcpu.max(din + dout);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -865,16 +792,6 @@ mod tests {
             let exact = if w.tasks.is_empty() { 15 } else { 512 };
             assert!(cap >= exact, "cap {cap} < exact {exact}");
         }
-    }
-
-    #[test]
-    fn milp_cap_matches_formulation() {
-        let w = lp_blocking_window();
-        // Per-slot caps (N = 3, one lp blocker placeable in I_0/I_1):
-        // Δcap_0 = max(dcpu 500, din 1 + dout 1) = 500,
-        // Δcap_1 = max(500, copy_in_i 1 + cout 1) = 500,
-        // Δcap_2 = max(exec_i 10, max_l 1 + cout 1) = 10.
-        assert_eq!(milp_cap(&w), 500 + 500 + 10);
     }
 
     #[test]

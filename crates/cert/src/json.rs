@@ -1,22 +1,14 @@
 //! Minimal self-contained JSON encoding of certificate bundles.
 //!
-//! The wire format is ordinary JSON with two conventions that keep the
-//! encoding exact (certificates must survive a round trip bit-for-bit):
-//!
-//! * every `f64` is written as a *string* holding Rust's shortest
-//!   round-trip `{:?}` rendering (`"1.5"`, `"inf"`), never as a JSON
-//!   number, so no decimal-to-binary conversion can perturb a proof;
-//! * every [`Rational`] is written as a `"num/den"` string in reduced
-//!   form.
-//!
-//! Bare JSON numbers are always integers and are parsed as `i128`.
+//! The wire format is ordinary JSON whose numbers are always integers,
+//! parsed as `i128`, so certificates survive a round trip bit-for-bit:
+//! every certificate quantity is an integer tick count, index, or code.
 
 use crate::types::{
-    rational_from_wire, rational_to_wire, CertArrival, CertCase, CertChoice, CertRound,
-    CertRoundEntry, CertTask, CertTaskSet, CertWcrtStep, CertWindow, CertWindowTask,
-    CertificateSet, DelayCertificate, DpEntry, SchedCertificate, UpperProof, WcrtCertificate,
+    CertArrival, CertCase, CertChoice, CertRound, CertRoundEntry, CertTask, CertTaskSet,
+    CertWcrtStep, CertWindow, CertWindowTask, CertificateSet, DelayCertificate, DpEntry,
+    SchedCertificate, UpperProof, WcrtCertificate,
 };
-use pmcs_milp::{BbNode, BbTree, Cmp, InfeasibilityCertificate, LinExpr, Problem, Rational, Var};
 
 // ---------------------------------------------------------------------------
 // Value tree
@@ -71,10 +63,6 @@ impl Value {
         u32::try_from(self.as_int()?).map_err(|_| "json: integer out of u32 range".to_string())
     }
 
-    fn as_usize(&self) -> Result<usize, String> {
-        usize::try_from(self.as_int()?).map_err(|_| "json: integer out of usize range".to_string())
-    }
-
     fn as_bool(&self) -> Result<bool, String> {
         match self {
             Value::Bool(b) => Ok(*b),
@@ -94,17 +82,6 @@ impl Value {
             Value::Arr(a) => Ok(a),
             other => Err(format!("json: expected array, got {other:?}")),
         }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        let s = self.as_str()?;
-        s.parse::<f64>()
-            .map_err(|e| format!("json: bad float string {s:?}: {e}"))
-    }
-
-    fn as_rational(&self) -> Result<Rational, String> {
-        let s = self.as_str()?;
-        rational_from_wire(s).ok_or_else(|| format!("json: bad rational string {s:?}"))
     }
 }
 
@@ -374,14 +351,6 @@ fn int(v: impl Into<i128>) -> Value {
     Value::Int(v.into())
 }
 
-fn float_str(v: f64) -> Value {
-    Value::Str(format!("{v:?}"))
-}
-
-fn rational_str(r: Rational) -> Value {
-    Value::Str(rational_to_wire(r))
-}
-
 fn encode_arrival(a: &CertArrival) -> Value {
     match a {
         CertArrival::Sporadic { min_inter_arrival } => obj(vec![
@@ -530,178 +499,6 @@ fn decode_window(v: &Value) -> Result<CertWindow, String> {
     })
 }
 
-fn encode_problem(p: &Problem) -> Value {
-    let vars: Vec<Value> = p
-        .vars()
-        .map(|v| {
-            let (lo, hi) = p.var_bounds(v);
-            obj(vec![
-                ("int", Value::Bool(p.var_kind(v).is_integral())),
-                ("lo", float_str(lo)),
-                ("hi", float_str(hi)),
-            ])
-        })
-        .collect();
-    let encode_expr = |e: &LinExpr| -> Value {
-        obj(vec![
-            (
-                "terms",
-                Value::Arr(
-                    e.iter()
-                        .map(|(v, c)| Value::Arr(vec![int(v.index() as u64), float_str(c)]))
-                        .collect(),
-                ),
-            ),
-            ("const", float_str(e.constant())),
-        ])
-    };
-    let constraints: Vec<Value> = p
-        .constraints()
-        .map(|c| {
-            let cmp = match c.cmp() {
-                Cmp::Le => 0u64,
-                Cmp::Eq => 1,
-                Cmp::Ge => 2,
-            };
-            obj(vec![
-                ("expr", encode_expr(c.expr())),
-                ("cmp", int(cmp)),
-                ("rhs", float_str(c.rhs())),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("vars", Value::Arr(vars)),
-        ("constraints", Value::Arr(constraints)),
-        ("obj", encode_expr(p.objective())),
-    ])
-}
-
-fn decode_expr(v: &Value, handles: &[Var]) -> Result<LinExpr, String> {
-    let mut e = LinExpr::zero();
-    for term in v.req("terms")?.as_arr()? {
-        let pair = term.as_arr()?;
-        if pair.len() != 2 {
-            return Err("json: expression term must be a pair".to_string());
-        }
-        let j = pair[0].as_usize()?;
-        let var = *handles
-            .get(j)
-            .ok_or_else(|| format!("json: term references unknown variable {j}"))?;
-        e.add_term(var, pair[1].as_f64()?);
-    }
-    e.add_constant(v.req("const")?.as_f64()?);
-    Ok(e)
-}
-
-fn decode_problem(v: &Value) -> Result<Problem, String> {
-    let mut p = Problem::maximize();
-    let vars = v.req("vars")?.as_arr()?;
-    let mut handles = Vec::with_capacity(vars.len());
-    for (j, var) in vars.iter().enumerate() {
-        let lo = var.req("lo")?.as_f64()?;
-        let hi = var.req("hi")?.as_f64()?;
-        handles.push(if var.req("int")?.as_bool()? {
-            p.integer(format!("x{j}"), lo, hi)
-        } else {
-            p.continuous(format!("x{j}"), lo, hi)
-        });
-    }
-    for c in v.req("constraints")?.as_arr()? {
-        let expr = decode_expr(c.req("expr")?, &handles)?;
-        let cmp = match c.req("cmp")?.as_u64()? {
-            0 => Cmp::Le,
-            1 => Cmp::Eq,
-            2 => Cmp::Ge,
-            other => return Err(format!("json: unknown cmp code {other}")),
-        };
-        p.constrain(expr, cmp, c.req("rhs")?.as_f64()?);
-    }
-    p.set_objective(decode_expr(v.req("obj")?, &handles)?);
-    Ok(p)
-}
-
-fn encode_bb_tree(t: &BbTree) -> Value {
-    Value::Arr(
-        t.nodes
-            .iter()
-            .map(|n| match n {
-                BbNode::Branch {
-                    var,
-                    floor,
-                    down,
-                    up,
-                } => obj(vec![
-                    ("t", Value::Str("branch".into())),
-                    ("var", int(*var as u64)),
-                    ("floor", Value::Int(*floor)),
-                    ("down", int(*down as u64)),
-                    ("up", int(*up as u64)),
-                ]),
-                BbNode::Bounded { multipliers } => obj(vec![
-                    ("t", Value::Str("bounded".into())),
-                    (
-                        "mults",
-                        Value::Arr(multipliers.iter().map(|&m| rational_str(m)).collect()),
-                    ),
-                ]),
-                BbNode::Infeasible { certificate } => {
-                    let cert = match certificate {
-                        InfeasibilityCertificate::EmptyBounds { var } => obj(vec![
-                            ("t", Value::Str("empty".into())),
-                            ("var", int(*var as u64)),
-                        ]),
-                        InfeasibilityCertificate::Farkas { multipliers } => obj(vec![
-                            ("t", Value::Str("farkas".into())),
-                            (
-                                "mults",
-                                Value::Arr(multipliers.iter().map(|&m| rational_str(m)).collect()),
-                            ),
-                        ]),
-                    };
-                    obj(vec![("t", Value::Str("infeasible".into())), ("cert", cert)])
-                }
-            })
-            .collect(),
-    )
-}
-
-fn decode_rationals(v: &Value) -> Result<Vec<Rational>, String> {
-    v.as_arr()?.iter().map(|m| m.as_rational()).collect()
-}
-
-fn decode_bb_tree(v: &Value) -> Result<BbTree, String> {
-    let mut nodes = Vec::new();
-    for n in v.as_arr()? {
-        nodes.push(match n.req("t")?.as_str()? {
-            "branch" => BbNode::Branch {
-                var: n.req("var")?.as_usize()?,
-                floor: n.req("floor")?.as_int()?,
-                down: n.req("down")?.as_usize()?,
-                up: n.req("up")?.as_usize()?,
-            },
-            "bounded" => BbNode::Bounded {
-                multipliers: decode_rationals(n.req("mults")?)?,
-            },
-            "infeasible" => {
-                let cert = n.req("cert")?;
-                let certificate = match cert.req("t")?.as_str()? {
-                    "empty" => InfeasibilityCertificate::EmptyBounds {
-                        var: cert.req("var")?.as_usize()?,
-                    },
-                    "farkas" => InfeasibilityCertificate::Farkas {
-                        multipliers: decode_rationals(cert.req("mults")?)?,
-                    },
-                    other => return Err(format!("json: unknown infeasibility kind {other:?}")),
-                };
-                BbNode::Infeasible { certificate }
-            }
-            other => return Err(format!("json: unknown bb node kind {other:?}")),
-        });
-    }
-    Ok(BbTree { nodes })
-}
-
 fn encode_upper(u: &UpperProof) -> Value {
     match u {
         UpperProof::DpTable(entries) => obj(vec![
@@ -726,12 +523,6 @@ fn encode_upper(u: &UpperProof) -> Value {
             ),
         ]),
         UpperProof::SafeCap => obj(vec![("kind", Value::Str("safe_cap".into()))]),
-        UpperProof::MilpCap => obj(vec![("kind", Value::Str("milp_cap".into()))]),
-        UpperProof::BbTree { problem, tree } => obj(vec![
-            ("kind", Value::Str("bb_tree".into())),
-            ("problem", encode_problem(problem)),
-            ("tree", encode_bb_tree(tree)),
-        ]),
     }
 }
 
@@ -762,11 +553,6 @@ fn decode_upper(v: &Value, num_tasks: usize) -> Result<UpperProof, String> {
             Ok(UpperProof::DpTable(entries))
         }
         "safe_cap" => Ok(UpperProof::SafeCap),
-        "milp_cap" => Ok(UpperProof::MilpCap),
-        "bb_tree" => Ok(UpperProof::BbTree {
-            problem: decode_problem(v.req("problem")?)?,
-            tree: decode_bb_tree(v.req("tree")?)?,
-        }),
         other => Err(format!("json: unknown upper-proof kind {other:?}")),
     }
 }
@@ -991,19 +777,9 @@ mod tests {
             ("a", int(1u64)),
             ("b", Value::Str("x\"\\\n".into())),
             ("c", Value::Arr(vec![Value::Null, Value::Bool(true)])),
-            ("f", float_str(1.5)),
-            ("inf", float_str(f64::INFINITY)),
         ]);
         let text = write_value(&v);
         assert_eq!(parse_value(&text).expect("round trip"), v);
-    }
-
-    #[test]
-    fn float_strings_round_trip_exactly() {
-        for f in [0.1, 1e300, -3.25, f64::INFINITY, f64::NEG_INFINITY] {
-            let v = float_str(f);
-            assert_eq!(v.as_f64().expect("parse"), f);
-        }
     }
 
     #[test]
@@ -1012,57 +788,5 @@ mod tests {
         assert!(parse_value("1e3").is_err());
         assert!(parse_value("{} {}").is_err());
         assert!(parse_value("[1,]").is_err());
-    }
-
-    #[test]
-    fn problem_round_trips() {
-        let mut p = Problem::maximize();
-        let x = p.continuous("x", 0.0, 10.0);
-        let y = p.integer("y", 0.0, f64::INFINITY);
-        p.constrain(x + 2.5 * y, Cmp::Le, 4.0);
-        p.constrain(x + y, Cmp::Ge, 1.0);
-        p.set_objective(3.0 * x + 2.0 * y);
-        let v = encode_problem(&p);
-        let q = decode_problem(&parse_value(&write_value(&v)).expect("parse")).expect("decode");
-        assert_eq!(q.num_vars(), 2);
-        assert_eq!(q.num_constraints(), 2);
-        let qv: Vec<Var> = q.vars().collect();
-        assert_eq!(q.var_bounds(qv[1]), (0.0, f64::INFINITY));
-        assert!(q.var_kind(qv[1]).is_integral());
-        assert_eq!(q.objective().coefficient(qv[0]), 3.0);
-    }
-
-    #[test]
-    fn bb_tree_round_trips() {
-        let tree = BbTree {
-            nodes: vec![
-                BbNode::Branch {
-                    var: 0,
-                    floor: 1,
-                    down: 1,
-                    up: 2,
-                },
-                BbNode::Bounded {
-                    multipliers: vec![Rational::new(1, 2).expect("valid")],
-                },
-                BbNode::Infeasible {
-                    certificate: InfeasibilityCertificate::Farkas {
-                        multipliers: vec![Rational::ONE],
-                    },
-                },
-            ],
-        };
-        let text = write_value(&encode_bb_tree(&tree));
-        let back = decode_bb_tree(&parse_value(&text).expect("parse")).expect("decode");
-        assert_eq!(back.nodes.len(), 3);
-        assert!(matches!(
-            back.nodes[0],
-            BbNode::Branch {
-                var: 0,
-                floor: 1,
-                down: 1,
-                up: 2
-            }
-        ));
     }
 }

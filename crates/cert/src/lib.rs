@@ -2,30 +2,24 @@
 //!
 //! The analysis crates emit, alongside every verdict, a machine-checkable
 //! certificate: window-level delay bounds ship a concrete placement
-//! witness plus an upper-bound proof (an exact DP value table, a
-//! VIPR-style branch-and-bound tree with exact-rational dual
-//! certificates, or a closed-form safe cap), task-level WCRT values ship
+//! witness plus an upper-bound proof (an exact DP value table, or a
+//! closed-form safe cap for inexact bounds), task-level WCRT values ship
 //! the monotone fixed-point trace, and set-level verdicts ship the greedy
 //! LS-marking transcript. This crate re-checks all of it **without
-//! depending on any engine code**: windows are rebuilt from the task set
-//! via this crate's own η and Theorem 1 implementation, DP tables are
-//! re-validated state by state against the Bellman recurrence in `i128`,
-//! and branch-and-bound trees are replayed in exact rational arithmetic
-//! by `pmcs-milp`'s audit layer (the one shared component, itself
-//! engine-independent).
+//! depending on any other workspace crate**: windows are rebuilt from the
+//! task set via this crate's own η and Theorem 1 implementation, DP
+//! tables are re-validated state by state against the Bellman recurrence
+//! in `i128`, and safe caps are recomputed from the window.
 //!
-//! The trusted boundary is deliberately thin: the checker trusts the
-//! window→MILP encoding of a [`UpperProof::BbTree`] problem (the MPS
-//! analogue in the VIPR workflow) and the semantics of the interval
-//! model itself; everything downstream of those is re-derived.
+//! The trusted boundary is the semantics of the interval model itself;
+//! everything downstream of it is re-derived.
 //!
 //! Entry points:
 //! - [`check_certificate_set`] — check a full bundle, returning a
 //!   [`CheckReport`] whose [`Rejection`]s carry stable machine-readable
 //!   codes (`dp.bellman-mismatch`, `wcrt.unproven-window`, …).
 //! - [`encode_certificate_set`] / [`decode_certificate_set`] — the JSON
-//!   wire format (integers and exact-value float strings only; no lossy
-//!   floating-point literals).
+//!   wire format (integers only; no lossy floating-point literals).
 //! - [`corrupt`] — deterministic tampering helpers for negative tests.
 
 #![forbid(unsafe_code)]

@@ -9,7 +9,6 @@
 //! is `i64`/`i128`.
 
 use crate::hash::Fnv64;
-use pmcs_milp::{BbTree, Problem, Rational};
 
 /// Format version of [`CertificateSet`]; bumped on incompatible changes.
 pub const CERT_FORMAT_VERSION: u32 = 1;
@@ -242,20 +241,6 @@ pub enum UpperProof {
     /// falls back to on search-budget exhaustion; the checker recomputes
     /// the formula from the window.
     SafeCap,
-    /// The claim equals the MILP formulation's deterministic `N·M` cap
-    /// (big-M fallback); the checker recomputes `M` from the window.
-    MilpCap,
-    /// VIPR-style branch-and-bound proof for the MILP path: the claim
-    /// upper-bounds the optimum of the embedded problem, every leaf
-    /// carrying an LP-dual bound or a Farkas infeasibility certificate.
-    /// The encoding of the window as the embedded problem is the trusted
-    /// boundary (like the MPS file in VIPR).
-    BbTree {
-        /// The MILP problem the tree argues about.
-        problem: Problem,
-        /// The branch-and-bound proof tree.
-        tree: BbTree,
-    },
 }
 
 /// Window-level certificate: a lower-bound *witness* whose interference
@@ -380,17 +365,6 @@ impl CertificateSet {
     }
 }
 
-/// Helper: renders a [`Rational`] in the `"num/den"` wire form.
-pub(crate) fn rational_to_wire(r: Rational) -> String {
-    format!("{}/{}", r.numer(), r.denom())
-}
-
-/// Helper: parses the `"num/den"` wire form.
-pub(crate) fn rational_from_wire(s: &str) -> Option<Rational> {
-    let (n, d) = s.split_once('/')?;
-    Rational::new(n.parse().ok()?, d.parse().ok()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,13 +418,5 @@ mod tests {
         ] {
             assert_eq!(CertChoice::from_code(c.code()), c);
         }
-    }
-
-    #[test]
-    fn rational_wire_round_trips() {
-        let r = Rational::new(-7, 3).expect("valid rational");
-        assert_eq!(rational_from_wire(&rational_to_wire(r)), Some(r));
-        assert_eq!(rational_from_wire("1/0"), None);
-        assert_eq!(rational_from_wire("nonsense"), None);
     }
 }

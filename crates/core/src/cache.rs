@@ -367,11 +367,10 @@ impl SharedDelayCache {
 
 /// A [`DelayEngine`] adapter memoizing bounds in a [`SharedDelayCache`].
 ///
-/// Works with any inner engine ([`ExactEngine`](crate::ExactEngine),
-/// [`MilpEngine`](crate::MilpEngine), audited or not). Multi-threaded
-/// drivers wrap each worker's own inner engine around one shared
-/// `Arc<SharedDelayCache>`, so a window solved by any worker is a hit
-/// for all of them. Each adapter additionally keeps *local* hit/miss/
+/// Works with any inner engine ([`ExactEngine`](crate::ExactEngine) or
+/// an audit layer around it). Multi-threaded drivers wrap each worker's
+/// own inner engine around one shared `Arc<SharedDelayCache>`, so a
+/// window solved by any worker is a hit for all of them. Each adapter additionally keeps *local* hit/miss/
 /// eviction counters (its own lookups only); parallel drivers merge
 /// those per-worker locals, which sums to exactly the shared cache's
 /// own [`SharedDelayCache::stats`] — counting each lookup once.

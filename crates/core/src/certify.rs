@@ -6,9 +6,8 @@
 //! * **window level** — each delay bound ships a concrete placement
 //!   witness attaining it plus an upper-bound proof: the DP's full memo
 //!   table ([`UpperProof::DpTable`], replayed Bellman equation by Bellman
-//!   equation), a VIPR-style branch-and-bound tree with exact-rational
-//!   dual certificates at the leaves ([`UpperProof::BbTree`], for the
-//!   MILP path), or a closed-form safe cap for inexact bounds;
+//!   equation), or a closed-form safe cap ([`UpperProof::SafeCap`]) for
+//!   inexact bounds;
 //! * **task level** — the monotone fixed-point iteration, each step's
 //!   window referenced by content hash ([`WcrtCertificate`]);
 //! * **set level** — the greedy LS-marking transcript
@@ -28,12 +27,10 @@ use pmcs_cert::types::{
     CertWcrtStep, CertWindow, CertWindowTask, CertificateSet, DelayCertificate, DpEntry,
     SchedCertificate, UpperProof, WcrtCertificate,
 };
-use pmcs_milp::{certify_upper_bound, CertifyLimits, Rational};
 use pmcs_model::{ArrivalModel, Sensitivity, TaskSet};
 
 use crate::engine::ExactEngine;
 use crate::error::CoreError;
-use crate::formulation::MilpEngine;
 use crate::schedulability::{analyze_task_set_traced, SchedulabilityReport};
 use crate::wcrt::{DelayBound, TaskTrace};
 use crate::window::{WindowCase, WindowModel};
@@ -190,74 +187,6 @@ pub fn certify_window_dp(
                 })
                 .collect(),
         ),
-    })
-}
-
-/// Certifies one window bound produced by the MILP engine.
-///
-/// Exact bounds get a VIPR-style branch-and-bound proof tree over the
-/// engine's own formulation (every leaf carries an exact-rational dual
-/// bound or Farkas certificate) plus a DP-derived placement witness
-/// pinching the claim from below; inexact bounds get the `N·M` big-M cap.
-///
-/// # Errors
-///
-/// [`CoreError::Certification`] when the proof tree cannot be built
-/// within `limits` or the DP witness disagrees with the MILP optimum.
-pub fn certify_window_milp(
-    milp: &MilpEngine,
-    witness_engine: &ExactEngine,
-    w: &WindowModel,
-    bound: DelayBound,
-    limits: &CertifyLimits,
-) -> Result<DelayCertificate, CoreError> {
-    let window = cert_window_of(w);
-    let window_hash = window.content_hash();
-    let claimed = bound.delay.as_ticks();
-    if w.n() < 2 {
-        return Ok(DelayCertificate {
-            window,
-            window_hash,
-            claimed,
-            exact: bound.exact,
-            witness: None,
-            upper: UpperProof::SafeCap,
-        });
-    }
-    if !bound.exact {
-        return Ok(DelayCertificate {
-            window,
-            window_hash,
-            claimed,
-            exact: false,
-            witness: None,
-            upper: UpperProof::MilpCap,
-        });
-    }
-    let problem = milp.build_problem(w);
-    let tree = certify_upper_bound(&problem, Rational::from_int(i128::from(claimed)), limits)
-        .map_err(|e| cert_err(format!("proof tree construction failed: {e}")))?;
-    let rec = witness_engine
-        .solve_recorded(w)
-        .ok_or_else(|| cert_err("witness solve exhausted its budget"))?;
-    if rec.value != claimed {
-        return Err(cert_err(format!(
-            "DP witness value {} disagrees with the MILP bound {claimed}",
-            rec.value
-        )));
-    }
-    Ok(DelayCertificate {
-        window,
-        window_hash,
-        claimed,
-        exact: true,
-        witness: Some(
-            rec.witness
-                .iter()
-                .map(|&c| CertChoice::from_code(c))
-                .collect(),
-        ),
-        upper: UpperProof::BbTree { problem, tree },
     })
 }
 
@@ -476,34 +405,15 @@ mod tests {
         let decoded = pmcs_cert::decode_certificate_set(&encoded).expect("decodes");
         let report = check_certificate_set(&decoded);
         assert!(report.ok(), "rejections: {:?}", report.rejections);
-    }
-
-    #[test]
-    fn milp_certificate_carries_a_proof_tree() {
-        let set = TaskSet::new(vec![
-            test_task(0, 10, 2, 2, 1_000, 0, false),
-            test_task(1, 20, 5, 5, 1_000, 1, false),
-        ])
-        .expect("valid task set");
-        let w = WindowModel::build(
-            &set,
-            TaskId(1),
-            WindowCase::Nls,
-            pmcs_model::Time::from_ticks(10),
-        )
-        .expect("valid window");
-        let exact = ExactEngine::default();
-        let milp = MilpEngine::default();
-        let bound = crate::wcrt::DelayEngine::max_total_delay(&exact, &w).expect("bound");
-        assert!(bound.exact);
-        let cert = certify_window_milp(&milp, &exact, &w, bound, &CertifyLimits::default())
-            .expect("milp certification succeeds");
-        assert!(matches!(cert.upper, UpperProof::BbTree { .. }));
-        // Wrap it in a bundle and run the checker's window phase.
-        let mut bundle = CertificateSet::new(cert_task_set_of(&set).expect("convertible"));
-        bundle.windows.push(cert);
-        let report = check_certificate_set(&bundle);
-        assert!(report.ok(), "rejections: {:?}", report.rejections);
+        // The retired MILP proof kinds no longer decode.
+        let dp = r#""upper":{"kind":"dp""#;
+        assert!(encoded.contains(dp));
+        for kind in ["bb_tree", "milp_cap"] {
+            let retired = encoded.replacen(dp, &format!(r#""upper":{{"kind":"{kind}""#), 1);
+            let err = pmcs_cert::decode_certificate_set(&retired)
+                .expect_err("a retired proof kind must not decode");
+            assert!(err.contains("unknown upper-proof kind"), "{kind}: {err}");
+        }
     }
 
     #[test]

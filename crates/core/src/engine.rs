@@ -16,10 +16,10 @@
 //! **memoized dynamic programming** over states
 //! `(slot, remaining job budgets, last two slot decisions)` — each state's
 //! suffix value is exact and shared across the exponentially many
-//! interleavings that reach it. This solves the same optimization as
-//! [`MilpEngine`](crate::MilpEngine) orders of magnitude faster; the
-//! equivalence of the two engines is property-tested in
-//! `tests/engine_equivalence.rs`.
+//! interleavings that reach it. This solves the same optimization as the
+//! MILP formulation (`pmcs_analysis::MilpEngine`, an audit-only oracle)
+//! orders of magnitude faster; the equivalence of the two engines is
+//! property-tested in `pmcs-analysis`'s `tests/milp_equivalence.rs`.
 //!
 //! ## Scratch reuse
 //!
@@ -69,9 +69,10 @@
 //!   completes proves the cold solve's states fit the budget too: results
 //!   and fallbacks match a cold engine call for call.
 //!
-//! A carried memo only saves work. The effort counters (`nodes`,
-//! `bb_nodes`) count every visit of the DP, memo hits and terminal slots
-//! included, so a carried memo shows up as fewer visits.
+//! A carried memo only saves work. The effort counters
+//! ([`DpStats::nodes`] and each call's `DelayBound::nodes`) count every
+//! visit of the DP, memo hits and terminal slots included, so a carried
+//! memo shows up as fewer visits.
 //!
 //! When the fixed layout does not fit in 128 bits (many tasks or `N−1`
 //! beyond the fixed width), the key falls back to *adaptive* field widths
@@ -307,12 +308,11 @@ impl Scratch {
 pub struct ExactEngine {
     max_states: usize,
     scratch: RefCell<Scratch>,
-    /// Cumulative search nodes across every solve (reported as `bb_nodes`
-    /// in [`ExactEngine::solver_stats`] — the DP's branch points play the
-    /// same role as B&B nodes in the MILP pipeline).
+    /// Cumulative search nodes across every solve (reported as
+    /// [`DpStats::nodes`] by [`ExactEngine::solver_stats`]).
     nodes: std::cell::Cell<u64>,
     /// Solves that exhausted a search budget and degraded to the safe
-    /// fallback cap (reported as `dp_fallbacks`).
+    /// fallback cap (reported as [`DpStats::fallbacks`]).
     fallbacks: std::cell::Cell<u64>,
     /// `false` disables the interchangeability classes (differential
     /// testing only); see [`ExactEngine::without_symmetry_breaking`].
@@ -320,18 +320,54 @@ pub struct ExactEngine {
 }
 
 /// Prints the budget-exhaustion warning once per process; every further
-/// occurrence is only counted in [`SolverStats::dp_fallbacks`]
-/// (`pmcs_milp::SolverStats`).
+/// occurrence is only counted in [`DpStats::fallbacks`].
 fn warn_fallback_once() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         eprintln!(
             "pmcs-core: an exact-DP solve exhausted its search budget; \
              using the safe fallback cap instead (counted in \
-             SolverStats::dp_fallbacks; this warning prints once per \
-             process)"
+             DpStats::fallbacks; this warning prints once per process)"
         );
     });
+}
+
+/// Cumulative effort counters of the exact DP.
+///
+/// Plain sums, so records merge across solves, engines and worker
+/// threads ([`DpStats::merge`]) and are attributed to one analysis by
+/// differencing cumulative snapshots ([`DpStats::since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DpStats {
+    /// DP search nodes expanded.
+    pub nodes: u64,
+    /// Solves that exhausted a search budget (memo entries, nodes, or
+    /// the a-priori state-count gate) and degraded to the safe
+    /// closed-form fallback cap. A nonzero count means some window
+    /// bounds are conservative, not exact.
+    pub fallbacks: u64,
+}
+
+impl DpStats {
+    /// Accumulates `other` into `self`.
+    pub fn merge(&mut self, other: DpStats) {
+        self.nodes += other.nodes;
+        self.fallbacks += other.fallbacks;
+    }
+
+    /// The work performed between an `earlier` cumulative snapshot and
+    /// this one (saturating, so stale snapshots cannot underflow).
+    pub fn since(&self, earlier: &DpStats) -> DpStats {
+        DpStats {
+            nodes: self.nodes.saturating_sub(earlier.nodes),
+            fallbacks: self.fallbacks.saturating_sub(earlier.fallbacks),
+        }
+    }
+
+    /// `true` iff every counter is zero.
+    pub fn is_empty(&self) -> bool {
+        *self == DpStats::default()
+    }
 }
 
 /// Default memoization-entry budget of [`ExactEngine`] (the solver
@@ -387,15 +423,12 @@ impl ExactEngine {
         self.max_states
     }
 
-    /// Cumulative solver effort across every solve so far: the DP search
-    /// nodes and budget fallbacks, surfaced in the same
-    /// [`SolverStats`](pmcs_milp::SolverStats) shape the MILP engine
-    /// reports so engine stacks aggregate uniformly.
-    pub fn solver_stats(&self) -> pmcs_milp::SolverStats {
-        pmcs_milp::SolverStats {
-            bb_nodes: self.nodes.get(),
-            dp_fallbacks: self.fallbacks.get(),
-            ..pmcs_milp::SolverStats::default()
+    /// Cumulative effort across every solve so far: the DP search nodes
+    /// and budget fallbacks.
+    pub fn solver_stats(&self) -> DpStats {
+        DpStats {
+            nodes: self.nodes.get(),
+            fallbacks: self.fallbacks.get(),
         }
     }
 

@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use pmcs_milp::MilpError;
 use pmcs_model::{ModelError, TaskId};
 
 /// Errors produced by the schedulability analyses.
@@ -12,8 +11,6 @@ use pmcs_model::{ModelError, TaskId};
 pub enum CoreError {
     /// Underlying model error (unknown task, invalid set, …).
     Model(ModelError),
-    /// The MILP solver failed.
-    Milp(MilpError),
     /// The fixed-point iteration failed to converge within the iteration
     /// cap without proving a deadline miss (should not happen for sane
     /// task parameters).
@@ -29,9 +26,10 @@ pub enum CoreError {
         /// Nodes explored before giving up.
         nodes: u64,
     },
-    /// The exact-arithmetic audit refuted a MILP solver answer
-    /// (see [`pmcs_milp::audit`]): the floating-point result is provably
-    /// wrong and must not be used as a WCRT bound.
+    /// The audit layer refuted a bound: the audited MILP reference
+    /// disagreed with the engine, its exact-arithmetic re-verification
+    /// failed, or the MILP solver itself failed. The bound is provably
+    /// wrong (or unchecked) and must not be used as a WCRT bound.
     AuditFailed {
         /// Name of the first audit check that failed.
         check: &'static str,
@@ -39,10 +37,10 @@ pub enum CoreError {
         detail: String,
     },
     /// Certificate emission failed: the recording solve disagreed with the
-    /// production engine, a proof tree could not be constructed within its
-    /// budget, or the model uses a construct the certificate format cannot
-    /// express. Emission failures never affect the analysis verdict — only
-    /// whether a proof ships alongside it.
+    /// production engine or exhausted its budget, or the model uses a
+    /// construct the certificate format cannot express. Emission failures
+    /// never affect the analysis verdict — only whether a proof ships
+    /// alongside it.
     Certification {
         /// Explanation.
         detail: String,
@@ -64,7 +62,6 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::Model(e) => write!(f, "model error: {e}"),
-            CoreError::Milp(e) => write!(f, "milp solver error: {e}"),
             CoreError::NoConvergence { task, iterations } => write!(
                 f,
                 "response-time iteration for {task} did not converge after {iterations} rounds"
@@ -93,7 +90,6 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Model(e) => Some(e),
-            CoreError::Milp(e) => Some(e),
             _ => None,
         }
     }
@@ -102,12 +98,6 @@ impl Error for CoreError {
 impl From<ModelError> for CoreError {
     fn from(e: ModelError) -> Self {
         CoreError::Model(e)
-    }
-}
-
-impl From<MilpError> for CoreError {
-    fn from(e: MilpError) -> Self {
-        CoreError::Milp(e)
     }
 }
 
@@ -134,11 +124,5 @@ mod tests {
         };
         let text = e.to_string();
         assert!(text.contains("refuted") && text.contains("primal-feasibility"));
-    }
-
-    #[test]
-    fn conversions() {
-        let e: CoreError = MilpError::Infeasible.into();
-        assert_eq!(e, CoreError::Milp(MilpError::Infeasible));
     }
 }

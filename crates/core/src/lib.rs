@@ -8,12 +8,10 @@
 //!   blocking for latency-sensitive (LS) tasks — rules R1–R6 ([`protocol`]);
 //! * its **worst-case response-time analysis**, which maximizes the delay
 //!   an adversarial-but-protocol-legal schedule can inflict on a task.
-//!   The optimization is available in two exact engines:
-//!   a faithful **MILP formulation** solved with [`pmcs_milp`]
-//!   ([`formulation`], [`MilpEngine`]) and a **specialized combinatorial
-//!   branch & bound** over interval assignments ([`engine`],
-//!   [`ExactEngine`]) that solves the same problem orders of magnitude
-//!   faster;
+//!   The optimization is solved exactly by a **memoized DP** over
+//!   interval assignments ([`engine`], [`ExactEngine`]); the paper's
+//!   Section V MILP lives in `pmcs-analysis` as an audit-only oracle, so
+//!   this crate links no MILP solver;
 //! * the **fixed-point WCRT iteration** (Section VI) ([`wcrt`]);
 //! * the **greedy LS-marking algorithm** that promotes deadline-missing
 //!   tasks to latency-sensitive ([`schedulability`]).
@@ -51,7 +49,6 @@ pub mod chains;
 pub mod contention;
 pub mod engine;
 pub mod error;
-pub mod formulation;
 pub mod ls_search;
 pub mod partitioning;
 pub mod protocol;
@@ -61,18 +58,16 @@ pub mod wcrt;
 pub mod window;
 
 pub use cache::{CacheStats, SharedCachedEngine, SharedDelayCache, WindowKey};
-pub use certify::{certify_task_set, certify_window_dp, certify_window_milp};
+pub use certify::{certify_task_set, certify_window_dp};
 pub use chains::{chain_latency, ChainActivation, TaskChain};
 pub use contention::Inflation;
-pub use engine::ExactEngine;
+pub use engine::{DpStats, ExactEngine};
 pub use error::CoreError;
-pub use formulation::MilpEngine;
 pub use ls_search::{exhaustive_ls_assignment, ExhaustiveResult};
 pub use partitioning::{
     analyze_platform, assign_budgets, partition, partition_regulated, BudgetAttempt, BudgetSearch,
     Heuristic, PartitionError, Partitioning,
 };
-pub use pmcs_milp::SolverStats;
 pub use protocol::{ProtocolRule, RULES};
 pub use schedulability::{
     analyze_task_set, analyze_task_set_traced, promotion_affects, GreedyTrace, LsAssignment,

@@ -27,9 +27,9 @@ pub struct DelayBound {
     pub nodes: u64,
 }
 
-/// A delay-maximization engine: the MILP of Section V
-/// ([`MilpEngine`](crate::MilpEngine)) or the specialized combinatorial
-/// solver ([`ExactEngine`](crate::ExactEngine)).
+/// A delay-maximization engine: the specialized combinatorial solver
+/// ([`ExactEngine`](crate::ExactEngine)), or the MILP of Section V
+/// (`pmcs_analysis::MilpEngine`, the audit oracle).
 pub trait DelayEngine {
     /// Upper-bounds the total delay `Σ_k Δ_k` over all protocol-legal
     /// schedules of the window.

@@ -1,6 +1,5 @@
 //! Certificate round-trip properties: emit → serialize → parse → check
-//! must accept, for random windows under both engines (exact DP and
-//! the MILP pipeline) — plus the three
+//! must accept, for random windows and full task-set bundles — plus the
 //! canonical negative paths, each rejected with its stable
 //! machine-readable code.
 //!
@@ -15,10 +14,8 @@ use pmcs_cert::{
 };
 use pmcs_core::certify::cert_task_set_of;
 use pmcs_core::{
-    certify_task_set, certify_window_dp, certify_window_milp, DelayEngine, ExactEngine, MilpEngine,
-    WindowCase, WindowModel,
+    certify_task_set, certify_window_dp, DelayEngine, ExactEngine, WindowCase, WindowModel,
 };
-use pmcs_milp::CertifyLimits;
 use pmcs_model::{Priority, Sensitivity, Task, TaskId, TaskSet, Time};
 
 fn build_set(params: &[(i64, i64, i64, bool)]) -> TaskSet {
@@ -47,13 +44,6 @@ fn build_set(params: &[(i64, i64, i64, bool)]) -> TaskSet {
 
 fn params_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64, bool)>> {
     prop::collection::vec((1i64..=20, 0i64..=6, 40i64..=120, any::<bool>()), 2..=4)
-}
-
-/// Smaller instances for the MILP properties: branch-and-bound proof
-/// trees with exact-rational leaf certificates are orders of magnitude
-/// more expensive to build than DP tables, especially in debug builds.
-fn milp_params_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64, bool)>> {
-    prop::collection::vec((1i64..=8, 0i64..=3, 20i64..=60, any::<bool>()), 2..=2)
 }
 
 /// Serialize → parse → re-serialize → check; the wire form must be
@@ -107,33 +97,6 @@ proptest! {
     }
 }
 
-proptest! {
-    // Branch-and-bound proof trees with exact-rational leaf certificates
-    // are far costlier to build than DP tables (debug builds especially),
-    // so this property runs few cases on small windows; the fixed-seed
-    // tree test below guarantees the BbTree path is always exercised.
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// MILP window certificates (VIPR-style proof trees or caps) survive
-    /// the round trip. One window per case — the
-    /// lowest-priority task's, which sees every interferer.
-    #[test]
-    fn milp_window_certs_roundtrip(params in milp_params_strategy(), t in 4i64..=8) {
-        let set = build_set(&params);
-        let exact = ExactEngine::default();
-        let task = set.iter().last().expect("non-empty set");
-        let milp = MilpEngine::default();
-        let mut bundle = CertificateSet::new(cert_task_set_of(&set).expect("encodable set"));
-        let w = WindowModel::build(&set, task.id(), WindowCase::Nls, Time::from_ticks(t))
-            .expect("window");
-        let bound = milp.max_total_delay(&w).expect("bound");
-        let cert = certify_window_milp(&milp, &exact, &w, bound, &CertifyLimits::default())
-            .expect("certify");
-        bundle.windows.push(cert);
-        assert_roundtrip_accepted(&bundle, "milp");
-    }
-}
-
 /// A fixed set whose full-pipeline bundle has DP tables and witnesses —
 /// raw material for the corruption tests.
 fn corruptible_bundle() -> CertificateSet {
@@ -170,60 +133,6 @@ fn unsound_dominance_is_rejected_with_stable_code() {
             .iter()
             .any(|r| r.code == "dp.bellman-mismatch"),
         "expected dp.bellman-mismatch, got {:?}",
-        report.rejections
-    );
-}
-
-#[test]
-fn truncated_proof_tree_is_rejected_with_stable_code() {
-    // The greedy pipeline emits DP proofs, so graft one MILP-certified
-    // window with a real multi-node branch-and-bound tree.
-    let set = build_set(&[(8, 2, 60, false), (6, 3, 80, false), (10, 1, 100, false)]);
-    let exact = ExactEngine::default();
-    let milp = MilpEngine::default();
-    let mut tree_cert = None;
-    'search: for task in set.iter() {
-        for t in [
-            task.deadline(),
-            Time::from_ticks((task.deadline().as_ticks() / 2).max(1)),
-        ] {
-            let Ok(w) = WindowModel::build(&set, task.id(), WindowCase::Nls, t) else {
-                continue;
-            };
-            if w.n() < 2 {
-                continue;
-            }
-            let Ok(bound) = milp.max_total_delay(&w) else {
-                continue;
-            };
-            let Ok(cert) = certify_window_milp(&milp, &exact, &w, bound, &CertifyLimits::default())
-            else {
-                continue;
-            };
-            if matches!(&cert.upper, UpperProof::BbTree { tree, .. } if tree.nodes.len() > 1) {
-                tree_cert = Some(cert);
-                break 'search;
-            }
-        }
-    }
-    let mut bundle = CertificateSet::new(cert_task_set_of(&set).expect("encodable set"));
-    bundle
-        .windows
-        .push(tree_cert.expect("some window needs branching"));
-    assert!(
-        check_certificate_set(&bundle).ok(),
-        "pre-corruption bundle must pass"
-    );
-    corrupt::corrupt_truncate_tree(&mut bundle).expect("bundle has a multi-node tree");
-    let decoded = decode_certificate_set(&encode_certificate_set(&bundle)).expect("decode");
-    let report = check_certificate_set(&decoded);
-    assert!(!report.ok());
-    assert!(
-        report
-            .rejections
-            .iter()
-            .any(|r| r.code.starts_with("bbtree.")),
-        "expected a bbtree.* rejection, got {:?}",
         report.rejections
     );
 }

@@ -99,7 +99,7 @@ fn long_lived_engine_saves_dp_nodes_with_equal_reports() {
     let warm = long_lived.inner().nodes.get();
     let cold = fresh.inner().nodes.get();
     assert_eq!(
-        long_lived.inner().inner.solver_stats().dp_fallbacks,
+        long_lived.inner().inner.solver_stats().fallbacks,
         0,
         "the grid never exhausts the default budget"
     );

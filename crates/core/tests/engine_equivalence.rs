@@ -1,15 +1,16 @@
-//! Property test: the specialized combinatorial engine and the MILP
-//! formulation compute the *same* maximal delay on random small windows.
+//! Property tests of the exact DP against itself: the symmetry-pruned
+//! search, the unpruned reference and the certificate-recording solve
+//! compute the *same* maximal delay on random small windows, and a
+//! long-lived engine carrying its memo matches a fresh one call for call.
 //!
-//! This is the strongest internal-consistency check in the workspace: the
-//! two engines share only the [`WindowModel`] abstraction; their agreement
-//! on random instances validates both the constraint encoding (Section V
-//! of the paper) and the search.
+//! The comparison against the independent Section V MILP formulation
+//! over the same random windows lives in `pmcs-analysis`
+//! (`tests/milp_equivalence.rs`), beside the formulation.
 
 use proptest::prelude::*;
 
 use pmcs_core::wcrt::DelayBound;
-use pmcs_core::{certify_window_dp, DelayEngine, ExactEngine, MilpEngine, WindowCase, WindowModel};
+use pmcs_core::{certify_window_dp, DelayEngine, ExactEngine, WindowCase, WindowModel};
 use pmcs_model::{Priority, Sensitivity, Task, TaskId, TaskSet, Time};
 
 #[derive(Debug, Clone)]
@@ -59,26 +60,16 @@ fn build_set(specs: &[RandTask]) -> TaskSet {
 
 fn check_equivalence(set: &TaskSet, under: TaskId, case: WindowCase, t: i64) {
     let w = WindowModel::build(set, under, case, Time::from_ticks(t)).unwrap();
-    // Keep MILP sizes tractable.
-    if w.n() > 7 {
-        return;
-    }
     let fast = ExactEngine::default().max_total_delay(&w).unwrap();
     let unpruned = ExactEngine::default()
         .without_symmetry_breaking()
         .max_total_delay(&w)
         .unwrap();
-    let milp = MilpEngine::default().max_total_delay(&w).unwrap();
-    assert!(fast.exact && unpruned.exact && milp.exact);
+    assert!(fast.exact && unpruned.exact);
     assert_eq!(
         fast.delay, unpruned.delay,
         "pruning changed the optimum for window {w:?}: pruned={} unpruned={}",
         fast.delay, unpruned.delay
-    );
-    assert_eq!(
-        fast.delay, milp.delay,
-        "engine mismatch for window {w:?}: engine={} milp={}",
-        fast.delay, milp.delay
     );
     // The recording solve must reproduce the production optimum
     // (`certify_window_dp` rejects any other value).
@@ -435,7 +426,7 @@ fn carried_memo_overflow_reruns_cold_and_stays_exact() {
             let (got, cold) =
                 check_warm_matches_fresh(&warm, || ExactEngine::with_max_states(budget), &pair[1]);
             assert!(got.exact, "the cold solve fits the budget of {:?}", pair[1]);
-            assert_eq!(warm.solver_stats().dp_fallbacks, 0);
+            assert_eq!(warm.solver_stats().fallbacks, 0);
             // A re-run repeats the cold solve after the aborted carried
             // attempt, so it costs more nodes than the cold solve alone.
             reruns += usize::from(got.nodes > cold.nodes);
@@ -489,5 +480,5 @@ fn shared_budget_exhaustion_falls_back_like_a_fresh_engine() {
         fresh_fallbacks < ts.len() as u64,
         "budget {budget} never sufficed"
     );
-    assert_eq!(warm.solver_stats().dp_fallbacks, fresh_fallbacks);
+    assert_eq!(warm.solver_stats().fallbacks, fresh_fallbacks);
 }

@@ -496,9 +496,9 @@ fn tightened_bounds(
 /// `≤` then negated-`≥`), then for each variable its finite lower bound as
 /// `-x ≤ -lo`, then its finite upper bound as `x ≤ hi`.
 ///
-/// This order is a public contract: certificates serialized by `pmcs-cert`
-/// reference rows positionally, and the independent checker rebuilds the
-/// same system from the embedded problem.
+/// This order is a public contract: branch-and-bound proof trees
+/// ([`crate::certify_upper_bound`]) reference rows positionally, and
+/// [`crate::verify_bb_tree`] rebuilds the same system from the problem.
 ///
 /// # Errors
 ///

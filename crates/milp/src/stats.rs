@@ -4,8 +4,8 @@
 //! LP iteration counts died inside the solver: `MilpSolution` carried a
 //! bare node count and everything else was discarded. [`SolverStats`] is
 //! the uniform effort record threaded from the LP solver through
-//! [`BranchAndBound`](crate::BranchAndBound) and up to the analysis
-//! reports and `BENCH_<bin>.json` perf records.
+//! [`BranchAndBound`](crate::BranchAndBound) up to the MILP engine that
+//! solves the paper's formulation.
 //!
 //! The counters are plain sums, so records can be merged across solves,
 //! engines and worker threads ([`SolverStats::merge`]) and attributed to
@@ -20,8 +20,7 @@ use std::fmt;
 /// [`merge`](SolverStats::merge) and [`since`](SolverStats::since).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverStats {
-    /// Branch-and-bound nodes explored (for the combinatorial
-    /// `ExactEngine` this counts its search nodes instead).
+    /// Branch-and-bound nodes explored.
     pub bb_nodes: u64,
     /// LP relaxations solved (one per B&B node that reached the LP solver).
     pub lp_solves: u64,
@@ -39,11 +38,6 @@ pub struct SolverStats {
     pub presolve_rows_removed: u64,
     /// Variable bounds tightened by presolve.
     pub presolve_bounds_tightened: u64,
-    /// Exact-DP solves that exhausted a search budget (memo entries,
-    /// nodes, or the a-priori state-count gate) and degraded to the safe
-    /// closed-form fallback cap. Zero for the MILP engines; a nonzero
-    /// count means some window bounds are conservative, not exact.
-    pub dp_fallbacks: u64,
 }
 
 impl SolverStats {
@@ -57,7 +51,6 @@ impl SolverStats {
         self.presolve_vars_fixed += other.presolve_vars_fixed;
         self.presolve_rows_removed += other.presolve_rows_removed;
         self.presolve_bounds_tightened += other.presolve_bounds_tightened;
-        self.dp_fallbacks += other.dp_fallbacks;
     }
 
     /// The work performed between an `earlier` cumulative snapshot and
@@ -80,7 +73,6 @@ impl SolverStats {
             presolve_bounds_tightened: self
                 .presolve_bounds_tightened
                 .saturating_sub(earlier.presolve_bounds_tightened),
-            dp_fallbacks: self.dp_fallbacks.saturating_sub(earlier.dp_fallbacks),
         }
     }
 
@@ -105,7 +97,7 @@ impl fmt::Display for SolverStats {
         write!(
             f,
             "{} nodes, {} LP solves, {} pivots, warm {}/{} ({:.0}%), \
-             presolve −{} vars −{} rows {} bounds, {} DP fallbacks",
+             presolve −{} vars −{} rows {} bounds",
             self.bb_nodes,
             self.lp_solves,
             self.lp_pivots,
@@ -115,7 +107,6 @@ impl fmt::Display for SolverStats {
             self.presolve_vars_fixed,
             self.presolve_rows_removed,
             self.presolve_bounds_tightened,
-            self.dp_fallbacks,
         )
     }
 }
@@ -135,13 +126,11 @@ mod tests {
             presolve_vars_fixed: 5,
             presolve_rows_removed: 6,
             presolve_bounds_tightened: 7,
-            dp_fallbacks: 8,
         };
         a.merge(a);
         assert_eq!(a.bb_nodes, 2);
         assert_eq!(a.lp_pivots, 6);
         assert_eq!(a.presolve_bounds_tightened, 14);
-        assert_eq!(a.dp_fallbacks, 16);
         assert!((a.warm_hit_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -591,6 +591,29 @@ fn partition_with_an_overflowing_bus_period_is_an_engine_error() {
         task_json(1, 10, 1),
     );
     assert_eq!(error_code(&client.send(&short_copies)), E_ENGINE);
+    // At a third of the tick range each inflated copy phase is about
+    // i64::MAX/3 ticks, so the inflation and the isolated response
+    // `l + C + u` fit. Worst-fit pairs four tasks two per core, and
+    // deadlines and periods of 3/4 of the range leave room for the fixed
+    // point: it hands the DP a window with a competitor, whose interval
+    // sum (over three copy phases) overflows inside the search.
+    let third = i64::MAX / 3;
+    let long = i64::MAX / 4 * 3;
+    let paired = |id: u32| {
+        format!(
+            "{{\"id\":{id},\"exec\":10,\"copy_in\":2,\"copy_out\":2,\"deadline\":{long},\
+             \"priority\":{id},\"arrival\":{{\"kind\":\"sporadic\",\"t\":{long}}}}}"
+        )
+    };
+    let in_the_dp = format!(
+        "{{\"op\":\"partition\",\"cores\":2,\"period\":{third},\"budget\":10,\
+         \"heuristic\":\"worst-fit\",\"tasks\":[{},{},{},{}]}}",
+        paired(0),
+        paired(1),
+        paired(2),
+        paired(3),
+    );
+    assert_eq!(error_code(&client.send(&in_the_dp)), E_ENGINE);
     // The budget search derives its budgets from the period too; an
     // unschedulable task makes it try every budget level.
     let search = format!(

@@ -10,9 +10,9 @@
 //! |---|---|---|
 //! | [`model`] | `pmcs-model` | time, tasks, arrival curves, task sets |
 //! | [`milp`] | `pmcs-milp` | from-scratch LP/MILP solver (CPLEX substitute) |
-//! | [`core`] | `pmcs-core` | the protocol (R1–R6), MILP analysis, exact engine, greedy LS marking |
+//! | [`core`] | `pmcs-core` | the protocol (R1–R6), exact DP delay engine, WCRT fixed point, greedy LS marking |
 //! | [`baselines`] | `pmcs-baselines` | non-preemptive scheduling (NPS) and Wasly-Pellizzoni (WP) analyses |
-//! | [`analysis`] | `pmcs-analysis` | unified facade: `Analyzer` trait, approach registry, engine stack, typed config |
+//! | [`analysis`] | `pmcs-analysis` | unified facade: `Analyzer` trait, approach registry, engine stack, typed config, audit-only MILP formulation |
 //! | [`sim`] | `pmcs-sim` | discrete-event simulator + trace validators + Gantt |
 //! | [`workload`] | `pmcs-workload` | Section VII task-set generators |
 //! | [`cert`] | `pmcs-cert` | proof-carrying analysis: certificate formats + independent `i128` checker |
@@ -60,14 +60,15 @@ pub use pmcs_workload as workload;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use pmcs_analysis::{
-        AnalysisConfig, AnalysisContext, AnalysisError, Analyzer, ApproachReport, Registry,
+        AnalysisConfig, AnalysisContext, AnalysisError, Analyzer, ApproachReport, MilpEngine,
+        Registry,
     };
     pub use pmcs_audit::{lint, LintCode, LintReport};
     pub use pmcs_baselines::{NpsAnalysis, WpAnalysis};
     pub use pmcs_core::{
         analyze_task_set, chain_latency, exhaustive_ls_assignment, partition, ChainActivation,
-        CoreError, DelayEngine, ExactEngine, Heuristic, MilpEngine, SchedulabilityReport,
-        TaskChain, WcrtAnalyzer,
+        CoreError, DelayEngine, ExactEngine, Heuristic, SchedulabilityReport, TaskChain,
+        WcrtAnalyzer,
     };
     pub use pmcs_model::prelude::*;
     pub use pmcs_sim::{
