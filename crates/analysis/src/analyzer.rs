@@ -121,10 +121,10 @@ mod tests {
 
     #[test]
     fn context_exposes_its_config_and_stack() {
-        let cfg = AnalysisConfig::default().with_cache(false);
+        let cfg = AnalysisConfig::default();
         let ctx = AnalysisContext::new(&cfg);
         assert_eq!(ctx.config(), &cfg);
-        assert_eq!(ctx.engine().layers(), "exact");
+        assert_eq!(ctx.engine().layers(), "cached(exact)");
         assert_eq!(ctx.cache_stats(), CacheStats::default());
     }
 }

@@ -41,8 +41,8 @@ pub const EMIT_CERTS_ENV_VAR: &str = "PMCS_EMIT_CERTS";
 ///
 /// Construction paths:
 ///
-/// * [`AnalysisConfig::default`] — single-threaded, cached, unaudited,
-///   default solver limits; what library callers and tests want.
+/// * [`AnalysisConfig::default`] — single-threaded, unaudited, default
+///   solver limits; what library callers and tests want.
 /// * [`AnalysisConfig::resolve`] — the CLI edge: merges explicit flags
 ///   with the `PMCS_*` environment variables (precedence
 ///   flag > env > default) and defaults `jobs` to the machine's
@@ -51,8 +51,6 @@ pub const EMIT_CERTS_ENV_VAR: &str = "PMCS_EMIT_CERTS";
 pub struct AnalysisConfig {
     /// Worker threads for sweep executors (always ≥ 1).
     pub jobs: usize,
-    /// Wrap the delay engine in a window-level delay-bound cache.
-    pub cache: bool,
     /// Cross-check every delay bound against the audited MILP
     /// formulation (exact rational arithmetic). Orders of magnitude
     /// slower; meant for validation runs.
@@ -74,7 +72,6 @@ impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             jobs: 1,
-            cache: true,
             audit: false,
             max_states: pmcs_core::engine::DEFAULT_MAX_STATES,
             cross_validate: 0,
@@ -90,12 +87,8 @@ impl Default for AnalysisConfig {
 pub struct CliOverrides {
     /// `--jobs N`.
     pub jobs: Option<usize>,
-    /// `--no-cache` (as `Some(false)`) / `--cache` (as `Some(true)`).
-    pub cache: Option<bool>,
     /// `--audit` / `--no-audit`.
     pub audit: Option<bool>,
-    /// `--max-states N`.
-    pub max_states: Option<usize>,
     /// `--cross-validate N`.
     pub cross_validate: Option<usize>,
     /// `--emit-certs`.
@@ -152,23 +145,16 @@ impl AnalysisConfig {
         });
         AnalysisConfig {
             jobs,
-            cache: cli.cache.unwrap_or(defaults.cache),
             audit,
-            max_states: cli.max_states.unwrap_or(defaults.max_states).max(1),
             cross_validate,
             emit_certs,
+            ..defaults
         }
     }
 
     /// A copy with a different worker count (convenience for sweeps).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// A copy with the delay cache enabled or disabled.
-    pub fn with_cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -194,7 +180,6 @@ mod tests {
     fn defaults_are_single_threaded_cached_unaudited() {
         let cfg = AnalysisConfig::default();
         assert_eq!(cfg.jobs, 1);
-        assert!(cfg.cache);
         assert!(!cfg.audit);
         assert!(cfg.max_states > 0);
     }
@@ -203,16 +188,12 @@ mod tests {
     fn explicit_flags_win() {
         let cfg = AnalysisConfig::resolve(&CliOverrides {
             jobs: Some(3),
-            cache: Some(false),
             audit: Some(true),
-            max_states: Some(7),
             cross_validate: Some(5),
             emit_certs: Some(true),
         });
         assert_eq!(cfg.jobs, 3);
-        assert!(!cfg.cache);
         assert!(cfg.audit);
-        assert_eq!(cfg.max_states, 7);
         assert_eq!(cfg.cross_validate, 5);
         assert!(cfg.emit_certs);
     }
@@ -221,21 +202,17 @@ mod tests {
     fn zero_requests_are_clamped() {
         let cfg = AnalysisConfig::resolve(&CliOverrides {
             jobs: Some(0),
-            max_states: Some(0),
             ..CliOverrides::default()
         });
         assert_eq!(cfg.jobs, 1);
-        assert_eq!(cfg.max_states, 1);
     }
 
     #[test]
     fn builder_helpers_compose() {
         let cfg = AnalysisConfig::default()
             .with_jobs(4)
-            .with_cache(false)
             .with_cross_validate(3);
         assert_eq!(cfg.jobs, 4);
-        assert!(!cfg.cache);
         assert_eq!(cfg.cross_validate, 3);
     }
 

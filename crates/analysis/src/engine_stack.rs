@@ -7,7 +7,7 @@
 //! place, from one [`AnalysisConfig`], as plain decorator layers:
 //!
 //! ```text
-//! SharedCachedEngine     (cfg.cache — window-level delay-bound memo)
+//! SharedCachedEngine     (always — window-level delay-bound memo)
 //!   └─ AuditedEngine     (cfg.audit — cross-check vs audited MILP)
 //!        └─ ExactEngine  (always — memoized-DP base, cfg.max_states)
 //! ```
@@ -171,18 +171,17 @@ pub struct EngineStack {
 
 impl EngineStack {
     /// Assembles the stack described by `cfg`; the window-cache layer
-    /// (when `cfg.cache` is on) gets a private one-shard cache.
+    /// gets a private one-shard cache.
     pub fn build(cfg: &AnalysisConfig) -> Self {
         let private = SharedDelayCache::with_config(1, DEFAULT_CAPACITY);
         Self::build_with_cache(cfg, Arc::new(private))
     }
 
     /// Like [`build`](EngineStack::build), but the window-cache layer
-    /// (when `cfg.cache` is on) reads and writes `shared`, so every stack
-    /// handed the same `Arc` — bench workers, server threads — shares one
-    /// warm cache. Bounds are content-addressed, so results are
-    /// identical either way; only hit/miss telemetry depends on who
-    /// solved a window first. With `cfg.cache` off the `Arc` is ignored.
+    /// reads and writes `shared`, so every stack handed the same `Arc` —
+    /// bench workers, server threads — shares one warm cache. Bounds are
+    /// content-addressed, so results are identical either way; only
+    /// hit/miss telemetry depends on who solved a window first.
     pub fn build_with_cache(cfg: &AnalysisConfig, shared: Arc<SharedDelayCache>) -> Self {
         // Each layer wraps the pile once and names itself around the
         // name of what it wraps, so the description cannot drift from
@@ -194,11 +193,10 @@ impl EngineStack {
             engine = Box::new(AuditedEngine::new(engine));
             layers = format!("audited({layers})");
         }
-        if cfg.cache {
-            engine = Box::new(SharedCachedEngine::new(engine, shared));
-            layers = format!("cached({layers})");
+        EngineStack {
+            engine: Box::new(SharedCachedEngine::new(engine, shared)),
+            layers: format!("cached({layers})"),
         }
-        EngineStack { engine, layers }
     }
 
     /// Hit/miss counters of every caching layer in the stack.
@@ -253,9 +251,8 @@ mod tests {
         let reference = ExactEngine::default()
             .max_total_delay(&w)
             .expect("engine result");
-        for (cache, audit) in [(false, false), (true, false), (false, true), (true, true)] {
+        for audit in [false, true] {
             let cfg = AnalysisConfig {
-                cache,
                 audit,
                 ..AnalysisConfig::default()
             };
@@ -275,17 +272,6 @@ mod tests {
         let stats = stack.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn uncached_stack_reports_zero_stats() {
-        let cfg = AnalysisConfig {
-            cache: false,
-            ..AnalysisConfig::default()
-        };
-        let stack = EngineStack::build(&cfg);
-        let _ = stack.max_total_delay(&demo_window()).expect("stack result");
-        assert_eq!(stack.cache_stats(), CacheStats::default());
     }
 
     #[test]
@@ -318,14 +304,8 @@ mod tests {
 
     #[test]
     fn layer_names_follow_the_wrapping_order() {
-        for (cache, audit, expected) in [
-            (false, false, "exact"),
-            (true, false, "cached(exact)"),
-            (false, true, "audited(exact)"),
-            (true, true, "cached(audited(exact))"),
-        ] {
+        for (audit, expected) in [(false, "cached(exact)"), (true, "cached(audited(exact))")] {
             let cfg = AnalysisConfig {
-                cache,
                 audit,
                 ..AnalysisConfig::default()
             };

@@ -6,7 +6,7 @@
 //! [`Analyzer`] trait returning one [`ApproachReport`] shape. A dynamic
 //! [`Registry`] replaces the old
 //! fixed-arity `[bool; 4]` dispatch, and the delay-engine configuration
-//! (cache, audit, solver limits, worker count) lives in one typed
+//! (audit, solver limits, worker count) lives in one typed
 //! [`AnalysisConfig`] resolved exactly once at the CLI edge.
 //!
 //! ```text

@@ -28,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same set + same config → identical reports, for every registered
-    /// analyzer, with and without the cache layer.
+    /// analyzer.
     #[test]
     fn analyzers_are_deterministic(
         n in 3usize..=5,
@@ -37,13 +37,12 @@ proptest! {
     ) {
         let set = random_set(n, util_step, seed);
         let registry = Registry::standard();
-        for cfg in [AnalysisConfig::default(), AnalysisConfig::default().with_cache(false)] {
-            for analyzer in registry.iter() {
-                let a = analyzer.analyze(&set, &cfg).expect("analysis");
-                let b = analyzer.analyze(&set, &cfg).expect("analysis");
-                prop_assert_eq!(&a, &b, "{} is nondeterministic", analyzer.name());
-                prop_assert_eq!(a.tasks.len(), set.len());
-            }
+        let cfg = AnalysisConfig::default();
+        for analyzer in registry.iter() {
+            let a = analyzer.analyze(&set, &cfg).expect("analysis");
+            let b = analyzer.analyze(&set, &cfg).expect("analysis");
+            prop_assert_eq!(&a, &b, "{} is nondeterministic", analyzer.name());
+            prop_assert_eq!(a.tasks.len(), set.len());
         }
     }
 

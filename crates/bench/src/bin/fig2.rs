@@ -4,22 +4,19 @@
 //!
 //! ```text
 //! cargo run --release -p pmcs-bench --bin fig2 -- <a|b|c|d|e|f|all> \
-//!     [--sets N] [--seed S] [--jobs N] [--no-cache] [--audit] \
-//!     [--cross-validate N] [--baseline] [--emit-certs]
+//!     [--sets N] [--seed S] [--jobs N] [--audit] \
+//!     [--cross-validate N] [--emit-certs]
 //! ```
 //!
 //! Execution knobs resolve through `AnalysisConfig::resolve` at this CLI
 //! edge (flag > environment > default): `--jobs N` beats `PMCS_JOBS`
 //! beats all cores, `--audit` beats `PMCS_AUDIT`; results are
-//! byte-identical for every thread count. `--no-cache` disables the
-//! window-level delay-bound cache. `--cross-validate N` (or
-//! `PMCS_CROSS_VALIDATE`)
-//! simulates every analyzed set under `N` adversarial release plans per
-//! approach, validates the traces, and checks observed worst responses
-//! against the analytical WCRT bounds; any refutation is printed as a
-//! machine-readable line (identical for every thread count) and makes
-//! the binary exit nonzero. `--baseline` additionally reruns everything
-//! single-threaded and uncached to measure the parallel speedup.
+//! byte-identical for every thread count. `--cross-validate N` (or
+//! `PMCS_CROSS_VALIDATE`) simulates every analyzed set under `N`
+//! adversarial release plans per approach, validates the traces, and
+//! checks observed worst responses against the analytical WCRT bounds;
+//! any refutation is printed as a machine-readable line (identical for
+//! every thread count) and makes the binary exit nonzero.
 //! `--emit-certs` (or `PMCS_EMIT_CERTS=1`) re-certifies every analyzed
 //! set *after* the timed sweep — the proposed analysis re-runs with its
 //! proof transcript recorded and the bundle is validated by the
@@ -50,7 +47,6 @@ fn main() {
     let mut sets_per_point = 100usize;
     let mut seed = 0xDAC2020u64;
     let mut cli = CliOverrides::default();
-    let mut baseline = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -73,7 +69,6 @@ fn main() {
                         .expect("--jobs needs a number"),
                 );
             }
-            "--no-cache" => cli.cache = Some(false),
             "--audit" => cli.audit = Some(true),
             "--cross-validate" => {
                 cli.cross_validate = Some(
@@ -82,7 +77,6 @@ fn main() {
                         .expect("--cross-validate needs a number of plans"),
                 );
             }
-            "--baseline" => baseline = true,
             "--emit-certs" => cli.emit_certs = Some(true),
             "all" => insets.extend(Fig2Inset::ALL),
             other => match Fig2Inset::parse(other) {
@@ -106,19 +100,17 @@ fn main() {
     let mut failures = 0usize;
     let mut sim = pmcs_analysis::SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();
-    let mut rows_by_inset = Vec::new();
     let mut solver_by_label: Vec<(String, DpStats)> = Vec::new();
     let started = Instant::now();
     for &inset in &insets {
         let inset_started = Instant::now();
         let points = fig2_inset(inset);
         println!(
-            "=== Figure 2({}) — {} [{} sets/point, seed {seed}, {} jobs, cache {}] ===",
+            "=== Figure 2({}) — {} [{} sets/point, seed {seed}, {} jobs] ===",
             inset.letter(),
             inset.description(),
             sets_per_point,
             cfg.jobs,
-            if cfg.cache { "on" } else { "off" },
         );
         let outcome = sweep_with(&points, sets_per_point, seed, &registry, &cfg);
         println!(
@@ -171,42 +163,15 @@ fn main() {
                 secs: *secs,
             });
         }
-        rows_by_inset.push((inset, outcome.rows));
     }
     perf.wall_secs = started.elapsed().as_secs_f64();
     perf.cache = cache_stats;
     perf.extra_num("sets_per_point", sets_per_point as f64);
     perf.extra_num("analysis_failures", failures as f64);
-    perf.extra_str("cache_enabled", if cfg.cache { "yes" } else { "no" });
     for (label, stats) in &solver_by_label {
         perf.extra_solver(&format!("solver_{label}"), *stats);
     }
     perf.extra_sim(&sim);
-
-    if baseline {
-        // Rerun single-threaded and uncached for the speedup record, and
-        // check the determinism contract on the way.
-        let base_started = Instant::now();
-        let base_cfg = cfg.clone().with_jobs(1).with_cache(false);
-        for (inset, rows) in &rows_by_inset {
-            let points = fig2_inset(*inset);
-            let base = sweep_with(&points, sets_per_point, seed, &registry, &base_cfg);
-            assert_eq!(
-                &base.rows,
-                rows,
-                "fig2{}: single-threaded uncached rows diverged",
-                inset.letter()
-            );
-        }
-        let baseline_secs = base_started.elapsed().as_secs_f64();
-        let speedup = baseline_secs / perf.wall_secs.max(1e-9);
-        perf.extra_num("baseline_secs", baseline_secs);
-        perf.extra_num("speedup_vs_serial_uncached", speedup);
-        println!(
-            "baseline (1 job, no cache): {baseline_secs:.1}s → speedup {speedup:.2}× \
-             (rows byte-identical)"
-        );
-    }
 
     // Certificate pass: outside every timed region and after the CSVs
     // are written, so measured rows are byte-identical with the flag on

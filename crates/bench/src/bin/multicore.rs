@@ -5,8 +5,7 @@
 //! ```text
 //! cargo run --release -p pmcs-bench --bin multicore -- \
 //!     [--cores M] [--sets N] [--seed S] [--period TICKS] \
-//!     [--util U] [--gamma G] [--jobs N] [--no-cache] \
-//!     [--cross-validate N]
+//!     [--util U] [--gamma G] [--jobs N] [--cross-validate N]
 //! ```
 //!
 //! Sweeps per-core regulation budgets (fractions of the fair share
@@ -98,7 +97,6 @@ fn main() {
                         .expect("--jobs needs a number"),
                 );
             }
-            "--no-cache" => cli.cache = Some(false),
             "--cross-validate" => {
                 plans_flag = Some(
                     it.next()
@@ -186,10 +184,6 @@ fn main() {
     perf.extra_num("sets_per_level", mc.sets as f64);
     perf.extra_num("analysis_failures", failures as f64);
     perf.extra_num("bus_transfers_checked", out.transfers as f64);
-    perf.extra_str(
-        "cache_enabled",
-        if mc.analysis.cache { "yes" } else { "no" },
-    );
     perf.extra_solver("solver_total", out.solver);
     perf.extra_sim(&out.sim);
     let path = perf.write().expect("write perf record");

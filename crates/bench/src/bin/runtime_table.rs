@@ -9,10 +9,9 @@
 //!
 //! The nine configurations run on the worker pool (`--jobs N` /
 //! `PMCS_JOBS`, resolved at this CLI edge). Per-set timings use a
-//! **fresh** engine stack per task set (pass `--no-cache` for an
-//! uncached stack), so each measurement reflects one cold analysis
-//! rather than cross-set memoization. A perf record goes to
-//! `BENCH_runtime_table.json`.
+//! **fresh** engine stack per task set, so each measurement reflects
+//! one cold analysis rather than cross-set memoization. A perf record
+//! goes to `BENCH_runtime_table.json`.
 //!
 //! With `--cross-validate N` (or `PMCS_CROSS_VALIDATE`), every analyzed
 //! set is additionally simulated under `N` adversarial release plans
@@ -28,8 +27,7 @@
 //! nonzero.
 //!
 //! Usage: `cargo run --release -p pmcs-bench --bin runtime_table -- \
-//!     [--sets N] [--n N] [--jobs N] [--no-cache] [--cross-validate N] \
-//!     [--emit-certs]`
+//!     [--sets N] [--n N] [--jobs N] [--cross-validate N] [--emit-certs]`
 //!
 //! `--n N` restricts the sweep to the configurations with exactly `N`
 //! tasks per set (repeatable); the default sweeps n ∈ {4, 6, 8, 10, 12}.
@@ -91,7 +89,6 @@ fn main() {
             "--jobs" => {
                 cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
             }
-            "--no-cache" => cli.cache = Some(false),
             "--cross-validate" => {
                 cli.cross_validate = Some(
                     args.next()
@@ -245,7 +242,6 @@ fn main() {
         .join(" ");
     perf.extra_str("max_states_schedule", &memo_schedule);
     perf.extra_num("analysis_failures", failures as f64);
-    perf.extra_str("cache_enabled", if cfg.cache { "yes" } else { "no" });
     perf.extra_sim(&sim);
 
     // Certificate pass: after the timed measurements, regenerate every

@@ -4,7 +4,7 @@
 //! ([`crate::parallel`]); every item derives its RNG stream from
 //! `(base_seed, point_index, set_index)` via [`derive_seed`], so the
 //! measured ratios — and the CSVs derived from them — are byte-identical
-//! for every thread count and cache configuration. Each worker analyzes
+//! for every thread count. Each worker analyzes
 //! through its own [`AnalysisContext`] (engine stack built from the
 //! [`AnalysisConfig`]), memoizing delay bounds across fixed-point
 //! iterations, greedy rounds, and task sets.
@@ -229,8 +229,8 @@ fn cross_validate_item(
 /// measures the schedulability ratio of every registered approach.
 ///
 /// The rows depend only on `(points, sets_per_point, base_seed,
-/// registry)` — never on `cfg`'s execution knobs (thread count and
-/// caching change wall-clock and telemetry, not results).
+/// registry)` — never on `cfg`'s execution knobs (the thread count
+/// changes wall-clock and telemetry, not results).
 pub fn sweep_with(
     points: &[SweepPoint],
     sets_per_point: usize,
@@ -418,22 +418,6 @@ mod tests {
         assert_eq!(out.solver.len(), out.labels.len());
         assert!(out.solver[0].nodes > 0);
         assert!(out.solver[1].is_empty());
-    }
-
-    #[test]
-    fn caching_does_not_change_rows() {
-        let points = small_points();
-        let registry = Registry::standard();
-        let cached = sweep_with(&points, 5, 7, &registry, &AnalysisConfig::default());
-        let uncached = sweep_with(
-            &points,
-            5,
-            7,
-            &registry,
-            &AnalysisConfig::default().with_cache(false),
-        );
-        assert_eq!(cached.rows, uncached.rows);
-        assert_eq!(uncached.cache, CacheStats::default());
     }
 
     /// An analyzer whose analysis always fails, to observe the failure

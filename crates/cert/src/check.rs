@@ -6,7 +6,7 @@
 //! replay that references those — sharing **no** code with the producing
 //! analysis. Each rejected step yields a [`Rejection`] whose `code` is a
 //! stable machine-readable identifier (e.g. `dp.bellman-mismatch`,
-//! `wcrt.unproven-window`, `sched.stale-reuse`) suitable for scripting
+//! `wcrt.unproven-window`, `sched.unproven-task`) suitable for scripting
 //! and CI assertions.
 
 use std::collections::HashMap;
@@ -16,7 +16,7 @@ use crate::types::{
     CertCase, CertTaskSet, CertWcrtStep, CertificateSet, DelayCertificate, SchedCertificate,
     UpperProof, WcrtCertificate, CERT_FORMAT_VERSION,
 };
-use crate::window::{build_window, ls_case_b, promotion_affects};
+use crate::window::{build_window, ls_case_b};
 
 /// Cap on fixed-point steps per task certificate (mirrors the producing
 /// analyzer's iteration cap).
@@ -577,9 +577,6 @@ fn check_sched_cert(
         }
     }
 
-    // `fresh_in[idx]` remembers, per set index, the round and values of
-    // the latest fresh analysis.
-    let mut fresh_in: Vec<Option<(usize, i64, bool)>> = vec![None; task_set.tasks.len()];
     let last = cert.rounds.len() - 1;
     for (r, round) in cert.rounds.iter().enumerate() {
         let mut marking: Vec<u32> = cert.promoted[..r].to_vec();
@@ -596,61 +593,25 @@ fn check_sched_cert(
                     ),
                 ));
             }
-            if entry.fresh {
-                let proof = wcrts.get(&(entry.task, marking.clone())).ok_or_else(|| {
-                    Rejection::new(
-                        "sched.unproven-task",
-                        format!(
-                            "{ctx}: round {r} has no accepted certificate for τ{} under \
-                             marking {:?}",
-                            entry.task, marking
-                        ),
-                    )
-                })?;
-                if proof.wcrt != entry.wcrt || proof.schedulable != entry.schedulable {
-                    return Err(Rejection::new(
-                        "sched.entry-mismatch",
-                        format!(
-                            "{ctx}: round {r} records wcrt {} for τ{} but its certificate \
-                             proves {}",
-                            entry.wcrt, entry.task, proof.wcrt
-                        ),
-                    ));
-                }
-                fresh_in[i] = Some((r, entry.wcrt, entry.schedulable));
-            } else {
-                let (r0, wcrt, schedulable) = fresh_in[i].ok_or_else(|| {
-                    Rejection::new(
-                        "sched.stale-reuse",
-                        format!(
-                            "{ctx}: round {r} reuses τ{} never analyzed fresh before",
-                            entry.task
-                        ),
-                    )
-                })?;
-                // Every promotion since the fresh analysis must be
-                // provably inert for this task.
-                for q in r0..r {
-                    if promotion_affects(task_set, cert.promoted[q], entry.task) {
-                        return Err(Rejection::new(
-                            "sched.stale-reuse",
-                            format!(
-                                "{ctx}: round {r} reuses τ{} across the non-inert promotion \
-                                 of τ{}",
-                                entry.task, cert.promoted[q]
-                            ),
-                        ));
-                    }
-                }
-                if wcrt != entry.wcrt || schedulable != entry.schedulable {
-                    return Err(Rejection::new(
-                        "sched.entry-mismatch",
-                        format!(
-                            "{ctx}: round {r} reuses τ{} with wcrt {} but round {r0} proved {}",
-                            entry.task, entry.wcrt, wcrt
-                        ),
-                    ));
-                }
+            let proof = wcrts.get(&(entry.task, marking.clone())).ok_or_else(|| {
+                Rejection::new(
+                    "sched.unproven-task",
+                    format!(
+                        "{ctx}: round {r} has no accepted certificate for τ{} under \
+                         marking {:?}",
+                        entry.task, marking
+                    ),
+                )
+            })?;
+            if proof.wcrt != entry.wcrt || proof.schedulable != entry.schedulable {
+                return Err(Rejection::new(
+                    "sched.entry-mismatch",
+                    format!(
+                        "{ctx}: round {r} records wcrt {} for τ{} but its certificate \
+                         proves {}",
+                        entry.wcrt, entry.task, proof.wcrt
+                    ),
+                ));
             }
         }
 
@@ -793,7 +754,6 @@ mod tests {
                     task: 0,
                     wcrt: 17,
                     schedulable: true,
-                    fresh: true,
                 }],
             }],
             promoted: vec![],
@@ -893,5 +853,24 @@ mod tests {
         bundle.version = 99;
         let report = check_certificate_set(&bundle);
         assert_eq!(report.rejections[0].code, "format.version");
+    }
+
+    /// A version-1 bundle whose round entry claims a verdict reused
+    /// across rounds (`"fresh":false`) still decodes — unknown members
+    /// are ignored — and is rejected by its version, not misread.
+    #[test]
+    fn v1_bundle_claiming_reuse_is_rejected_by_version() {
+        let v2 = crate::encode_certificate_set(&singleton_bundle());
+        let entry = r#"{"task":0,"wcrt":17,"schedulable":true}"#;
+        assert!(v2.starts_with(r#"{"version":2,"#) && v2.contains(entry));
+        let v1 = v2.replacen(r#""version":2"#, r#""version":1"#, 1).replacen(
+            entry,
+            r#"{"task":0,"wcrt":17,"schedulable":true,"fresh":false}"#,
+            1,
+        );
+        let decoded = crate::decode_certificate_set(&v1).expect("v1 bundle decodes");
+        let report = check_certificate_set(&decoded);
+        let codes: Vec<&str> = report.rejections.iter().map(|r| r.code.as_str()).collect();
+        assert_eq!(codes, ["format.version"]);
     }
 }

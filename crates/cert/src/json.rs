@@ -672,7 +672,6 @@ fn encode_sched_cert(c: &SchedCertificate) -> Value {
                                         ("task", int(e.task)),
                                         ("wcrt", int(e.wcrt)),
                                         ("schedulable", Value::Bool(e.schedulable)),
-                                        ("fresh", Value::Bool(e.fresh)),
                                     ])
                                 })
                                 .collect(),
@@ -698,7 +697,6 @@ fn decode_sched_cert(v: &Value) -> Result<SchedCertificate, String> {
                 task: e.req("task")?.as_u32()?,
                 wcrt: e.req("wcrt")?.as_i64()?,
                 schedulable: e.req("schedulable")?.as_bool()?,
-                fresh: e.req("fresh")?.as_bool()?,
             });
         }
         rounds.push(CertRound { entries });

@@ -42,4 +42,4 @@ pub use types::{
     CertWcrtStep, CertWindow, CertWindowTask, CertificateSet, DelayCertificate, DpEntry,
     SchedCertificate, UpperProof, WcrtCertificate, CERT_FORMAT_VERSION,
 };
-pub use window::{build_window, eta, ls_case_b, promotion_affects};
+pub use window::{build_window, eta, ls_case_b};

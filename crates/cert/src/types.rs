@@ -11,7 +11,7 @@
 use crate::hash::Fnv64;
 
 /// Format version of [`CertificateSet`]; bumped on incompatible changes.
-pub const CERT_FORMAT_VERSION: u32 = 1;
+pub const CERT_FORMAT_VERSION: u32 = 2;
 
 /// Arrival model of a task, as the checker's independent η re-derivation
 /// needs it (mirrors the paper's arrival curves, not any model-crate
@@ -306,12 +306,9 @@ pub struct CertRoundEntry {
     pub task: u32,
     /// WCRT bound used for the verdict, in ticks.
     pub wcrt: i64,
-    /// The verdict.
+    /// The verdict (a [`WcrtCertificate`] under this round's marking
+    /// must prove it).
     pub schedulable: bool,
-    /// `true` iff the analysis was computed fresh this round (then a
-    /// [`WcrtCertificate`] under this round's marking must exist);
-    /// `false` iff it was carried over an inert promotion.
-    pub fresh: bool,
 }
 
 /// One greedy LS-marking round.

@@ -2,15 +2,14 @@
 //!
 //! This module re-implements — from the paper, not from `pmcs-core` —
 //! the arrival curve η, the window construction of Theorem 1 /
-//! Corollary 1, the LS case (b) closed form, and the promotion-inertness
-//! predicate used by the greedy marking. A [`WcrtCertificate`] does not
-//! get to *describe* its windows; the checker rebuilds each one from the
-//! task set and the claimed marking and compares content hashes, so a
-//! certificate for the wrong window is rejected outright.
+//! Corollary 1 and the LS case (b) closed form. A [`WcrtCertificate`]
+//! does not get to *describe* its windows; the checker rebuilds each one
+//! from the task set and the claimed marking and compares content hashes,
+//! so a certificate for the wrong window is rejected outright.
 //!
 //! [`WcrtCertificate`]: crate::types::WcrtCertificate
 
-use crate::types::{CertArrival, CertCase, CertTask, CertTaskSet, CertWindow, CertWindowTask};
+use crate::types::{CertArrival, CertCase, CertTaskSet, CertWindow, CertWindowTask};
 
 /// Ceiling division for positive divisors (`a` may be any sign).
 fn div_ceil(a: i64, b: i64) -> i64 {
@@ -180,35 +179,10 @@ pub fn ls_case_b(w: &CertWindow) -> i64 {
     best + w.copy_out_i
 }
 
-/// Whether promoting `promoted` to LS can change the analysis of
-/// `analyzed` (the reuse-soundness predicate of the greedy marking).
-///
-/// Promotion is *inert* for `analyzed` unless the promoted task is the
-/// analyzed task itself, has a nonzero copy-in (its window demand
-/// changes), or is higher priority than some third task (its urgency can
-/// reshape that task's windows transitively).
-pub fn promotion_affects(set: &CertTaskSet, promoted: u32, analyzed: u32) -> bool {
-    if promoted == analyzed {
-        return true;
-    }
-    let pj: &CertTask = match set.tasks.iter().find(|t| t.id == promoted) {
-        Some(t) => t,
-        // Unknown promoted task: conservatively affected (the production
-        // side treats this identically; the sched checker separately
-        // rejects promotions of unknown tasks).
-        None => return true,
-    };
-    if pj.copy_in > 0 {
-        return true;
-    }
-    set.tasks
-        .iter()
-        .any(|t| t.id != analyzed && t.id != promoted && higher(pj.priority, t.priority))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::CertTask;
 
     fn sporadic(t: i64) -> CertArrival {
         CertArrival::Sporadic {
@@ -293,26 +267,5 @@ mod tests {
         let w2 = build_window(&set, 1, &[], CertCase::Nls, 50).expect("build");
         assert!(!w2.tasks[0].ls);
         assert_ne!(w.content_hash(), w2.content_hash());
-    }
-
-    #[test]
-    fn promotion_affects_cases() {
-        let set = CertTaskSet {
-            tasks: vec![
-                task(0, 0, 5, 0, 1, 100),
-                task(1, 1, 7, 2, 2, 50),
-                task(2, 2, 9, 0, 3, 40),
-            ],
-        };
-        // Self-promotion always affects.
-        assert!(promotion_affects(&set, 1, 1));
-        // Nonzero copy-in affects everyone.
-        assert!(promotion_affects(&set, 1, 0));
-        // Zero copy-in, promoted is higher priority than a third task.
-        assert!(promotion_affects(&set, 0, 2));
-        // Zero copy-in, lowest priority, no third task below: inert.
-        assert!(!promotion_affects(&set, 2, 0));
-        // Unknown promoted id: conservatively affected.
-        assert!(promotion_affects(&set, 9, 0));
     }
 }

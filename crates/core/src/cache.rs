@@ -32,9 +32,9 @@
 //! CPU demand by `l_j`) or some window task has strictly lower priority
 //! (cancellation victims exist, rules R3/R4) — the inertness rule of
 //! [`WindowModel::ls_inert`], which the DP engine applies too. A promotion of a
-//! zero-copy-in, lowest-priority task therefore invalidates *no* window of
-//! the other tasks — the property [`promotion_affects`] exposes to the
-//! greedy loop.
+//! zero-copy-in, lowest-priority task therefore changes the key of *no*
+//! window of the other tasks: their re-analysis in the next greedy round
+//! hits the cache window by window.
 //!
 //! ## Determinism
 //!
@@ -43,8 +43,6 @@
 //! `SharedCachedEngine` is property-tested against its inner engine in
 //! `tests/cache_consistency.rs`. The only observable difference is the
 //! `nodes` effort counter of a hit (the stored value is returned).
-//!
-//! [`promotion_affects`]: crate::schedulability::promotion_affects
 
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;

@@ -192,7 +192,7 @@ pub fn certify_window_dp(
 
 /// Runs the greedy schedulability analysis and emits the full certificate
 /// bundle for it: one [`DelayCertificate`] per distinct window solved, one
-/// [`WcrtCertificate`] per fresh task analysis, and the set-level
+/// [`WcrtCertificate`] per task analysis, and the set-level
 /// [`SchedCertificate`] transcript.
 ///
 /// The returned report is the ordinary analysis result — certification
@@ -229,13 +229,10 @@ pub fn certify_task_set(
                 task: entry.task.0,
                 wcrt: entry.wcrt.as_ticks(),
                 schedulable: entry.schedulable,
-                fresh: entry.fresh.is_some(),
             });
             // Each round has its own marking and scans each task at most
-            // once, so every fresh entry gets its own task certificate.
-            let Some(ttrace) = &entry.fresh else {
-                continue;
-            };
+            // once, so every entry gets its own task certificate.
+            let ttrace = &entry.trace;
             let steps = certify_steps(
                 engine,
                 &current,

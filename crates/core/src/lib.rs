@@ -70,8 +70,8 @@ pub use partitioning::{
 };
 pub use protocol::{ProtocolRule, RULES};
 pub use schedulability::{
-    analyze_task_set, analyze_task_set_traced, promotion_affects, GreedyTrace, LsAssignment,
-    RoundEntry, SchedulabilityReport, TaskVerdict,
+    analyze_task_set, analyze_task_set_traced, GreedyTrace, LsAssignment, RoundEntry,
+    SchedulabilityReport, TaskVerdict,
 };
 pub use session::{AnalysisSession, SessionStats};
 pub use wcrt::{DelayEngine, TaskAnalysis, TaskTrace, TraceStep, WcrtAnalyzer};

@@ -8,11 +8,12 @@
 //! that is *already* LS misses its deadline, the set is deemed
 //! unschedulable.
 //!
-//! Re-analysis after a promotion skips every task whose windows the
-//! promotion provably cannot change (see [`promotion_affects`]): the
-//! previous round's [`TaskAnalysis`] is reused verbatim. Combined with a
-//! [`SharedCachedEngine`](crate::SharedCachedEngine) this makes greedy rounds after
-//! the first one cheap.
+//! Every round re-runs the fixed point of every task it scans. The
+//! windows a promotion leaves unchanged still repeat, and a
+//! [`SharedCachedEngine`](crate::SharedCachedEngine) answers those from its
+//! cache: its key drops the LS flags that
+//! [`WindowModel::ls_inert`](crate::window::WindowModel::ls_inert) proves
+//! inert.
 
 use std::fmt;
 
@@ -20,43 +21,7 @@ use pmcs_model::{Sensitivity, TaskId, TaskSet, Time};
 
 use crate::error::CoreError;
 use crate::session::{AnalysisSession, VerdictCache, VerdictKey};
-use crate::wcrt::{DelayEngine, TaskAnalysis, TaskTrace, WcrtAnalyzer};
-
-/// `true` iff promoting `promoted` to latency-sensitive can change the
-/// WCRT analysis of `analyzed`.
-///
-/// The analysis windows of `analyzed` contain every other task of the
-/// set, so a promotion flips the LS bit of `promoted` inside all of them.
-/// That bit is *inert*, however, when both
-///
-/// * `promoted` has a zero copy-in — an urgent execution then has exactly
-///   the CPU demand of a plain one, and no cancellation charge can be
-///   attributed to its prefetch; and
-/// * no third task has strictly lower priority than `promoted` — rules
-///   R3/R4 (Constraint 8) let an LS task trigger cancellations and urgent
-///   executions only at the expense of a lower-priority victim, so with no
-///   victim the flag enables nothing.
-///
-/// This is [`WindowModel::ls_inert`](crate::window::WindowModel::ls_inert)
-/// asked of `promoted` in the windows of `analyzed`, the rule
-/// [`cache::WindowKey`](crate::cache::WindowKey) and the DP engine apply,
-/// so a "not affected" verdict is exact, not heuristic: every window of
-/// `analyzed` before and after the promotion maps to the same canonical
-/// key and the same delay bound.
-pub fn promotion_affects(set: &TaskSet, promoted: TaskId, analyzed: TaskId) -> bool {
-    if promoted == analyzed {
-        return true;
-    }
-    let Some(pj) = set.get(promoted) else {
-        return true; // Unknown task: be conservative.
-    };
-    if pj.copy_in() > Time::ZERO {
-        return true;
-    }
-    set.iter().any(|t| {
-        t.id() != analyzed && t.id() != promoted && pj.priority().is_higher_than(t.priority())
-    })
-}
+use crate::wcrt::{DelayEngine, TaskTrace, WcrtAnalyzer};
 
 /// Per-task verdict in a [`SchedulabilityReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,16 +168,14 @@ pub struct RoundEntry {
     pub wcrt: Time,
     /// `wcrt ≤ deadline`.
     pub schedulable: bool,
-    /// The fixed-point transcript when the analysis ran fresh this round;
-    /// `None` when the verdict was reused from an earlier round across a
-    /// provably inert promotion (see [`promotion_affects`]).
-    pub fresh: Option<TaskTrace>,
+    /// The fixed-point transcript of the analysis.
+    pub trace: TaskTrace,
 }
 
 /// Transcript of a greedy LS-marking run: per round the scanned tasks in
-/// priority order with the fixed-point transcript of every fresh
-/// analysis, plus the promotion sequence — everything certificate
-/// emission needs to prove the verdicts and the marking decisions.
+/// priority order with the fixed-point transcript of each analysis, plus
+/// the promotion sequence — everything certificate emission needs to
+/// prove the verdicts and the marking decisions.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GreedyTrace {
     /// One entry list per round, in scan order (a prefix of the set's
@@ -236,96 +199,70 @@ pub fn analyze_task_set_traced(
     engine: &impl DelayEngine,
 ) -> Result<(SchedulabilityReport, GreedyTrace), CoreError> {
     let mut trace = GreedyTrace::default();
-    let report = greedy_analyze(set, engine, true, Some(&mut trace), None)?;
+    let report = greedy_analyze(set, engine, Analyses::Traced(&mut trace))?;
     Ok((report, trace))
 }
 
-/// [`analyze_task_set`] with the cross-round verdict reuse disabled:
-/// every greedy round re-runs every task's fixed point from scratch.
-///
-/// Exists only as a differential-testing oracle for the reuse logic; it is
-/// never faster and never gives a different report.
-#[doc(hidden)]
-pub fn analyze_task_set_no_reuse(
-    set: &TaskSet,
-    engine: &impl DelayEngine,
-) -> Result<SchedulabilityReport, CoreError> {
-    greedy_analyze(set, engine, false, None, None)
+/// How [`greedy_analyze`] obtains each per-task analysis.
+pub(crate) enum Analyses<'a> {
+    /// Run every fixed point traced and record it in the transcript.
+    Traced(&'a mut GreedyTrace),
+    /// Look every fixed point up in a session-lifetime content-addressed
+    /// cache under its [`VerdictKey`] before running it, and store it
+    /// after, so verdicts survive across session operations.
+    Cached(&'a mut VerdictCache),
 }
 
 /// The greedy LS-marking loop shared by every analysis entry point:
-/// batch ([`analyze_task_set`]), traced ([`analyze_task_set_traced`]),
-/// the no-reuse oracle, and incremental
-/// [`AnalysisSession`](crate::AnalysisSession) operations.
-///
-/// `verdicts`, when present, is a session-lifetime content-addressed
-/// cache of per-task analyses: each fixed point is looked up under its
-/// [`VerdictKey`] before running and stored after. This is orthogonal to
-/// the *round-level* `carried` reuse (which survives provably inert
-/// promotions within one call) — the cache additionally survives across
-/// calls, i.e. across session operations. A traced run bypasses the
-/// cache: every fresh analysis runs traced.
+/// batch ([`analyze_task_set`]) and incremental
+/// [`AnalysisSession`](crate::AnalysisSession) operations run it
+/// [`Cached`](Analyses::Cached), [`analyze_task_set_traced`] runs it
+/// [`Traced`](Analyses::Traced).
 pub(crate) fn greedy_analyze(
     set: &TaskSet,
     engine: &impl DelayEngine,
-    reuse: bool,
-    mut trace: Option<&mut GreedyTrace>,
-    mut verdict_cache: Option<&mut VerdictCache>,
+    mut analyses: Analyses<'_>,
 ) -> Result<SchedulabilityReport, CoreError> {
     let analyzer = WcrtAnalyzer::default();
     let mut current = set.all_nls();
     let mut promoted = Vec::new();
-    // Analyses carried over from earlier rounds, indexed like the set's
-    // iteration order; an entry survives a promotion only when
-    // `promotion_affects` proves the promotion inert for that task.
-    let mut carried: Vec<Option<TaskAnalysis>> = vec![None; set.len()];
 
     // Each round either terminates or promotes one task; at most n
     // promotions are possible.
     for round in 1..=set.len() + 1 {
-        if let Some(tr) = trace.as_deref_mut() {
+        if let Analyses::Traced(tr) = &mut analyses {
             tr.rounds.push(Vec::new());
         }
         let mut verdicts = Vec::with_capacity(current.len());
         let mut failing: Option<TaskId> = None;
-        for (idx, task) in current.iter().enumerate() {
-            let mut fresh = None;
-            let analysis = match carried[idx].as_ref() {
-                Some(a) => a.clone(),
-                None => {
-                    let a = if trace.is_some() {
-                        let (a, task_trace) =
-                            analyzer.analyze_task_traced(&current, task.id(), engine)?;
-                        fresh = Some(task_trace);
-                        a
-                    } else if let Some(cache) = verdict_cache.as_deref_mut() {
-                        let key = VerdictKey::of(&current, task.id());
-                        match cache.get(&key, task.id()) {
-                            Some(hit) => hit,
-                            None => {
-                                let a = analyzer.analyze_task(&current, task.id(), engine)?;
-                                cache.insert(key, a.clone());
-                                a
-                            }
-                        }
-                    } else {
-                        analyzer.analyze_task(&current, task.id(), engine)?
-                    };
-                    carried[idx] = Some(a.clone());
+        for task in current.iter() {
+            let analysis = match &mut analyses {
+                Analyses::Traced(tr) => {
+                    let (a, task_trace) =
+                        analyzer.analyze_task_traced(&current, task.id(), engine)?;
+                    tr.rounds
+                        .last_mut()
+                        .expect("round entry pushed above")
+                        .push(RoundEntry {
+                            task: task.id(),
+                            wcrt: a.wcrt,
+                            schedulable: a.schedulable,
+                            trace: task_trace,
+                        });
                     a
                 }
+                Analyses::Cached(cache) => {
+                    let key = VerdictKey::of(&current, task.id());
+                    match cache.get(&key, task.id()) {
+                        Some(hit) => hit,
+                        None => {
+                            let a = analyzer.analyze_task(&current, task.id(), engine)?;
+                            cache.insert(key, a.clone());
+                            a
+                        }
+                    }
+                }
             };
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.rounds
-                    .last_mut()
-                    .expect("round entry pushed above")
-                    .push(RoundEntry {
-                        task: task.id(),
-                        wcrt: analysis.wcrt,
-                        schedulable: analysis.schedulable,
-                        fresh,
-                    });
-            }
             verdicts.push(TaskVerdict {
                 task: task.id(),
                 wcrt: analysis.wcrt,
@@ -346,7 +283,7 @@ pub(crate) fn greedy_analyze(
         }
         match failing {
             None => {
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Analyses::Traced(tr) = &mut analyses {
                     tr.promoted = promoted.clone();
                     tr.schedulable = true;
                 }
@@ -360,7 +297,7 @@ pub(crate) fn greedy_analyze(
                 let is_ls = current.get(task).map(|t| t.is_ls()).unwrap_or(false);
                 if is_ls {
                     // Already LS and still missing: unschedulable.
-                    if let Some(tr) = trace.as_deref_mut() {
+                    if let Analyses::Traced(tr) = &mut analyses {
                         tr.promoted = promoted.clone();
                         tr.schedulable = false;
                     }
@@ -369,11 +306,6 @@ pub(crate) fn greedy_analyze(
                         assignment: LsAssignment { promoted },
                         rounds: round,
                     });
-                }
-                for (idx, t) in current.iter().enumerate() {
-                    if !reuse || promotion_affects(&current, task, t.id()) {
-                        carried[idx] = None;
-                    }
                 }
                 current = current.with_sensitivity(task, Sensitivity::Ls)?;
                 promoted.push(task);
@@ -420,32 +352,7 @@ mod tests {
     use super::*;
     use crate::cache::{SharedCachedEngine, SharedDelayCache};
     use crate::engine::ExactEngine;
-    use crate::wcrt::DelayBound;
-    use crate::window::{test_task, WindowModel};
-    use std::cell::Cell;
-
-    /// Wraps an engine and counts invocations, to make the greedy loop's
-    /// re-analysis skipping observable.
-    struct CountingEngine<E> {
-        inner: E,
-        calls: Cell<u64>,
-    }
-
-    impl<E> CountingEngine<E> {
-        fn new(inner: E) -> Self {
-            CountingEngine {
-                inner,
-                calls: Cell::new(0),
-            }
-        }
-    }
-
-    impl<E: DelayEngine> DelayEngine for CountingEngine<E> {
-        fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
-            self.calls.set(self.calls.get() + 1);
-            self.inner.max_total_delay(w)
-        }
-    }
+    use crate::window::test_task;
 
     #[test]
     fn easy_set_is_schedulable_without_promotions() {
@@ -512,94 +419,6 @@ mod tests {
         let r = analyze_fixed_marking(&set, &ExactEngine::default()).unwrap();
         assert_eq!(r.assignment().promoted, vec![TaskId(0)]);
         assert_eq!(r.verdict(TaskId(0)).unwrap().sensitivity, Sensitivity::Ls);
-    }
-
-    #[test]
-    fn promotion_affects_is_exact_about_inert_promotions() {
-        // τ1: zero copy-in, lowest priority → its promotion is inert for
-        // everyone else; τ0: positive copy-in → always relevant.
-        let set = TaskSet::new(vec![
-            test_task(0, 50, 5, 5, 200, 0, false),
-            test_task(1, 100, 0, 0, 1_000, 1, false),
-        ])
-        .unwrap();
-        assert!(promotion_affects(&set, TaskId(1), TaskId(1)));
-        assert!(!promotion_affects(&set, TaskId(1), TaskId(0)));
-        assert!(promotion_affects(&set, TaskId(0), TaskId(1)));
-        // With a third, even-lower task, τ1's promotion gains a victim.
-        let set3 = TaskSet::new(vec![
-            test_task(0, 50, 5, 5, 200, 0, false),
-            test_task(1, 100, 0, 0, 1_000, 1, false),
-            test_task(2, 10, 0, 3, 5_000, 2, false),
-        ])
-        .unwrap();
-        assert!(promotion_affects(&set3, TaskId(1), TaskId(0)));
-        // But τ1's promotion stays inert for τ2: inside τ2's windows the
-        // only lower-priority candidate is τ2 itself, which never appears.
-        assert!(!promotion_affects(&set3, TaskId(1), TaskId(2)));
-        // τ2 (zero copy-in, lowest priority) promotes inertly for all.
-        assert!(!promotion_affects(&set3, TaskId(2), TaskId(0)));
-    }
-
-    #[test]
-    fn inert_promotion_skips_unaffected_reanalyses() {
-        // τ1 misses as NLS, is promoted (copy-in 0, lowest priority → the
-        // promotion is provably inert for τ0), and misses again as LS.
-        // Round 2 must reuse τ0's verdict: the counting engine sees
-        // strictly fewer calls with reuse than without, with an identical
-        // report.
-        let set = TaskSet::new(vec![test_task(0, 50, 5, 5, 200, 0, false), {
-            let t = test_task(1, 100, 0, 0, 1_000, 1, false);
-            pmcs_model::Task::builder(t.id())
-                .exec(t.exec())
-                .sporadic(Time::from_ticks(1_000))
-                .deadline(Time::from_ticks(120))
-                .priority(t.priority())
-                .build()
-                .unwrap()
-        }])
-        .unwrap();
-
-        let counting = CountingEngine::new(ExactEngine::default());
-        let with_reuse = analyze_task_set(&set, &counting).unwrap();
-        let calls_reuse = counting.calls.get();
-
-        let counting = CountingEngine::new(ExactEngine::default());
-        let no_reuse = analyze_task_set_no_reuse(&set, &counting).unwrap();
-        let calls_no_reuse = counting.calls.get();
-
-        assert_eq!(with_reuse, no_reuse);
-        assert!(with_reuse.rounds() > 1, "{with_reuse}");
-        assert!(
-            calls_reuse < calls_no_reuse,
-            "reuse must skip τ0's round-2 windows ({calls_reuse} vs {calls_no_reuse})"
-        );
-    }
-
-    #[test]
-    fn reuse_matches_no_reuse_on_promoting_sets() {
-        // A promotion with positive copy-in invalidates everything; the
-        // reuse path must still agree with the from-scratch oracle.
-        let set = TaskSet::new(vec![
-            {
-                let t = test_task(0, 10, 2, 2, 10_000, 0, false);
-                pmcs_model::Task::builder(t.id())
-                    .exec(t.exec())
-                    .copy_in(t.copy_in())
-                    .copy_out(t.copy_out())
-                    .sporadic(Time::from_ticks(10_000))
-                    .deadline(Time::from_ticks(600))
-                    .priority(t.priority())
-                    .build()
-                    .unwrap()
-            },
-            test_task(1, 300, 2, 2, 10_000, 1, false),
-            test_task(2, 400, 2, 2, 10_000, 2, false),
-        ])
-        .unwrap();
-        let a = analyze_task_set(&set, &ExactEngine::default()).unwrap();
-        let b = analyze_task_set_no_reuse(&set, &ExactEngine::default()).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

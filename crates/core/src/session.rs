@@ -16,16 +16,11 @@
 //! There is no explicit invalidation. The key captures everything a
 //! per-task analysis may read — the target's full parameters and every
 //! competitor's execution shape, arrival model, rank-normalized priority
-//! and *canonicalized* LS marking — so an edit that changes a task's
-//! analysis inputs changes its key and misses, while untouched
-//! configurations keep hitting. Marking canonicalization delegates to
-//! [`promotion_affects`]: a competitor's LS flag is dropped from the key
-//! exactly when that predicate proves the flag inert for the analyzed
-//! task, so verdicts survive inert promotions across operations for the
-//! same reason they are reused across greedy rounds. Competitor
-//! *deadlines* are deliberately excluded — no window or fixed point of
-//! the analyzed task ever reads them — so a deadline-only edit of one
-//! task invalidates nothing else.
+//! and LS marking — so an edit that changes a task's analysis inputs
+//! changes its key and misses, while untouched configurations keep
+//! hitting. Competitor *deadlines* are deliberately excluded — no window
+//! or fixed point of the analyzed task ever reads them — so a
+//! deadline-only edit of one task invalidates nothing else.
 //!
 //! ## One code path
 //!
@@ -37,7 +32,6 @@
 //! random edit sequences against the from-scratch analyzer.
 //!
 //! [`analyze_task_set`]: crate::analyze_task_set
-//! [`promotion_affects`]: crate::schedulability::promotion_affects
 
 use std::collections::HashMap;
 
@@ -45,20 +39,18 @@ use pmcs_model::{ArrivalModel, Task, TaskId, TaskSet};
 
 use crate::cache::CacheStats;
 use crate::error::CoreError;
-use crate::schedulability::{greedy_analyze, promotion_affects, SchedulabilityReport};
+use crate::schedulability::{greedy_analyze, Analyses, SchedulabilityReport};
 use crate::wcrt::{DelayEngine, TaskAnalysis};
 
 /// One competitor as seen by a [`VerdictKey`]: everything the analyzed
-/// task's windows may read from it, id dropped, priority rank-normalized
-/// and LS marking canonicalized (deadline deliberately absent).
+/// task's windows may read from it, id dropped and priority
+/// rank-normalized (deadline deliberately absent).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CompetitorKey {
     exec: i64,
     copy_in: i64,
     copy_out: i64,
     arrival: ArrivalModel,
-    /// Canonicalized marking: the raw flag survives only when
-    /// [`promotion_affects`] proves it can influence the analyzed task.
     ls: bool,
     prio_rank: u32,
 }
@@ -99,13 +91,7 @@ impl VerdictKey {
                 copy_in: t.copy_in().as_ticks(),
                 copy_out: t.copy_out().as_ticks(),
                 arrival: t.arrival().clone(),
-                ls: if t.id() == target {
-                    // The target's own marking selects the analysis case
-                    // (NLS vs LS case a/b) — always significant.
-                    t.is_ls()
-                } else {
-                    t.is_ls() && promotion_affects(set, t.id(), target)
-                },
+                ls: t.is_ls(),
                 prio_rank: rank(t.priority().0),
             };
             if t.id() == target {
@@ -394,7 +380,7 @@ impl<E: DelayEngine> AnalysisSession<E> {
             SchedulabilityReport::empty()
         } else {
             let set = TaskSet::new(next.clone())?;
-            greedy_analyze(&set, &&self.engine, true, None, Some(&mut self.cache))?
+            greedy_analyze(&set, &&self.engine, Analyses::Cached(&mut self.cache))?
         };
         // TaskSet::new sorted its copy; mirror the order so `tasks()`
         // matches the report's verdict order.
@@ -539,9 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn verdict_key_canonicalizes_inert_ls_flags() {
-        // τ2: zero copy-in, lowest priority → its LS flag is inert for
-        // τ0's analysis but significant for its own.
+    fn verdict_key_keeps_every_ls_flag() {
+        // τ2: zero copy-in, lowest priority — its LS flag changes no
+        // window of τ0 or τ1, yet promoting it changes every task's key,
+        // so a verdict never crosses a promotion.
         let tasks = vec![
             test_task(0, 10, 2, 2, 100, 0, false),
             test_task(1, 20, 4, 4, 200, 1, false),
@@ -551,13 +538,12 @@ mod tests {
         let promoted = set
             .with_sensitivity(TaskId(2), pmcs_model::Sensitivity::Ls)
             .expect("τ2 in set");
-        assert_eq!(
-            VerdictKey::of(&set, TaskId(0)),
-            VerdictKey::of(&promoted, TaskId(0))
-        );
-        assert_ne!(
-            VerdictKey::of(&set, TaskId(2)),
-            VerdictKey::of(&promoted, TaskId(2))
-        );
+        for id in 0..3 {
+            assert_ne!(
+                VerdictKey::of(&set, TaskId(id)),
+                VerdictKey::of(&promoted, TaskId(id)),
+                "τ{id}"
+            );
+        }
     }
 }

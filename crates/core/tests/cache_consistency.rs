@@ -1,14 +1,14 @@
 //! Differential tests of the caching layer: a [`SharedCachedEngine`]
 //! must be observationally equivalent to its inner engine (modulo the
-//! `nodes` effort counter), and the greedy loop's verdict reuse must
-//! match the from-scratch oracle.
+//! `nodes` effort counter), window by window and over the whole greedy
+//! analysis.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pmcs_core::cache::DEFAULT_CAPACITY;
-use pmcs_core::schedulability::{analyze_task_set, analyze_task_set_no_reuse};
+use pmcs_core::schedulability::analyze_task_set;
 use pmcs_core::{
     DelayEngine, ExactEngine, SharedCachedEngine, SharedDelayCache, WindowCase, WindowModel,
 };
@@ -79,9 +79,8 @@ proptest! {
         prop_assert!(cached.stats().hits >= 1);
     }
 
-    /// The full greedy analysis is invariant under caching, and the
-    /// cross-round verdict reuse is invariant against the from-scratch
-    /// oracle.
+    /// The full greedy analysis is invariant under caching. (The vendored
+    /// proptest seeds its cases from the test name, so the name stays.)
     #[test]
     fn analysis_is_invariant_under_caching_and_reuse(
         params in params_strategy(),
@@ -90,9 +89,7 @@ proptest! {
         let plain = analyze_task_set(&set, &ExactEngine::default()).unwrap();
         let engine = cached_engine();
         let cached = analyze_task_set(&set, &engine).unwrap();
-        let no_reuse = analyze_task_set_no_reuse(&set, &ExactEngine::default()).unwrap();
         prop_assert_eq!(&plain, &cached);
-        prop_assert_eq!(&plain, &no_reuse);
     }
 }
 

@@ -107,7 +107,8 @@ proptest! {
 }
 
 /// A couple of deterministic regression windows (kept cheap so they always
-/// run, even when proptest shrinks elsewhere).
+/// run, even when proptest shrinks elsewhere). The vendored proptest
+/// replays no regression files, so recorded shrunk cases live here.
 #[test]
 fn deterministic_regression_windows() {
     let specs = vec![
@@ -140,6 +141,27 @@ fn deterministic_regression_windows() {
             check_equivalence(&set, TaskId(under), WindowCase::LsCaseA, t);
         }
     }
+
+    // A shrunk proptest case: one heavy task and three identical 1-tick
+    // tasks with no copy phases, analyzed at t = 1 for τ1.
+    let light = RandTask {
+        exec: 1,
+        copy_in: 0,
+        copy_out: 0,
+        period: 40,
+        ls: false,
+    };
+    let mut specs = vec![RandTask {
+        exec: 16,
+        copy_in: 8,
+        copy_out: 9,
+        period: 40,
+        ls: false,
+    }];
+    specs.extend(std::iter::repeat_n(light, 3));
+    let set = build_set(&specs);
+    check_equivalence(&set, TaskId(1), WindowCase::Nls, 1);
+    check_equivalence(&set, TaskId(1), WindowCase::LsCaseA, 1);
 }
 
 /// Eight equal-shape competitors — the symmetric instance class whose

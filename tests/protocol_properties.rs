@@ -56,6 +56,66 @@ fn build(specs: &[Spec]) -> (TaskSet, ReleasePlan) {
     (set, plan)
 }
 
+/// The proposed protocol's trace of `specs` satisfies Properties 1–4 and
+/// conforms to the rule-addressable R1–R6 analysis.
+fn check_proposed(specs: &[Spec]) {
+    let (set, plan) = build(specs);
+    let result = simulate(&set, &plan, Policy::Proposed, Time::from_ticks(1_500));
+    let violations = validate_trace(&set, &result, true);
+    assert!(violations.is_empty(), "{violations:?}");
+    let report = check_conformance(&set, &result, true);
+    assert!(report.is_conformant(), "{:?}", report.diagnostics);
+}
+
+/// The WP baseline's trace of `specs` satisfies the structural properties
+/// and the two-interval blocking bound, and never cancels.
+fn check_wp(specs: &[Spec]) {
+    let (set, plan) = build(specs);
+    let result = simulate(
+        &set,
+        &plan,
+        Policy::WaslyPellizzoni,
+        Time::from_ticks(1_500),
+    );
+    let violations = validate_trace(&set, &result, false);
+    assert!(violations.is_empty(), "{violations:?}");
+    // WP never cancels (rule R3 is the proposed protocol's).
+    assert!(result.events().iter().all(|e| !e.canceled));
+    let report = check_conformance(&set, &result, false);
+    assert!(report.is_conformant(), "{:?}", report.diagnostics);
+}
+
+/// Shrunk cases recorded by earlier property runs. The vendored proptest
+/// replays no regression files, so they run here, under both checks.
+#[test]
+fn recorded_regressions_validate() {
+    let spec = |exec, mem, period, ls, offset| Spec {
+        exec,
+        mem,
+        period,
+        ls,
+        offset,
+    };
+    let cases = [
+        vec![
+            spec(1, 0, 60, false, 0),
+            spec(10, 9, 60, false, 4),
+            spec(21, 8, 140, true, 23),
+            spec(35, 5, 105, false, 66),
+        ],
+        vec![
+            spec(27, 14, 113, false, 74),
+            spec(34, 12, 60, false, 0),
+            spec(1, 0, 60, false, 0),
+            spec(1, 0, 60, false, 0),
+        ],
+    ];
+    for specs in &cases {
+        check_proposed(specs);
+        check_wp(specs);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -63,26 +123,14 @@ proptest! {
     /// to the rule-addressable R1–R6 analysis.
     #[test]
     fn proposed_traces_validate(specs in prop::collection::vec(spec(), 2..=5)) {
-        let (set, plan) = build(&specs);
-        let result = simulate(&set, &plan, Policy::Proposed, Time::from_ticks(1_500));
-        let violations = validate_trace(&set, &result, true);
-        prop_assert!(violations.is_empty(), "{violations:?}");
-        let report = check_conformance(&set, &result, true);
-        prop_assert!(report.is_conformant(), "{:?}", report.diagnostics);
+        check_proposed(&specs);
     }
 
     /// The WP baseline's traces satisfy the structural properties and the
     /// two-interval blocking bound.
     #[test]
     fn wp_traces_validate(specs in prop::collection::vec(spec(), 2..=5)) {
-        let (set, plan) = build(&specs);
-        let result = simulate(&set, &plan, Policy::WaslyPellizzoni, Time::from_ticks(1_500));
-        let violations = validate_trace(&set, &result, false);
-        prop_assert!(violations.is_empty(), "{violations:?}");
-        // WP never cancels (rule R3 is the proposed protocol's).
-        prop_assert!(result.events().iter().all(|e| !e.canceled));
-        let report = check_conformance(&set, &result, false);
-        prop_assert!(report.is_conformant(), "{:?}", report.diagnostics);
+        check_wp(&specs);
     }
 
     /// Jobs complete in release order per task, and responses are
