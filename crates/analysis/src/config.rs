@@ -31,8 +31,9 @@ pub const CROSS_VALIDATE_ENV_VAR: &str = "PMCS_CROSS_VALIDATE";
 
 /// Environment variable enabling certificate emission (`1`/`true`; CLI
 /// edge only, an explicit `--emit-certs` flag wins). When on, every
-/// analyzed set is re-certified *outside* the timed regions: the
-/// proposed analysis re-runs with its proof transcript recorded, the
+/// analyzed set is certified right after its analysis, *outside* the
+/// timed regions: the proposed analysis re-runs with its proof
+/// transcript recorded, the
 /// resulting bundle is validated by the independent `pmcs-cert` checker,
 /// and `cert_*` counters land in the perf record.
 pub const EMIT_CERTS_ENV_VAR: &str = "PMCS_EMIT_CERTS";

@@ -27,28 +27,27 @@
 //! column has none and is skipped), checking observed worst responses
 //! against the analytical bounds; refutations exit nonzero.
 //!
-//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every analyzed set is
-//! re-certified after the measured sweep: the proposed analysis re-runs
-//! with a recorded proof transcript and the bundle is validated by the
-//! independent `pmcs-cert` checker; `cert_*` counters land in the perf
-//! record and any rejection exits nonzero.
+//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every set is certified
+//! right after its step analyses it (per-step timings exclude it): the
+//! proposed analysis re-runs with a recorded proof transcript and the
+//! bundle is validated by the independent `pmcs-cert` checker; `cert_*`
+//! counters land in the perf record and any rejection exits nonzero.
 //!
 //! Usage: `cargo run --release -p pmcs-bench --bin ablation -- \
 //!     [--sets N] [--jobs N] [--cross-validate N] [--emit-certs]`
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use pmcs_analysis::{
     cross_validate_report, AnalysisConfig, AnalysisContext, CliOverrides, ProposedAnalyzer,
     Registry, SimCounters, WpAnalyzer, WpMilpAnalyzer,
 };
-use pmcs_bench::{
-    certify_set, parallel_map, parallel_map_with, CertSummary, PerfPoint, PerfRecord,
-};
+use pmcs_bench::{certify_set, finish_run, parallel_map_with, CertSummary, PerfPoint, PerfRecord};
 use pmcs_core::CacheStats;
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
-fn main() {
+fn main() -> ExitCode {
     let mut sets = 50usize;
     let mut cli = CliOverrides::default();
     let mut args = std::env::args().skip(1);
@@ -66,7 +65,10 @@ fn main() {
                 );
             }
             "--emit-certs" => cli.emit_certs = Some(true),
-            _ => {}
+            other => {
+                eprintln!("unknown argument '{other}'");
+                return ExitCode::from(2);
+            }
         }
     }
     let cfg = AnalysisConfig::resolve(&cli);
@@ -102,6 +104,7 @@ fn main() {
             let sim_registry = pmcs_sim::Registry::standard();
             let mut sim = SimCounters::default();
             let mut refutations: Vec<String> = Vec::new();
+            let mut certs = CertSummary::default();
             let (mut closed, mut all_nls, mut greedy) = (0usize, 0usize, 0usize);
             for si in 0..sets {
                 let set = generator.generate();
@@ -136,6 +139,9 @@ fn main() {
                         refutations.extend(refs.iter().map(|r| format!("U={u:.2} set={si} {r}")));
                     }
                 }
+                if cfg.emit_certs {
+                    certs.merge(&certify_set(&set, &format!("U={u:.2} set={si}")));
+                }
             }
             let r = |v: usize| v as f64 / sets as f64;
             let line = format!(
@@ -146,7 +152,8 @@ fn main() {
                 r(all_nls) - r(closed),
                 r(greedy) - r(all_nls),
             );
-            (u, line, sim, refutations, t0.elapsed().as_secs_f64())
+            let secs = t0.elapsed().as_secs_f64() - certs.secs;
+            (u, line, sim, refutations, certs, secs)
         },
     );
 
@@ -154,7 +161,7 @@ fn main() {
         "{:>5} | {:>10} {:>12} {:>12} | {:>10} {:>10}",
         "U", "wp-closed", "all-NLS", "greedy-LS", "Δ analysis", "Δ LS"
     );
-    for (_, line, _, _, _) in &lines {
+    for (_, line, ..) in &lines {
         println!("{line}");
     }
     println!(
@@ -173,9 +180,11 @@ fn main() {
     perf.extra_num("sets_per_step", sets as f64);
     let mut sim = SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();
-    for (u, _, step_sim, step_refs, secs) in &lines {
+    let mut certs = CertSummary::default();
+    for (u, _, step_sim, step_refs, step_certs, secs) in &lines {
         sim.merge(step_sim);
         refutations.extend(step_refs.iter().cloned());
+        certs.merge(step_certs);
         perf.points.push(PerfPoint {
             label: format!("U={u:.2}"),
             secs: *secs,
@@ -183,63 +192,11 @@ fn main() {
     }
     perf.extra_sim(&sim);
 
-    // Certificate pass: after the measured sweep, regenerate every step's
-    // sets from the same per-step generator stream and certify each
-    // (proposed column only — the certified pipeline), validating the
-    // bundles with the independent pmcs-cert checker.
-    let mut certs = CertSummary::default();
-    if cfg.emit_certs {
-        let step_certs = parallel_map(&steps, cfg.jobs, |_, &step| {
-            let u = step as f64 * 0.05;
-            let mut generator = TaskSetGenerator::new(
-                TaskSetConfig {
-                    n: 6,
-                    utilization: u,
-                    gamma: 0.3,
-                    beta: 0.4,
-                    ..TaskSetConfig::default()
-                },
-                0xAB1A ^ step,
-            );
-            let mut summary = CertSummary::default();
-            for si in 0..sets {
-                let set = generator.generate();
-                summary.merge(&certify_set(&set, &format!("U={u:.2} set={si}")));
-            }
-            summary
-        });
-        for s in &step_certs {
-            certs.merge(s);
-        }
-        println!(
-            "certificates: {} bundle(s) emitted, {} proof(s) accepted, {} rejection(s) ({:.1}s)",
-            certs.emitted, certs.checked, certs.rejected, certs.secs,
-        );
-        for line in &certs.rejections {
-            eprintln!("{line}");
-        }
+    let certs = cfg.emit_certs.then_some(certs);
+    if let Some(certs) = &certs {
+        println!("certificates: {certs}");
     }
-    perf.extra_cert(&certs);
-    perf.extra_str("certs_enabled", if cfg.emit_certs { "yes" } else { "no" });
-
-    let path = perf.write().expect("write perf record");
-    println!("perf record: {} (cache: {})", path.display(), perf.cache);
-
-    if !certs.ok() {
-        eprintln!(
-            "certificate pass REJECTED {} certificate(s)",
-            certs.rejected
-        );
-        std::process::exit(1);
-    }
-    if !refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            refutations.len()
-        );
-        for line in &refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    perf.extra_cert(certs.as_ref());
+    let note = format!(" (cache: {})", perf.cache);
+    finish_run(&perf, &note, certs.as_ref(), &refutations)
 }

@@ -18,14 +18,15 @@
 //! [--emit-certs]`
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use pmcs_analysis::{AnalysisConfig, CliOverrides};
-use pmcs_bench::{certify_set, fig1_task_set, parallel_map, CertSummary, PerfPoint, PerfRecord};
+use pmcs_bench::{certify_set, fig1_task_set, finish_run, parallel_map, PerfPoint, PerfRecord};
 use pmcs_model::{TaskId, Time};
 use pmcs_sim::{render_gantt, simulate, validate_trace, Policy, ReleasePlan};
 
-fn main() {
+fn main() -> ExitCode {
     let mut cli = CliOverrides::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -34,7 +35,10 @@ fn main() {
                 cli.jobs = Some(args.next().and_then(|v| v.parse().ok()).expect("--jobs N"));
             }
             "--emit-certs" => cli.emit_certs = Some(true),
-            _ => {}
+            other => {
+                eprintln!("unknown argument '{other}'");
+                return ExitCode::from(2);
+            }
         }
     }
     let cfg = AnalysisConfig::resolve(&cli);
@@ -130,28 +134,10 @@ fn main() {
     // Certificate pass (outside the timed region): certify the proposed
     // analysis of the Figure 1 set and validate the bundle with the
     // independent checker.
-    let mut certs = CertSummary::default();
-    if cfg.emit_certs {
-        certs = certify_set(&set, "fig1");
-        println!(
-            "fig1: certificates — {} bundle(s) emitted, {} proof(s) accepted, \
-             {} rejection(s) ({:.1}s)",
-            certs.emitted, certs.checked, certs.rejected, certs.secs,
-        );
-        for line in &certs.rejections {
-            eprintln!("{line}");
-        }
+    let certs = cfg.emit_certs.then(|| certify_set(&set, "fig1"));
+    if let Some(certs) = &certs {
+        println!("fig1: certificates — {certs}");
     }
-    perf.extra_cert(&certs);
-    perf.extra_str("certs_enabled", if cfg.emit_certs { "yes" } else { "no" });
-
-    let path = perf.write().expect("write perf record");
-    println!("perf record: {}", path.display());
-    if !certs.ok() {
-        eprintln!(
-            "certificate pass REJECTED {} certificate(s)",
-            certs.rejected
-        );
-        std::process::exit(1);
-    }
+    perf.extra_cert(certs.as_ref());
+    finish_run(&perf, "", certs.as_ref(), &[])
 }

@@ -17,13 +17,14 @@
 //! checks observed worst responses against the analytical WCRT bounds;
 //! any refutation is printed as a machine-readable line (identical for
 //! every thread count) and makes the binary exit nonzero.
-//! `--emit-certs` (or `PMCS_EMIT_CERTS=1`) re-certifies every analyzed
-//! set *after* the timed sweep — the proposed analysis re-runs with its
-//! proof transcript recorded and the bundle is validated by the
-//! independent `pmcs-cert` checker; `cert_emitted`/`cert_checked`/
-//! `cert_rejected` counters land in `BENCH_fig2.json`, the CSV rows are
-//! byte-identical with the flag on or off, and any rejected certificate
-//! makes the binary exit nonzero.
+//! `--emit-certs` (or `PMCS_EMIT_CERTS=1`) certifies every set in the
+//! sweep that analyses it, right after its timed analysis — the proposed
+//! analysis re-runs with its proof transcript recorded and the bundle is
+//! validated by the independent `pmcs-cert` checker; per-inset summaries
+//! print after all insets, `cert_emitted`/`cert_checked`/`cert_rejected`
+//! counters land in `BENCH_fig2.json`, the CSV rows are byte-identical
+//! with the flag on or off, and any rejected certificate makes the
+//! binary exit nonzero.
 //!
 //! Results are printed as a table plus an ASCII chart and written to
 //! `target/experiments/fig2<inset>.csv`; a machine-readable perf record
@@ -31,17 +32,18 @@
 //! the repository root.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use pmcs_analysis::{AnalysisConfig, CliOverrides, Registry};
 use pmcs_bench::report::text_table;
 use pmcs_bench::{
-    ascii_chart, certify_sweep, fig2_inset, sweep_with, write_csv, CertSummary, Fig2Inset,
-    PerfPoint, PerfRecord,
+    ascii_chart, fig2_inset, finish_run, sweep_with, write_csv, CertSummary, Fig2Inset, PerfPoint,
+    PerfRecord,
 };
 use pmcs_core::{CacheStats, DpStats};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut insets: Vec<Fig2Inset> = Vec::new();
     let mut sets_per_point = 100usize;
@@ -83,7 +85,7 @@ fn main() {
                 Some(i) => insets.push(i),
                 None => {
                     eprintln!("unknown inset '{other}'; use a..f or 'all'");
-                    std::process::exit(2);
+                    return ExitCode::from(2);
                 }
             },
         }
@@ -101,6 +103,7 @@ fn main() {
     let mut sim = pmcs_analysis::SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();
     let mut solver_by_label: Vec<(String, DpStats)> = Vec::new();
+    let mut inset_certs: Vec<(Fig2Inset, CertSummary)> = Vec::new();
     let started = Instant::now();
     for &inset in &insets {
         let inset_started = Instant::now();
@@ -163,6 +166,12 @@ fn main() {
                 secs: *secs,
             });
         }
+        if let Some(mut certs) = outcome.certs {
+            for line in &mut certs.rejections {
+                *line = format!("fig2{} {line}", inset.letter());
+            }
+            inset_certs.push((inset, certs));
+        }
     }
     perf.wall_secs = started.elapsed().as_secs_f64();
     perf.cache = cache_stats;
@@ -173,52 +182,15 @@ fn main() {
     }
     perf.extra_sim(&sim);
 
-    // Certificate pass: outside every timed region and after the CSVs
-    // are written, so measured rows are byte-identical with the flag on
-    // or off. Each analyzed set is regenerated from the same seeds,
-    // re-analyzed with a recorded proof transcript, and the bundle is
-    // validated by the independent pmcs-cert checker.
-    let mut certs = CertSummary::default();
-    if cfg.emit_certs {
-        for &inset in &insets {
-            let points = fig2_inset(inset);
-            let inset_certs = certify_sweep(&points, sets_per_point, seed, cfg.jobs);
-            println!(
-                "fig2{}: certificates — {} bundle(s) emitted, {} proof(s) accepted, \
-                 {} rejection(s) ({:.1}s)",
-                inset.letter(),
-                inset_certs.emitted,
-                inset_certs.checked,
-                inset_certs.rejected,
-                inset_certs.secs,
-            );
-            for line in &inset_certs.rejections {
-                eprintln!("fig2{} {line}", inset.letter());
-            }
-            certs.merge(&inset_certs);
+    // Certificate summaries, one per inset, after every inset's table.
+    let certs = cfg.emit_certs.then(|| {
+        let mut total = CertSummary::default();
+        for (inset, certs) in &inset_certs {
+            println!("fig2{}: certificates — {certs}", inset.letter());
+            total.merge(certs);
         }
-    }
-    perf.extra_cert(&certs);
-    perf.extra_str("certs_enabled", if cfg.emit_certs { "yes" } else { "no" });
-
-    let path = perf.write().expect("write perf record");
-    println!("perf record: {}", path.display());
-
-    if !certs.ok() {
-        eprintln!(
-            "certificate pass REJECTED {} certificate(s)",
-            certs.rejected
-        );
-        std::process::exit(1);
-    }
-    if !refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            refutations.len()
-        );
-        for line in &refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+        total
+    });
+    perf.extra_cert(certs.as_ref());
+    finish_run(&perf, "", certs.as_ref(), &refutations)
 }

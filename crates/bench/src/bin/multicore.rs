@@ -26,15 +26,17 @@
 //! nonzero.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use pmcs_analysis::{AnalysisConfig, CliOverrides};
 use pmcs_bench::report::text_table;
 use pmcs_bench::{
-    ascii_chart, sweep_multicore, write_csv, MulticoreConfig, PerfPoint, PerfRecord, SweepRow,
+    ascii_chart, finish_run, sweep_multicore, write_csv, MulticoreConfig, PerfPoint, PerfRecord,
+    SweepRow,
 };
 use pmcs_model::Time;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cores = 4usize;
     let mut sets: Option<usize> = None;
@@ -106,7 +108,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
     }
@@ -186,17 +188,5 @@ fn main() {
     perf.extra_num("bus_transfers_checked", out.transfers as f64);
     perf.extra_solver("solver_total", out.solver);
     perf.extra_sim(&out.sim);
-    let path = perf.write().expect("write perf record");
-    println!("perf record: {}", path.display());
-
-    if !out.refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            out.refutations.len()
-        );
-        for line in &out.refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    finish_run(&perf, "", None, &out.refutations)
 }

@@ -19,12 +19,11 @@
 //! checking observed worst responses against the proposed bounds;
 //! refutations exit nonzero.
 //!
-//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every analyzed set is
-//! re-certified after the timed measurements (outside the timed region):
-//! the proposed analysis re-runs with a recorded proof transcript and
-//! the bundle is validated by the independent `pmcs-cert` checker;
-//! `cert_*` counters land in the perf record and any rejection exits
-//! nonzero.
+//! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every set is certified
+//! right after its timed analysis (outside the timed region): the
+//! proposed analysis re-runs with a recorded proof transcript and the
+//! bundle is validated by the independent `pmcs-cert` checker; `cert_*`
+//! counters land in the perf record and any rejection exits nonzero.
 //!
 //! Usage: `cargo run --release -p pmcs-bench --bin runtime_table -- \
 //!     [--sets N] [--n N] [--jobs N] [--cross-validate N] [--emit-certs]`
@@ -42,13 +41,14 @@
 //! full search budget first. The actual per-row counts land in the
 //! perf record under `sets_schedule` / `max_states_schedule`.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use pmcs_analysis::{
     cross_validate_report, AnalysisConfig, AnalysisContext, Analyzer, CliOverrides,
     ProposedAnalyzer, SimCounters,
 };
-use pmcs_bench::{certify_set, parallel_map, CertSummary, PerfPoint, PerfRecord};
+use pmcs_bench::{certify_set, finish_run, parallel_map, CertSummary, PerfPoint, PerfRecord};
 use pmcs_core::{CacheStats, DpStats};
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
@@ -77,7 +77,7 @@ fn max_states_for(base: usize, n: usize) -> usize {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut sets = 25usize;
     let mut only_n: Vec<usize> = Vec::new();
     let mut cli = CliOverrides::default();
@@ -97,7 +97,10 @@ fn main() {
                 );
             }
             "--emit-certs" => cli.emit_certs = Some(true),
-            _ => {}
+            other => {
+                eprintln!("unknown argument '{other}'");
+                return ExitCode::from(2);
+            }
         }
     }
     let cfg = AnalysisConfig::resolve(&cli);
@@ -134,6 +137,7 @@ fn main() {
         let sim_registry = pmcs_sim::Registry::standard();
         let mut sim = SimCounters::default();
         let mut refutations: Vec<String> = Vec::new();
+        let mut certs = CertSummary::default();
         for si in 0..sets {
             let set = generator.generate();
             // One cold engine stack per set: the timing measures a single
@@ -169,6 +173,9 @@ fn main() {
                 }
                 Err(_) => failures += 1,
             }
+            if cfg.emit_certs {
+                certs.merge(&certify_set(&set, &format!("n={n} U={u:.2} set={si}")));
+            }
         }
         let line = format!(
             "{n:>3} {u:>6.2} {:>6.2} {:>6.2} | {:>12?} {:>12?} {:>12.2}",
@@ -186,6 +193,7 @@ fn main() {
             failures,
             sim,
             refutations,
+            certs,
         )
     });
 
@@ -210,7 +218,8 @@ fn main() {
     let mut failures = 0usize;
     let mut sim = SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();
-    for ((n, u), (_, secs, stats, cfg_solver, fails, cfg_sim, cfg_refs)) in
+    let mut certs = CertSummary::default();
+    for ((n, u), (_, secs, stats, cfg_solver, fails, cfg_sim, cfg_refs, cfg_certs)) in
         configs.iter().zip(&measured)
     {
         merged.merge(*stats);
@@ -218,6 +227,7 @@ fn main() {
         failures += fails;
         sim.merge(cfg_sim);
         refutations.extend(cfg_refs.iter().cloned());
+        certs.merge(cfg_certs);
         perf.points.push(PerfPoint {
             label: format!("n={n},U={u:.2}"),
             secs: *secs,
@@ -244,62 +254,10 @@ fn main() {
     perf.extra_num("analysis_failures", failures as f64);
     perf.extra_sim(&sim);
 
-    // Certificate pass: after the timed measurements, regenerate every
-    // configuration's sets from the same generator stream and certify
-    // each, validating the bundles with the independent checker.
-    let mut certs = CertSummary::default();
-    if cfg.emit_certs {
-        let config_certs = parallel_map(&configs, cfg.jobs, |_, &(n, u)| {
-            let sets = sets_for(sets, n);
-            let mut generator = TaskSetGenerator::new(
-                TaskSetConfig {
-                    n,
-                    utilization: u,
-                    gamma: 0.3,
-                    beta: 0.4,
-                    ..TaskSetConfig::default()
-                },
-                99,
-            );
-            let mut summary = CertSummary::default();
-            for si in 0..sets {
-                let set = generator.generate();
-                summary.merge(&certify_set(&set, &format!("n={n} U={u:.2} set={si}")));
-            }
-            summary
-        });
-        for s in &config_certs {
-            certs.merge(s);
-        }
-        println!(
-            "certificates: {} bundle(s) emitted, {} proof(s) accepted, {} rejection(s) ({:.1}s)",
-            certs.emitted, certs.checked, certs.rejected, certs.secs,
-        );
-        for line in &certs.rejections {
-            eprintln!("{line}");
-        }
+    let certs = cfg.emit_certs.then_some(certs);
+    if let Some(certs) = &certs {
+        println!("certificates: {certs}");
     }
-    perf.extra_cert(&certs);
-    perf.extra_str("certs_enabled", if cfg.emit_certs { "yes" } else { "no" });
-
-    let path = perf.write().expect("write perf record");
-    println!("perf record: {}", path.display());
-
-    if !certs.ok() {
-        eprintln!(
-            "certificate pass REJECTED {} certificate(s)",
-            certs.rejected
-        );
-        std::process::exit(1);
-    }
-    if !refutations.is_empty() {
-        eprintln!(
-            "cross-validation REFUTED {} analytical bound(s):",
-            refutations.len()
-        );
-        for line in &refutations {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    perf.extra_cert(certs.as_ref());
+    finish_run(&perf, "", certs.as_ref(), &refutations)
 }

@@ -1,30 +1,27 @@
-//! Post-sweep certificate pass: proof-carrying verdicts for bench runs.
+//! Proof-carrying verdicts for bench runs.
 //!
 //! With `--emit-certs` (or `PMCS_EMIT_CERTS=1`), every bench binary
-//! re-runs the proposed analysis over the same deterministically
-//! regenerated task sets **after** the timed sweep, this time with the
-//! proof transcript recorded ([`pmcs_core::certify_task_set`]), and
-//! validates each emitted bundle with the independent `pmcs-cert`
-//! checker. The pass never touches the measured rows or CSVs — the
-//! sweep's outputs are byte-identical with the flag on or off — it only
-//! adds `cert_emitted` / `cert_checked` / `cert_rejected` counters to
-//! `BENCH_<bin>.json` and makes the binary exit non-zero when any
-//! certificate is rejected (or cannot be emitted).
+//! certifies each task set in the pass that analyses it: right after
+//! the timed analysis (and its cross-validation), the worker re-runs the
+//! proposed analysis on the same set with the proof transcript recorded
+//! ([`pmcs_core::certify_task_set`]) and validates the emitted bundle
+//! with the independent `pmcs-cert` checker. Certification sits outside
+//! every timed region and never touches the measured rows or CSVs — the
+//! outputs are byte-identical with the flag on or off. It only adds
+//! `cert_emitted` / `cert_checked` / `cert_rejected` / `cert_secs` to
+//! `BENCH_<bin>.json`, and any rejected certificate (or one that cannot
+//! be emitted) makes the binary exit non-zero.
 //!
-//! Task sets are regenerated from the same `(base_seed, point, set)`
-//! seed derivation the sweep used, so the certified sets are exactly the
-//! measured ones; the items fan out over the worker pool and the
-//! rejection lines are merged in deterministic `(point, set)` order,
-//! byte-identical for every thread count.
+//! Each set is generated once, so the certified sets are exactly the
+//! measured ones. Rejection lines carry the caller's item label and are
+//! merged in item order, byte-identical for every thread count.
+
+use std::fmt;
 
 use pmcs_cert::check_certificate_set;
 use pmcs_core::{certify_task_set, ExactEngine};
-use pmcs_workload::{derive_seed, TaskSetGenerator};
 
-use crate::experiment::SweepPoint;
-use crate::parallel::parallel_map;
-
-/// Counters and rejection lines accumulated by a certificate pass.
+/// Counters and rejection lines accumulated over certified task sets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CertSummary {
     /// Certificate bundles successfully emitted (one per task set).
@@ -57,6 +54,16 @@ impl CertSummary {
     }
 }
 
+impl fmt::Display for CertSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} bundle(s) emitted, {} proof(s) accepted, {} rejection(s) ({:.1}s)",
+            self.emitted, self.checked, self.rejected, self.secs,
+        )
+    }
+}
+
 /// Certifies one task set and validates the bundle, labelling any
 /// rejection lines with `label`.
 pub fn certify_set(set: &pmcs_model::TaskSet, label: &str) -> CertSummary {
@@ -86,66 +93,10 @@ pub fn certify_set(set: &pmcs_model::TaskSet, label: &str) -> CertSummary {
     summary
 }
 
-/// Runs the certificate pass over the same `(point, set)` grid a sweep
-/// analyzed: regenerates every task set from `(base_seed, point, set)`
-/// via [`derive_seed`] and certifies it, fanning the items across `jobs`
-/// workers.
-pub fn certify_sweep(
-    points: &[SweepPoint],
-    sets_per_point: usize,
-    base_seed: u64,
-    jobs: usize,
-) -> CertSummary {
-    let items: Vec<(usize, usize)> = (0..points.len())
-        .flat_map(|pi| (0..sets_per_point).map(move |si| (pi, si)))
-        .collect();
-    let summaries = parallel_map(&items, jobs, |_, &(pi, si)| {
-        let seed = derive_seed(base_seed, pi as u64, si as u64);
-        let set = TaskSetGenerator::new(points[pi].config.clone(), seed).generate();
-        certify_set(&set, &format!("point={pi} set={si}"))
-    });
-    let mut total = CertSummary::default();
-    for s in &summaries {
-        total.merge(s);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcs_workload::TaskSetConfig;
-
-    fn points() -> Vec<SweepPoint> {
-        [0.1, 0.3]
-            .iter()
-            .map(|&u| SweepPoint {
-                x: u,
-                config: TaskSetConfig {
-                    n: 3,
-                    utilization: u,
-                    ..TaskSetConfig::default()
-                },
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sweep_certificates_are_accepted() {
-        let summary = certify_sweep(&points(), 2, 42, 2);
-        assert_eq!(summary.emitted, 4);
-        assert!(summary.checked > 0);
-        assert!(summary.ok(), "rejections: {:?}", summary.rejections);
-    }
-
-    #[test]
-    fn pass_is_deterministic_across_thread_counts() {
-        let serial = certify_sweep(&points(), 2, 42, 1);
-        let parallel = certify_sweep(&points(), 2, 42, 4);
-        assert_eq!(serial.emitted, parallel.emitted);
-        assert_eq!(serial.checked, parallel.checked);
-        assert_eq!(serial.rejections, parallel.rejections);
-    }
+    use pmcs_workload::{TaskSetConfig, TaskSetGenerator};
 
     #[test]
     fn single_set_certification_counts_once() {

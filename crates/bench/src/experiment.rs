@@ -27,6 +27,10 @@
 //! refutations appear as machine-readable lines in
 //! [`SweepOutcome::refutations`], ordered by `(point, set, approach,
 //! plan)` — byte-identical for every thread count.
+//!
+//! With [`AnalysisConfig::emit_certs`], each worker also certifies every
+//! set right after analysing it ([`certify_set`]), outside the item's
+//! timed region; the merged counters land in [`SweepOutcome::certs`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,6 +42,7 @@ use pmcs_analysis::{
 use pmcs_core::{CacheStats, DpStats, SharedDelayCache};
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
+use crate::certs::{certify_set, CertSummary};
 use crate::parallel::parallel_map_with;
 
 /// Stream tag separating cross-validation plan seeds from the task-set
@@ -119,6 +124,10 @@ pub struct SweepOutcome {
     /// thread count. Empty when the analyses are sound (or
     /// cross-validation is off).
     pub refutations: Vec<String>,
+    /// Certificate counters and rejection lines (labelled `point=… set=…`,
+    /// in `(point, set)` order), merged over every set; `None` when
+    /// `emit_certs` is off.
+    pub certs: Option<CertSummary>,
 }
 
 impl SweepOutcome {
@@ -271,7 +280,11 @@ pub fn sweep_with(
             } else {
                 (SimCounters::default(), Vec::new())
             };
-            (outcomes, sim, refutations, t0.elapsed().as_secs_f64())
+            let secs = t0.elapsed().as_secs_f64();
+            let certs = cfg
+                .emit_certs
+                .then(|| certify_set(&set, &format!("point={pi} set={si}")));
+            (outcomes, sim, refutations, secs, certs)
         },
     );
     let wall_secs = started.elapsed().as_secs_f64();
@@ -282,7 +295,10 @@ pub fn sweep_with(
     let mut solver = vec![DpStats::default(); n_approaches];
     let mut sim = SimCounters::default();
     let mut refutations = Vec::new();
-    for (&(pi, si), (outcomes, item_sim, item_refs, secs)) in items.iter().zip(&evaluated) {
+    let mut certs = CertSummary::default();
+    for (&(pi, si), (outcomes, item_sim, item_refs, secs, item_certs)) in
+        items.iter().zip(&evaluated)
+    {
         for (ai, (o, stats, _)) in outcomes.iter().enumerate() {
             wins[pi][ai] += usize::from(o.schedulable());
             fails[pi][ai] += usize::from(o.failed());
@@ -295,6 +311,9 @@ pub fn sweep_with(
                 .map(|line| format!("point={pi} set={si} {line}")),
         );
         point_secs[pi] += secs;
+        if let Some(item) = item_certs {
+            certs.merge(item);
+        }
     }
     let rows = points
         .iter()
@@ -323,6 +342,7 @@ pub fn sweep_with(
         solver,
         sim,
         refutations,
+        certs: cfg.emit_certs.then_some(certs),
     }
 }
 
@@ -477,6 +497,50 @@ mod tests {
         );
         assert_eq!(out.sim, SimCounters::default());
         assert!(out.refutations.is_empty());
+    }
+
+    fn certified_sweep(jobs: usize) -> SweepOutcome {
+        sweep_with(
+            &small_points(),
+            2,
+            42,
+            &Registry::standard(),
+            &AnalysisConfig::default()
+                .with_jobs(jobs)
+                .with_emit_certs(true),
+        )
+    }
+
+    #[test]
+    fn sweep_certifies_every_analyzed_set() {
+        let certs = certified_sweep(2).certs.expect("emit_certs is on");
+        // 2 points × 2 sets, one bundle each.
+        assert_eq!(certs.emitted, 4);
+        assert!(certs.checked > 0);
+        assert!(certs.ok(), "rejections: {:?}", certs.rejections);
+    }
+
+    #[test]
+    fn certificates_are_identical_for_any_thread_count() {
+        let serial = certified_sweep(1).certs.expect("emit_certs is on");
+        let parallel = certified_sweep(4).certs.expect("emit_certs is on");
+        assert_eq!(serial.emitted, parallel.emitted);
+        assert_eq!(serial.checked, parallel.checked);
+        assert_eq!(serial.rejected, parallel.rejected);
+        assert_eq!(serial.rejections, parallel.rejections);
+    }
+
+    #[test]
+    fn certification_leaves_rows_unchanged() {
+        let plain = sweep_with(
+            &small_points(),
+            2,
+            42,
+            &Registry::standard(),
+            &AnalysisConfig::default().with_jobs(2),
+        );
+        assert!(plain.certs.is_none());
+        assert_eq!(plain.rows, certified_sweep(2).rows);
     }
 
     /// An analyzer that claims schedulability with absurdly small bounds,

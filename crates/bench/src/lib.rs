@@ -24,7 +24,10 @@
 //! beats the `PMCS_JOBS` environment variable beats the machine default,
 //! and likewise for `PMCS_AUDIT` — then write a machine-readable
 //! `BENCH_<bin>.json` perf record ([`perf`]); results are byte-identical
-//! for every thread count.
+//! for every thread count. With `--emit-certs` every analyzed set is
+//! certified in the pass that analyses it ([`certs`]), and every binary
+//! ends through [`finish_run`], which exits nonzero on a rejected
+//! certificate or a refuted bound.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,7 +45,7 @@ pub mod report;
 pub use campaign::{
     bin_of, run_campaign, CampaignConfig, CampaignOutcome, MeasuredRow, PolicyHist, BINS,
 };
-pub use certs::{certify_set, certify_sweep, CertSummary};
+pub use certs::{certify_set, CertSummary};
 pub use experiment::{
     evaluate_set, evaluate_set_with_reports, evaluate_set_with_stats, sweep, sweep_with,
     SetOutcome, SweepOutcome, SweepPoint, SweepRow,
@@ -50,5 +53,5 @@ pub use experiment::{
 pub use figures::{fig1_task_set, fig2_inset, Fig2Inset};
 pub use multicore::{sweep_multicore, MulticoreConfig, MulticoreOutcome, MulticoreRow};
 pub use parallel::{parallel_map, parallel_map_with};
-pub use perf::{PerfPoint, PerfRecord};
+pub use perf::{finish_run, PerfPoint, PerfRecord};
 pub use report::{ascii_chart, csv_string, write_csv};

@@ -10,9 +10,12 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use pmcs_analysis::SimCounters;
 use pmcs_core::{CacheStats, DpStats};
+
+use crate::certs::CertSummary;
 
 /// One labeled timing entry (a sweep point, a figure inset, a config row).
 #[derive(Debug, Clone)]
@@ -72,13 +75,17 @@ impl PerfRecord {
         self.extra_num(&format!("{prefix}_dp_fallbacks"), stats.fallbacks as f64);
     }
 
-    /// Attaches the certificate-pass counters as the four `cert_*` keys
-    /// (all zero when certificate emission was off).
-    pub fn extra_cert(&mut self, certs: &crate::certs::CertSummary) {
-        self.extra_num("cert_emitted", certs.emitted as f64);
-        self.extra_num("cert_checked", certs.checked as f64);
-        self.extra_num("cert_rejected", certs.rejected as f64);
-        self.extra_num("cert_secs", certs.secs);
+    /// Attaches the certificate counters as the four `cert_*` keys plus
+    /// `certs_enabled`; `None` means emission was off (`"no"`, counters
+    /// zero).
+    pub fn extra_cert(&mut self, certs: Option<&CertSummary>) {
+        let zero = CertSummary::default();
+        let c = certs.unwrap_or(&zero);
+        self.extra_num("cert_emitted", c.emitted as f64);
+        self.extra_num("cert_checked", c.checked as f64);
+        self.extra_num("cert_rejected", c.rejected as f64);
+        self.extra_num("cert_secs", c.secs);
+        self.extra_str("certs_enabled", if certs.is_some() { "yes" } else { "no" });
     }
 
     /// Attaches the simulation cross-validation counters as the `sim_*`
@@ -146,6 +153,47 @@ impl PerfRecord {
         fs::write(&path, self.to_json())?;
         Ok(path)
     }
+}
+
+/// The ending every bench binary shares: writes `perf` to
+/// `BENCH_<bin>.json` and prints `perf record: <path><note>`, then fails
+/// the run when a certificate was rejected (printing the rejection lines)
+/// or, failing that, when cross-validation refuted an analytical bound
+/// (printing the refutation lines). `certs` is `None` when nothing was
+/// certified.
+///
+/// # Panics
+///
+/// Panics if the record cannot be written.
+pub fn finish_run(
+    perf: &PerfRecord,
+    note: &str,
+    certs: Option<&CertSummary>,
+    refutations: &[String],
+) -> ExitCode {
+    let path = perf.write().expect("write perf record");
+    println!("perf record: {}{note}", path.display());
+    if let Some(certs) = certs.filter(|c| !c.ok()) {
+        for line in &certs.rejections {
+            eprintln!("{line}");
+        }
+        eprintln!(
+            "certificate pass REJECTED {} certificate(s)",
+            certs.rejected
+        );
+        return ExitCode::FAILURE;
+    }
+    if !refutations.is_empty() {
+        eprintln!(
+            "cross-validation REFUTED {} analytical bound(s):",
+            refutations.len()
+        );
+        for line in refutations {
+            eprintln!("{line}");
+        }
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// The repository root: two levels above this crate's manifest when that
@@ -244,18 +292,43 @@ mod tests {
     #[test]
     fn cert_counters_land_under_cert_keys() {
         let mut r = PerfRecord::new("x");
-        r.extra_cert(&crate::certs::CertSummary {
+        r.extra_cert(Some(&CertSummary {
             emitted: 5,
             checked: 40,
             rejected: 0,
             secs: 0.5,
             rejections: Vec::new(),
-        });
+        }));
         let j = r.to_json();
         assert!(j.contains("\"cert_emitted\": 5"));
         assert!(j.contains("\"cert_checked\": 40"));
         assert!(j.contains("\"cert_rejected\": 0"));
         assert!(j.contains("\"cert_secs\": 0.5"));
+        assert!(j.contains("\"certs_enabled\": \"yes\""));
+        let mut off = PerfRecord::new("x");
+        off.extra_cert(None);
+        let j = off.to_json();
+        assert!(j.contains("\"cert_emitted\": 0"));
+        assert!(j.contains("\"certs_enabled\": \"no\""));
+    }
+
+    #[test]
+    fn finish_run_fails_on_rejections_and_refutations() {
+        let r = PerfRecord::new("perf_finish_selftest");
+        let rejected = CertSummary {
+            rejected: 1,
+            rejections: vec!["set=0 REJECTED code=x detail=y".into()],
+            ..CertSummary::default()
+        };
+        let refuted = ["REFUTATION approach=proposed".to_string()];
+        assert_eq!(finish_run(&r, "", None, &[]), ExitCode::SUCCESS);
+        assert_eq!(
+            finish_run(&r, "", Some(&CertSummary::default()), &[]),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(finish_run(&r, "", Some(&rejected), &[]), ExitCode::FAILURE);
+        assert_eq!(finish_run(&r, "", None, &refuted), ExitCode::FAILURE);
+        let _ = fs::remove_file(repo_root().join("BENCH_perf_finish_selftest.json"));
     }
 
     #[test]

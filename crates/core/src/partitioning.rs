@@ -106,6 +106,8 @@ impl std::error::Error for PartitionError {}
 /// are re-derived from scratch by the greedy algorithm on every test, so
 /// earlier placements may change marking when later tasks arrive).
 ///
+/// This is [`partition_regulated`] on a contention-free bus.
+///
 /// # Errors
 ///
 /// Two failure kinds are kept apart in the nested result: an engine or
@@ -122,60 +124,28 @@ pub fn partition(
     heuristic: Heuristic,
     engine: &impl DelayEngine,
 ) -> Result<Result<Partitioning, PartitionError>, CoreError> {
-    assert!(cores > 0, "need at least one core");
-    let mut ordered = tasks;
-    ordered.sort_by(|a, b| {
-        b.utilization()
-            .partial_cmp(&a.utilization())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    let mut bins: Vec<Vec<Task>> = vec![Vec::new(); cores];
-    for task in ordered {
-        let mut admitted = false;
-        for core in candidate_order(&bins, heuristic) {
-            let mut trial = bins[core].clone();
-            trial.push(task.clone());
-            let Ok(set) = TaskSet::new(trial) else {
-                continue; // duplicate priority on this core — try another
-            };
-            let report = analyze_task_set(&set, engine)?;
-            if report.schedulable() {
-                bins[core].push(task.clone());
-                admitted = true;
-                break;
-            }
-        }
-        if !admitted {
-            return Ok(Err(PartitionError {
-                task: task.id(),
-                cores,
-            }));
-        }
-    }
-
-    let mut builder = Platform::builder();
-    let mut reports = Vec::with_capacity(cores);
-    for bin in bins.into_iter().filter(|b| !b.is_empty()) {
-        let set = TaskSet::new(bin).expect("admitted bins are valid sets");
-        reports.push(analyze_task_set(&set, engine)?);
-        builder = builder.core(set);
-    }
-    let platform = builder.build().map_err(CoreError::from)?;
-    Ok(Ok(Partitioning { platform, reports }))
+    partition_regulated(
+        tasks,
+        cores,
+        &BusModel::contention_free(),
+        heuristic,
+        engine,
+    )
 }
 
 /// Statically partitions `tasks` onto `cores` cores sharing `bus`, with
 /// a contention-aware admission test: every candidate placement is
 /// analyzed under the copy-phase inflation *induced by that candidate
 /// assignment* ([`Inflation::for_core_among`], counting only non-empty
-/// cores as contenders). Placing a task on a previously empty core
-/// raises every other core's inflation, so such placements additionally
-/// re-verify all already-populated cores before being admitted.
+/// cores as contenders). On a regulated bus, placing a task on a
+/// previously empty core raises every other core's inflation, so such
+/// placements additionally re-verify all already-populated cores before
+/// being admitted.
 ///
-/// With a contention-free `bus` this is exactly [`partition`]. The
-/// returned platform carries the bus restricted to its non-empty cores,
-/// and the reports are the per-core analyses of the inflated sets.
+/// With a contention-free `bus` every inflation is the identity, so this
+/// is exactly [`partition`]. The returned platform carries the bus
+/// restricted to its non-empty cores, and the reports are the per-core
+/// analyses of the inflated sets.
 ///
 /// # Errors
 ///
@@ -194,10 +164,8 @@ pub fn partition_regulated(
     engine: &impl DelayEngine,
 ) -> Result<Result<Partitioning, PartitionError>, CoreError> {
     assert!(cores > 0, "need at least one core");
-    if bus.is_contention_free() {
-        return partition(tasks, cores, heuristic, engine);
-    }
-    if bus.num_cores() != cores {
+    let regulated = !bus.is_contention_free();
+    if regulated && bus.num_cores() != cores {
         return Err(CoreError::Model(ModelError::InvalidBus {
             reason: format!(
                 "bus regulates {} core(s) but partitioning onto {}",
@@ -232,7 +200,10 @@ pub fn partition_regulated(
             // Activating a fresh core adds its budget to everyone
             // else's contention, so the placements admitted so far must
             // survive the raised inflation too.
-            if newly_active && !rivals_still_schedulable(&bins, bus, &active, core, engine)? {
+            if regulated
+                && newly_active
+                && !rivals_still_schedulable(&bins, bus, &active, core, engine)?
+            {
                 continue;
             }
             bins[core].push(task.clone());
@@ -488,22 +459,16 @@ mod tests {
     }
 
     #[test]
-    fn contention_free_bus_partitions_exactly_like_partition() {
+    fn contention_free_bus_analyzes_uninflated_bins() {
         let ts = tasks(5);
         let engine = ExactEngine::default();
-        let plain = partition(ts.clone(), 2, Heuristic::BestFit, &engine)
+        let p = partition(ts, 2, Heuristic::BestFit, &engine)
             .unwrap()
             .unwrap();
-        let free = partition_regulated(
-            ts,
-            2,
-            &BusModel::contention_free(),
-            Heuristic::BestFit,
-            &engine,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(plain.platform, free.platform);
+        assert_eq!(p.platform.bus(), &BusModel::contention_free());
+        for ((_, set), report) in p.platform.iter().zip(&p.reports) {
+            assert_eq!(&analyze_task_set(set, &engine).unwrap(), report);
+        }
     }
 
     #[test]
