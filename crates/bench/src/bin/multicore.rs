@@ -32,8 +32,8 @@ use pmcs_analysis::{AnalysisConfig, CliOverrides};
 use pmcs_bench::report::text_table;
 use pmcs_bench::{
     ascii_chart, finish_run, sweep_multicore, write_csv, MulticoreConfig, PerfPoint, PerfRecord,
-    SweepRow,
 };
+use pmcs_core::DpStats;
 use pmcs_model::Time;
 
 fn main() -> ExitCode {
@@ -141,25 +141,14 @@ fn main() -> ExitCode {
         mc.cores, mc.period, mc.sets, mc.seed, mc.analysis.jobs, mc.plans,
     );
     let out = sweep_multicore(&mc);
+    let sweep = &out.sweep;
 
-    // Reuse the single-core reporting helpers via the shared row shape
-    // (x = budget fraction of the fair share).
-    let rows: Vec<SweepRow> = out
-        .rows
-        .iter()
-        .map(|r| SweepRow {
-            x: r.fraction,
-            ratios: r.ratios.clone(),
-            failures: vec![r.failures as usize],
-            sets: r.sets,
-        })
-        .collect();
-    println!("{}", text_table(&rows, &out.labels, "Q/share"));
-    println!("{}", ascii_chart(&rows, &out.labels, "Q/share"));
+    println!("{}", text_table(&sweep.rows, &sweep.labels, "Q/share"));
+    println!("{}", ascii_chart(&sweep.rows, &sweep.labels, "Q/share"));
     let path = PathBuf::from("target/experiments/multicore.csv");
-    write_csv(&path, "Q/share", &out.labels, &rows).expect("write csv");
-    println!("wrote {} ({:.1}s wall)", path.display(), out.wall_secs);
-    let failures: u64 = out.rows.iter().map(|r| r.failures).sum();
+    write_csv(&path, "Q/share", &sweep.labels, &sweep.rows).expect("write csv");
+    println!("wrote {} ({:.1}s wall)", path.display(), sweep.wall_secs);
+    let failures = sweep.total_failures();
     if failures > 0 {
         eprintln!("multicore: {failures} analyses FAILED (counted as unschedulable)");
     }
@@ -167,26 +156,28 @@ fn main() -> ExitCode {
         println!(
             "cross-validation: {} plans simulated, {} traces validated, \
              {} bus transfers replayed, {} refutations",
-            out.sim.plans_run, out.sim.traces_validated, out.transfers, out.sim.refutations,
+            sweep.sim.plans_run, sweep.sim.traces_validated, out.transfers, sweep.sim.refutations,
         );
     }
 
     let mut perf = PerfRecord::new("multicore");
-    perf.jobs = out.jobs;
-    perf.wall_secs = out.wall_secs;
-    perf.cache = out.cache;
-    for (label, secs) in &out.point_secs {
+    perf.jobs = sweep.jobs;
+    perf.wall_secs = sweep.wall_secs;
+    perf.cache = sweep.cache;
+    for (q, secs) in out.budgets.iter().zip(&sweep.point_secs) {
         perf.points.push(PerfPoint {
-            label: format!("multicore:{label}"),
+            label: format!("multicore:Q={q}"),
             secs: *secs,
         });
     }
+    let mut solver = DpStats::default();
+    sweep.solver.iter().for_each(|s| solver.merge(*s));
     perf.extra_num("cores", mc.cores as f64);
     perf.extra_num("period_ticks", mc.period.as_ticks() as f64);
     perf.extra_num("sets_per_level", mc.sets as f64);
     perf.extra_num("analysis_failures", failures as f64);
     perf.extra_num("bus_transfers_checked", out.transfers as f64);
-    perf.extra_solver("solver_total", out.solver);
-    perf.extra_sim(&out.sim);
-    finish_run(&perf, "", None, &out.refutations)
+    perf.extra_solver("solver_total", solver);
+    perf.extra_sim(&sweep.sim);
+    finish_run(&perf, "", None, &sweep.refutations)
 }

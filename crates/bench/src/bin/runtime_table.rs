@@ -7,11 +7,15 @@
 //! optimization in milliseconds (see DESIGN.md §2 for the substitution
 //! argument).
 //!
-//! The nine configurations run on the worker pool (`--jobs N` /
-//! `PMCS_JOBS`, resolved at this CLI edge). Per-set timings use a
-//! **fresh** engine stack per task set, so each measurement reflects
-//! one cold analysis rather than cross-set memoization. A perf record
-//! goes to `BENCH_runtime_table.json`.
+//! The table is one `pmcs_bench::sweep_cold` over the (n, U)
+//! configurations: every `(configuration, set)` item runs on the worker
+//! pool (`--jobs N` / `PMCS_JOBS`, resolved at this CLI edge), seeded
+//! `derive_seed(99, configuration, set)`, so the schedulable ratios are
+//! identical for every thread count. Per-set timings use a **fresh**
+//! engine stack per task set, so each measurement reflects one cold
+//! analysis rather than cross-set memoization. A failed analysis counts
+//! as unschedulable and lands in `analysis_failures`. A perf record goes
+//! to `BENCH_runtime_table.json`.
 //!
 //! With `--cross-validate N` (or `PMCS_CROSS_VALIDATE`), every analyzed
 //! set is additionally simulated under `N` adversarial release plans
@@ -42,15 +46,11 @@
 //! perf record under `sets_schedule` / `max_states_schedule`.
 
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::Duration;
 
-use pmcs_analysis::{
-    cross_validate_report, AnalysisConfig, AnalysisContext, Analyzer, CliOverrides,
-    ProposedAnalyzer, SimCounters,
-};
-use pmcs_bench::{certify_set, finish_run, parallel_map, CertSummary, PerfPoint, PerfRecord};
-use pmcs_core::{CacheStats, DpStats};
-use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
+use pmcs_analysis::{AnalysisConfig, CliOverrides, ProposedAnalyzer, Registry};
+use pmcs_bench::{finish_run, sweep_cold, PerfPoint, PerfRecord, SweepPoint};
+use pmcs_workload::TaskSetConfig;
 
 /// Per-configuration sample count: the full base for small n, scaled
 /// down where a single analysis is orders of magnitude more expensive.
@@ -105,159 +105,87 @@ fn main() -> ExitCode {
     }
     let cfg = AnalysisConfig::resolve(&cli);
 
-    let mut configs = Vec::new();
+    let mut points = Vec::new();
     for n in [4usize, 6, 8, 10, 12] {
         if !only_n.is_empty() && !only_n.contains(&n) {
             continue;
         }
         for u in [0.2f64, 0.35, 0.5] {
-            configs.push((n, u));
+            points.push(SweepPoint {
+                x: u,
+                config: TaskSetConfig {
+                    n,
+                    utilization: u,
+                    gamma: 0.3,
+                    beta: 0.4,
+                    ..TaskSetConfig::default()
+                },
+            });
         }
     }
+    let label = |p: &SweepPoint| format!("n={},U={:.2}", p.config.n, p.x);
+    let set_counts: Vec<usize> = points.iter().map(|p| sets_for(sets, p.config.n)).collect();
+    let memo_budgets: Vec<usize> = points
+        .iter()
+        .map(|p| max_states_for(cfg.max_states, p.config.n))
+        .collect();
+    let mut registry = Registry::new();
+    registry.register(Box::new(ProposedAnalyzer));
+    let (out, times) = sweep_cold(&points, &set_counts, &memo_budgets, 99, &registry, &cfg);
 
-    let started = Instant::now();
-    let measured = parallel_map(&configs, cfg.jobs, |ci, &(n, u)| {
-        let sets = sets_for(sets, n);
-        let mut cfg = cfg.clone();
-        cfg.max_states = max_states_for(cfg.max_states, n);
-        let ts_cfg = TaskSetConfig {
-            n,
-            utilization: u,
-            gamma: 0.3,
-            beta: 0.4,
-            ..TaskSetConfig::default()
-        };
-        let mut generator = TaskSetGenerator::new(ts_cfg, 99);
-        let mut total = std::time::Duration::ZERO;
-        let mut max = std::time::Duration::ZERO;
-        let mut schedulable = 0usize;
-        let mut failures = 0usize;
-        let mut stats = CacheStats::default();
-        let mut solver = DpStats::default();
-        let sim_registry = pmcs_sim::Registry::standard();
-        let mut sim = SimCounters::default();
-        let mut refutations: Vec<String> = Vec::new();
-        let mut certs = CertSummary::default();
-        for si in 0..sets {
-            let set = generator.generate();
-            // One cold engine stack per set: the timing measures a single
-            // analysis, caching only within it (fixed-point iterations
-            // and greedy rounds), never across sets.
-            let t0 = Instant::now();
-            let ctx = AnalysisContext::new(&cfg);
-            let report = ProposedAnalyzer.analyze_with(&set, &ctx);
-            let elapsed = t0.elapsed();
-            stats.merge(ctx.cache_stats());
-            solver.merge(ctx.solver_stats());
-            total += elapsed;
-            max = max.max(elapsed);
-            match report {
-                Ok(r) => {
-                    schedulable += usize::from(r.schedulable());
-                    // Cross-validation runs outside the timed region so
-                    // the runtime numbers stay comparable.
-                    if cfg.cross_validate > 0 {
-                        let policy = sim_registry
-                            .get(&r.approach)
-                            .expect("proposed policy is registered");
-                        let specs = adversarial_specs(
-                            cfg.cross_validate,
-                            derive_seed(99, ci as u64, si as u64),
-                        );
-                        let (counters, refs) = cross_validate_report(&set, policy, &r, &specs)
-                            .expect("cross-validation");
-                        sim.merge(&counters);
-                        refutations
-                            .extend(refs.iter().map(|r| format!("n={n} U={u:.2} set={si} {r}")));
-                    }
-                }
-                Err(_) => failures += 1,
-            }
-            if cfg.emit_certs {
-                certs.merge(&certify_set(&set, &format!("n={n} U={u:.2} set={si}")));
-            }
-        }
-        let line = format!(
-            "{n:>3} {u:>6.2} {:>6.2} {:>6.2} | {:>12?} {:>12?} {:>12.2}",
-            0.3,
-            0.4,
-            total / sets.max(1) as u32,
-            max,
-            schedulable as f64 / sets.max(1) as f64
-        );
-        (
-            line,
-            total.as_secs_f64(),
-            stats,
-            solver,
-            failures,
-            sim,
-            refutations,
-            certs,
-        )
-    });
-
+    let mut perf = PerfRecord::new("runtime_table");
     println!(
         "{:>3} {:>6} {:>6} {:>6} | {:>12} {:>12} {:>12}",
         "n", "U", "gamma", "beta", "avg", "max", "sched-ratio"
     );
-    for (line, ..) in &measured {
-        println!("{line}");
+    for ((point, row), times) in points.iter().zip(&out.rows).zip(&times) {
+        let total: Duration = times.iter().sum();
+        let max = times.iter().max().copied().unwrap_or_default();
+        println!(
+            "{:>3} {:>6.2} {:>6.2} {:>6.2} | {:>12?} {:>12?} {:>12.2}",
+            point.config.n,
+            point.x,
+            0.3,
+            0.4,
+            total / row.sets.max(1) as u32,
+            max,
+            row.ratios[0]
+        );
+        perf.points.push(PerfPoint {
+            label: label(point),
+            secs: total.as_secs_f64(),
+        });
     }
     println!(
         "\n(analysis = full greedy LS-marking schedulability test per task \
          set; the paper reports avg ≈ hundreds of seconds and max ≈ 1 h \
          with CPLEX on an i7-6700K)"
     );
-
-    let mut perf = PerfRecord::new("runtime_table");
-    perf.jobs = cfg.jobs;
-    perf.wall_secs = started.elapsed().as_secs_f64();
-    let mut merged = CacheStats::default();
-    let mut solver = DpStats::default();
-    let mut failures = 0usize;
-    let mut sim = SimCounters::default();
-    let mut refutations: Vec<String> = Vec::new();
-    let mut certs = CertSummary::default();
-    for ((n, u), (_, secs, stats, cfg_solver, fails, cfg_sim, cfg_refs, cfg_certs)) in
-        configs.iter().zip(&measured)
-    {
-        merged.merge(*stats);
-        solver.merge(*cfg_solver);
-        failures += fails;
-        sim.merge(cfg_sim);
-        refutations.extend(cfg_refs.iter().cloned());
-        certs.merge(cfg_certs);
-        perf.points.push(PerfPoint {
-            label: format!("n={n},U={u:.2}"),
-            secs: *secs,
-        });
-    }
+    let failures = out.total_failures();
     if failures > 0 {
-        eprintln!("{failures} analyses FAILED (excluded from the schedulable count)");
+        eprintln!("{failures} analyses FAILED (counted as unschedulable)");
     }
-    perf.cache = merged;
-    perf.extra_solver("solver", solver);
-    perf.extra_num("sets_per_config", sets as f64);
-    let schedule = configs
-        .iter()
-        .map(|&(n, u)| format!("n={n},U={u:.2}:{}", sets_for(sets, n)))
-        .collect::<Vec<_>>()
-        .join(" ");
-    perf.extra_str("sets_schedule", &schedule);
-    let memo_schedule = configs
-        .iter()
-        .map(|&(n, u)| format!("n={n},U={u:.2}:{}", max_states_for(cfg.max_states, n)))
-        .collect::<Vec<_>>()
-        .join(" ");
-    perf.extra_str("max_states_schedule", &memo_schedule);
-    perf.extra_num("analysis_failures", failures as f64);
-    perf.extra_sim(&sim);
 
-    let certs = cfg.emit_certs.then_some(certs);
-    if let Some(certs) = &certs {
+    perf.jobs = out.jobs;
+    perf.wall_secs = out.wall_secs;
+    perf.cache = out.cache;
+    perf.extra_solver("solver", out.solver[0]);
+    perf.extra_num("sets_per_config", sets as f64);
+    let schedule = |values: &[usize]| {
+        points
+            .iter()
+            .zip(values)
+            .map(|(p, v)| format!("{}:{v}", label(p)))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    perf.extra_str("sets_schedule", &schedule(&set_counts));
+    perf.extra_str("max_states_schedule", &schedule(&memo_budgets));
+    perf.extra_num("analysis_failures", failures as f64);
+    perf.extra_sim(&out.sim);
+    if let Some(certs) = &out.certs {
         println!("certificates: {certs}");
     }
-    perf.extra_cert(certs.as_ref());
-    finish_run(&perf, "", certs.as_ref(), &refutations)
+    perf.extra_cert(out.certs.as_ref());
+    finish_run(&perf, "", out.certs.as_ref(), &out.refutations)
 }

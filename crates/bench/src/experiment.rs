@@ -1,13 +1,18 @@
-//! Schedulability-ratio sweeps (the machinery behind Figure 2).
+//! Schedulability-ratio sweeps: the one `(point, set)` driver behind
+//! every experiment.
 //!
-//! [`sweep_with`] fans the `(point, task set)` grid across a worker pool
+//! `sweep_items` fans the `(point, task set)` grid across a worker pool
 //! ([`crate::parallel`]); every item derives its RNG stream from
 //! `(base_seed, point_index, set_index)` via [`derive_seed`], so the
 //! measured ratios — and the CSVs derived from them — are byte-identical
-//! for every thread count. Each worker analyzes
-//! through its own [`AnalysisContext`] (engine stack built from the
-//! [`AnalysisConfig`]), memoizing delay bounds across fixed-point
-//! iterations, greedy rounds, and task sets.
+//! for every thread count. Each worker owns an [`AnalysisContext`] on a
+//! sweep-wide window cache plus a [`SimScratch`]; a per-item closure
+//! analyses the set and reports one verdict per column. Three closures
+//! cover the experiments: [`sweep_with`] analyses through the worker's
+//! context with every approach of a [`Registry`] (Figure 2, the
+//! ablation), [`sweep_cold`] times one cold analysis per set (the runtime
+//! table), and [`crate::sweep_multicore`] partitions each set onto a
+//! regulated platform.
 //!
 //! The approaches under comparison come from a [`Registry`] — sweep
 //! columns are whatever is registered, in registration order; nothing in
@@ -33,13 +38,14 @@
 //! timed region; the merged counters land in [`SweepOutcome::certs`].
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pmcs_analysis::{
     cross_validate_report_in, AnalysisConfig, AnalysisContext, AnalysisError, ApproachReport,
     Registry, SimCounters, SimScratch,
 };
 use pmcs_core::{CacheStats, DpStats, SharedDelayCache};
+use pmcs_model::TaskSet;
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
 use crate::certs::{certify_set, CertSummary};
@@ -88,10 +94,10 @@ pub struct SweepPoint {
 pub struct SweepRow {
     /// X value of the point.
     pub x: f64,
-    /// Schedulable fraction per approach, in registry order.
+    /// Schedulable fraction per column (approach, in registry order).
     pub ratios: Vec<f64>,
-    /// Failed analyses per approach, in registry order (failures count
-    /// as unschedulable in `ratios` but are never hidden).
+    /// Failed analyses per column (failures count as unschedulable in
+    /// `ratios` but are never hidden).
     pub failures: Vec<usize>,
     /// Task sets evaluated.
     pub sets: usize,
@@ -100,7 +106,8 @@ pub struct SweepRow {
 /// A sweep's rows plus the execution telemetry feeding `BENCH_*.json`.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
-    /// Approach names, in registry order (the column order of `rows`).
+    /// Column names (approaches, in registry order), the column order of
+    /// `rows`.
     pub labels: Vec<String>,
     /// Measured ratios, aligned with the input points.
     pub rows: Vec<SweepRow>,
@@ -113,11 +120,11 @@ pub struct SweepOutcome {
     pub jobs: usize,
     /// End-to-end wall-clock seconds.
     pub wall_secs: f64,
-    /// Solver effort per approach, in registry order (summed over every
-    /// point and task set; all-zero for closed-form approaches).
+    /// Solver effort per column (summed over every point and task set;
+    /// all-zero for closed-form approaches).
     pub solver: Vec<DpStats>,
     /// Simulation cross-validation counters, merged over every point, set
-    /// and approach (all-zero when `cross_validate` is off).
+    /// and column (all-zero when cross-validation is off).
     pub sim: SimCounters,
     /// Machine-readable refutation lines, in deterministic
     /// `(point, set, approach, plan)` order — byte-identical for every
@@ -140,38 +147,12 @@ impl SweepOutcome {
     }
 }
 
-/// Evaluates one task set under every registered approach; outcomes are
-/// in registry order.
-pub fn evaluate_set(
-    set: &pmcs_model::TaskSet,
-    registry: &Registry,
-    ctx: &AnalysisContext,
-) -> Vec<SetOutcome> {
-    evaluate_set_with_stats(set, registry, ctx)
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
-}
-
-/// As [`evaluate_set`], additionally returning the solver effort each
-/// approach's report attributed to this set (zero for failed analyses —
-/// their effort is not meaningfully attributable).
-pub fn evaluate_set_with_stats(
-    set: &pmcs_model::TaskSet,
-    registry: &Registry,
-    ctx: &AnalysisContext,
-) -> Vec<(SetOutcome, DpStats)> {
-    evaluate_set_with_reports(set, registry, ctx)
-        .into_iter()
-        .map(|(outcome, stats, _)| (outcome, stats))
-        .collect()
-}
-
-/// As [`evaluate_set_with_stats`], additionally keeping each successful
-/// analysis's full [`ApproachReport`] (needed downstream for simulation
-/// cross-validation; `None` for failed analyses).
+/// Analyses one task set under every registered approach, in registry
+/// order, keeping each successful analysis's [`ApproachReport`] (needed
+/// for simulation cross-validation; `None` for a failed analysis, whose
+/// solver effort is not meaningfully attributable and counts as zero).
 pub fn evaluate_set_with_reports(
-    set: &pmcs_model::TaskSet,
+    set: &TaskSet,
     registry: &Registry,
     ctx: &AnalysisContext,
 ) -> Vec<(SetOutcome, DpStats, Option<ApproachReport>)> {
@@ -192,50 +173,204 @@ pub fn evaluate_set_with_reports(
         .collect()
 }
 
-/// Cross-validates every approach's report on one task set against
-/// `plans` adversarial release plans, returning merged counters plus
-/// formatted refutation lines (in registry/plan order).
-///
-/// Approaches without a registered simulator policy of the same name are
-/// skipped; failed analyses (no report) are skipped. Plan seeds derive
-/// from `(item_seed, CV_SEED_STREAM, approach index)`, so results are
-/// independent of scheduling order.
-fn cross_validate_item(
-    set: &pmcs_model::TaskSet,
+/// Per-worker state of [`sweep_items`], built once on each worker thread.
+#[derive(Debug)]
+pub(crate) struct Worker {
+    /// Analysis context on the sweep's shared window cache: a window
+    /// solved on any worker is a hit for all.
+    pub ctx: AnalysisContext,
+    /// Simulation buffers that every cross-validated plan of the worker
+    /// reuses instead of allocating per run.
+    pub scratch: SimScratch,
+}
+
+/// What a [`sweep_items`] closure reports for one task set.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Item<X = ()> {
+    /// Verdict and solver effort per column, in column order.
+    pub outcomes: Vec<(SetOutcome, DpStats)>,
+    /// Cross-validation counters of the set.
+    pub sim: SimCounters,
+    /// Refutation lines; the driver prefixes each with `point=… set=…`.
+    pub refutations: Vec<String>,
+    /// Window-cache lookups made on contexts other than the worker's (a
+    /// closure that analyses on its own cold context reports them here).
+    pub cache: CacheStats,
+    /// Caller-specific payload, handed back per point in set order.
+    pub extra: X,
+}
+
+/// Builds the [`Item`] of one set's registry reports. With `plans > 0`
+/// every report is simulated under `plans` adversarial release plans and
+/// the observed worst responses are checked against its bounds; failed
+/// analyses (no report) and approaches without a same-named simulator
+/// policy are skipped. Plan seeds derive from `(item_seed,
+/// CV_SEED_STREAM, approach index)`, so results are independent of
+/// scheduling order.
+fn registry_item<X>(
+    set: &TaskSet,
     registry: &Registry,
-    reports: &[(SetOutcome, DpStats, Option<ApproachReport>)],
+    reports: Vec<(SetOutcome, DpStats, Option<ApproachReport>)>,
     plans: usize,
     item_seed: u64,
     scratch: &mut SimScratch,
-) -> (SimCounters, Vec<String>) {
-    let sim_registry = pmcs_sim::Registry::standard();
+    extra: X,
+) -> Item<X> {
     let mut sim = SimCounters::default();
-    let mut lines = Vec::new();
-    for (ai, analyzer) in registry.iter().enumerate() {
-        let Some(report) = reports[ai].2.as_ref() else {
-            continue;
-        };
-        let Some(policy) = sim_registry.get(analyzer.name()) else {
-            continue;
-        };
-        let specs = adversarial_specs(plans, derive_seed(item_seed, CV_SEED_STREAM, ai as u64));
-        match cross_validate_report_in(set, policy, report, &specs, scratch) {
-            Ok((counters, refutations)) => {
-                sim.merge(&counters);
-                lines.extend(refutations.iter().map(|r| r.to_string()));
+    let mut refutations = Vec::new();
+    if plans > 0 {
+        let sim_registry = pmcs_sim::Registry::standard();
+        for (ai, (analyzer, (_, _, report))) in registry.iter().zip(&reports).enumerate() {
+            let (Some(report), Some(policy)) = (report, sim_registry.get(analyzer.name())) else {
+                continue;
+            };
+            let specs = adversarial_specs(plans, derive_seed(item_seed, CV_SEED_STREAM, ai as u64));
+            match cross_validate_report_in(set, policy, report, &specs, scratch) {
+                Ok((counters, refs)) => {
+                    sim.merge(&counters);
+                    refutations.extend(refs.iter().map(ToString::to_string));
+                }
+                Err(e) => refutations.push(format!(
+                    "ERROR approach={} cross-validation failed: {e}",
+                    analyzer.name()
+                )),
             }
-            Err(e) => lines.push(format!(
-                "ERROR approach={} cross-validation failed: {e}",
-                analyzer.name()
-            )),
         }
     }
-    (sim, lines)
+    Item {
+        outcomes: reports.into_iter().map(|(o, s, _)| (o, s)).collect(),
+        sim,
+        refutations,
+        cache: CacheStats::default(),
+        extra,
+    }
+}
+
+/// The one `(point, set)` driver behind every experiment.
+///
+/// Point `pi` gets `sets[pi]` task sets; set `si` is generated from the
+/// point's config with seed `derive_seed(base_seed, pi, si)` and handed
+/// to `item(worker, pi, set, seed)`. The items fan out over `cfg.jobs`
+/// workers, each with one [`Worker`] on a sweep-wide window cache. The
+/// driver times each item (certification, with `cfg.emit_certs`, runs
+/// right after and outside the timed region), labels refutation and
+/// rejection lines `point=… set=…` in item order, folds the verdicts
+/// into one [`SweepRow`] per point under the column `labels`, merges
+/// cache, solver, simulation and certificate counters, and measures the
+/// wall time. The rows depend only on the inputs, never on `cfg.jobs`.
+///
+/// Returns the outcome plus every item's [`Item::extra`], per point in
+/// set order. Panics unless there is one set count per point.
+pub(crate) fn sweep_items<X, F>(
+    points: &[SweepPoint],
+    sets: &[usize],
+    base_seed: u64,
+    labels: Vec<String>,
+    cfg: &AnalysisConfig,
+    item: F,
+) -> (SweepOutcome, Vec<Vec<X>>)
+where
+    X: Send,
+    F: Fn(&mut Worker, usize, &TaskSet, u64) -> Item<X> + Sync,
+{
+    assert_eq!(points.len(), sets.len(), "one set count per point");
+    let items: Vec<(usize, usize)> = sets
+        .iter()
+        .enumerate()
+        .flat_map(|(pi, &n)| (0..n).map(move |si| (pi, si)))
+        .collect();
+    let started = Instant::now();
+    // Bounds are content-addressed, so sharing the cache cannot change a
+    // row; each context reports only its own lookups, so the merge below
+    // counts every lookup once.
+    let shared_cache = Arc::new(SharedDelayCache::default());
+    let (evaluated, workers) = parallel_map_with(
+        &items,
+        cfg.jobs,
+        || Worker {
+            ctx: AnalysisContext::with_shared_cache(cfg, Arc::clone(&shared_cache)),
+            scratch: SimScratch::new(),
+        },
+        |worker, _, &(pi, si)| {
+            let t0 = Instant::now();
+            let seed = derive_seed(base_seed, pi as u64, si as u64);
+            let set = TaskSetGenerator::new(points[pi].config.clone(), seed).generate();
+            let out = item(worker, pi, &set, seed);
+            let secs = t0.elapsed().as_secs_f64();
+            let certs = cfg
+                .emit_certs
+                .then(|| certify_set(&set, &format!("point={pi} set={si}")));
+            (out, secs, certs)
+        },
+    );
+    let wall_secs = started.elapsed().as_secs_f64();
+
+    let columns = labels.len();
+    let mut rows: Vec<SweepRow> = points
+        .iter()
+        .zip(sets)
+        .map(|(point, &n)| SweepRow {
+            x: point.x,
+            ratios: vec![0.0; columns],
+            failures: vec![0; columns],
+            sets: n,
+        })
+        .collect();
+    let mut extras: Vec<Vec<X>> = points.iter().map(|_| Vec::new()).collect();
+    let mut point_secs = vec![0.0f64; points.len()];
+    let mut solver = vec![DpStats::default(); columns];
+    let mut sim = SimCounters::default();
+    let mut refutations = Vec::new();
+    let mut certs = CertSummary::default();
+    let mut cache = CacheStats::default();
+    for (&(pi, si), (out, secs, item_certs)) in items.iter().zip(evaluated) {
+        let row = &mut rows[pi];
+        for (ai, (o, stats)) in out.outcomes.iter().enumerate() {
+            if o.schedulable() {
+                row.ratios[ai] += 1.0;
+            }
+            row.failures[ai] += usize::from(o.failed());
+            solver[ai].merge(*stats);
+        }
+        sim.merge(&out.sim);
+        refutations.extend(
+            out.refutations
+                .iter()
+                .map(|line| format!("point={pi} set={si} {line}")),
+        );
+        cache.merge(out.cache);
+        point_secs[pi] += secs;
+        if let Some(item) = item_certs {
+            certs.merge(&item);
+        }
+        extras[pi].push(out.extra);
+    }
+    for row in &mut rows {
+        let sets = row.sets.max(1) as f64;
+        row.ratios.iter_mut().for_each(|r| *r /= sets);
+    }
+    for worker in workers {
+        cache.merge(worker.ctx.cache_stats());
+    }
+    let outcome = SweepOutcome {
+        labels,
+        rows,
+        point_secs,
+        cache,
+        jobs: cfg.jobs,
+        wall_secs,
+        solver,
+        sim,
+        refutations,
+        certs: cfg.emit_certs.then_some(certs),
+    };
+    (outcome, extras)
 }
 
 /// Runs a sweep: for each point, generates `sets_per_point` task sets
 /// (each seeded deterministically from `(base_seed, point, set)`) and
-/// measures the schedulability ratio of every registered approach.
+/// measures the schedulability ratio of every registered approach, all
+/// analyses of a worker sharing its context.
 ///
 /// The rows depend only on `(points, sets_per_point, base_seed,
 /// registry)` — never on `cfg`'s execution knobs (the thread count
@@ -247,103 +382,76 @@ pub fn sweep_with(
     registry: &Registry,
     cfg: &AnalysisConfig,
 ) -> SweepOutcome {
-    let n_approaches = registry.len();
-    let items: Vec<(usize, usize)> = (0..points.len())
-        .flat_map(|pi| (0..sets_per_point).map(move |si| (pi, si)))
-        .collect();
-    let started = Instant::now();
-    // One process-wide window cache for the whole sweep: every worker's
-    // stack shares it, so a window solved on any thread is a hit for all.
-    // Rows cannot change — bounds are content-addressed — and each
-    // context reports only its own lookups, so the merge below counts
-    // every lookup exactly once.
-    let shared_cache = Arc::new(SharedDelayCache::default());
-    // Each worker owns one analysis context AND one simulation scratch
-    // (workspace + plan buffer): every cross-validated plan in the sweep
-    // reuses the worker's buffers instead of allocating per run.
-    let (evaluated, contexts) = parallel_map_with(
-        &items,
-        cfg.jobs,
-        || {
-            (
-                AnalysisContext::with_shared_cache(cfg, Arc::clone(&shared_cache)),
-                SimScratch::new(),
+    let sets = vec![sets_per_point; points.len()];
+    let (outcome, _) = sweep_items(
+        points,
+        &sets,
+        base_seed,
+        registry.labels(),
+        cfg,
+        |worker, _, set, seed| {
+            let reports = evaluate_set_with_reports(set, registry, &worker.ctx);
+            registry_item(
+                set,
+                registry,
+                reports,
+                cfg.cross_validate,
+                seed,
+                &mut worker.scratch,
+                (),
             )
         },
-        |(ctx, scratch), _, &(pi, si)| {
-            let t0 = Instant::now();
-            let seed = derive_seed(base_seed, pi as u64, si as u64);
-            let set = TaskSetGenerator::new(points[pi].config.clone(), seed).generate();
-            let outcomes = evaluate_set_with_reports(&set, registry, ctx);
-            let (sim, refutations) = if cfg.cross_validate > 0 {
-                cross_validate_item(&set, registry, &outcomes, cfg.cross_validate, seed, scratch)
-            } else {
-                (SimCounters::default(), Vec::new())
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            let certs = cfg
-                .emit_certs
-                .then(|| certify_set(&set, &format!("point={pi} set={si}")));
-            (outcomes, sim, refutations, secs, certs)
-        },
     );
-    let wall_secs = started.elapsed().as_secs_f64();
+    outcome
+}
 
-    let mut wins = vec![vec![0usize; n_approaches]; points.len()];
-    let mut fails = vec![vec![0usize; n_approaches]; points.len()];
-    let mut point_secs = vec![0.0f64; points.len()];
-    let mut solver = vec![DpStats::default(); n_approaches];
-    let mut sim = SimCounters::default();
-    let mut refutations = Vec::new();
-    let mut certs = CertSummary::default();
-    for (&(pi, si), (outcomes, item_sim, item_refs, secs, item_certs)) in
-        items.iter().zip(&evaluated)
-    {
-        for (ai, (o, stats, _)) in outcomes.iter().enumerate() {
-            wins[pi][ai] += usize::from(o.schedulable());
-            fails[pi][ai] += usize::from(o.failed());
-            solver[ai].merge(*stats);
-        }
-        sim.merge(item_sim);
-        refutations.extend(
-            item_refs
-                .iter()
-                .map(|line| format!("point={pi} set={si} {line}")),
-        );
-        point_secs[pi] += secs;
-        if let Some(item) = item_certs {
-            certs.merge(item);
-        }
-    }
-    let rows = points
-        .iter()
-        .zip(wins.into_iter().zip(fails))
-        .map(|(point, (w, f))| SweepRow {
-            x: point.x,
-            ratios: w
-                .into_iter()
-                .map(|w| w as f64 / sets_per_point.max(1) as f64)
-                .collect(),
-            failures: f,
-            sets: sets_per_point,
-        })
-        .collect();
-    let mut cache = CacheStats::default();
-    for (ctx, _) in contexts {
-        cache.merge(ctx.cache_stats());
-    }
-    SweepOutcome {
-        labels: registry.labels(),
-        rows,
-        point_secs,
-        cache,
-        jobs: cfg.jobs,
-        wall_secs,
-        solver,
-        sim,
-        refutations,
-        certs: cfg.emit_certs.then_some(certs),
-    }
+/// The `(point, set)` driver measuring one cold analysis per set: every set is
+/// analysed on a fresh [`AnalysisContext`] built from `cfg` with the
+/// point's memo budget `max_states[point]`, so caching spans only that
+/// analysis (fixed-point iterations and greedy rounds), never sets. Each
+/// set's extra is the time from building the context to the last
+/// report; cross-validation runs after it, outside the measurement.
+///
+/// # Panics
+///
+/// Panics unless `sets` and `max_states` hold one entry per point.
+pub fn sweep_cold(
+    points: &[SweepPoint],
+    sets: &[usize],
+    max_states: &[usize],
+    base_seed: u64,
+    registry: &Registry,
+    cfg: &AnalysisConfig,
+) -> (SweepOutcome, Vec<Vec<Duration>>) {
+    assert_eq!(points.len(), max_states.len(), "one memo budget per point");
+    sweep_items(
+        points,
+        sets,
+        base_seed,
+        registry.labels(),
+        cfg,
+        |worker, pi, set, seed| {
+            let point_cfg = AnalysisConfig {
+                max_states: max_states[pi],
+                ..cfg.clone()
+            };
+            let t0 = Instant::now();
+            let ctx = AnalysisContext::new(&point_cfg);
+            let reports = evaluate_set_with_reports(set, registry, &ctx);
+            let elapsed = t0.elapsed();
+            let mut item = registry_item(
+                set,
+                registry,
+                reports,
+                cfg.cross_validate,
+                seed,
+                &mut worker.scratch,
+                elapsed,
+            );
+            item.cache = ctx.cache_stats();
+            item
+        },
+    )
 }
 
 /// Single-threaded, cached [`sweep_with`] over the standard registry,
@@ -380,13 +488,15 @@ mod tests {
         let set = g.generate();
         let registry = Registry::standard();
         let ctx = AnalysisContext::new(&AnalysisConfig::default());
-        let outcomes = evaluate_set(&set, &registry, &ctx);
+        let outcomes = evaluate_set_with_reports(&set, &registry, &ctx);
         assert_eq!(outcomes.len(), registry.len());
         assert_eq!(
-            outcomes[1].schedulable(),
+            outcomes[1].0.schedulable(),
             WpAnalysis::default().is_schedulable(&set)
         );
-        assert!(outcomes.iter().all(|o| !o.failed()));
+        assert!(outcomes
+            .iter()
+            .all(|(o, _, report)| !o.failed() && report.is_some()));
     }
 
     fn small_points() -> Vec<SweepPoint> {

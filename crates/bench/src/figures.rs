@@ -1,4 +1,5 @@
-//! Concrete figure configurations.
+//! Concrete figure configurations: the Figure 2 insets, the ablation
+//! study and the Figure 1 scenario.
 //!
 //! The paper does not print the per-inset `(n, γ, β)` values of Figure 2;
 //! the values here are chosen to reproduce the reported *shapes* (see
@@ -7,6 +8,7 @@
 //! generator produces somewhat harsher task sets than the original
 //! evaluation appears to have used, so the cliffs sit at lower `U`.
 
+use pmcs_analysis::{ProposedAnalyzer, Registry, WpAnalyzer, WpMilpAnalyzer};
 use pmcs_core::window::test_task;
 use pmcs_model::{TaskSet, Time};
 use pmcs_workload::TaskSetConfig;
@@ -146,6 +148,38 @@ pub fn fig2_inset(inset: Fig2Inset) -> Vec<SweepPoint> {
             })
             .collect(),
     }
+}
+
+/// The ablation study's points: U = 0.10, 0.15, …, 0.45 at n=6, γ=0.3,
+/// β=0.4.
+pub fn ablation_points() -> Vec<SweepPoint> {
+    (2..=9)
+        .map(|step| {
+            let u = f64::from(step) * 0.05;
+            SweepPoint {
+                x: u,
+                config: TaskSetConfig {
+                    n: 6,
+                    utilization: u,
+                    gamma: 0.3,
+                    beta: 0.4,
+                    ..TaskSetConfig::default()
+                },
+            }
+        })
+        .collect()
+}
+
+/// The ablation study's three columns, in presentation order: the WP
+/// closed form, the all-NLS formulation (`wp-milp`, registered here as
+/// a fifth approach would be; it is not part of the standard
+/// comparison) and the full proposed analysis with greedy LS marking.
+pub fn ablation_registry() -> Registry {
+    let mut registry = Registry::new();
+    registry.register(Box::new(WpAnalyzer::new()));
+    registry.register(Box::new(WpMilpAnalyzer));
+    registry.register(Box::new(ProposedAnalyzer));
+    registry
 }
 
 /// The Figure 1 scenario: a task τ_i (here `τ0`, latency-sensitive in the

@@ -2,13 +2,16 @@
 //!
 //! Experiment harness regenerating the evaluation of Section VII:
 //!
-//! * [`experiment`] — schedulability-ratio sweeps over utilization `U`,
-//!   memory-intensity `γ` and deadline-tightness `β`, comparing whatever
-//!   approaches a [`pmcs_analysis::Registry`] holds (by default the
-//!   proposed protocol, the Wasly-Pellizzoni baseline, and the two
-//!   non-preemptive variants);
-//! * [`figures`] — the concrete configurations of Figure 2 insets (a)–(f)
-//!   and the Figure 1 scenario;
+//! * [`experiment`] — the one `(point, set)` driver behind every
+//!   experiment, and the schedulability-ratio sweeps over
+//!   utilization `U`, memory-intensity `γ` and deadline-tightness `β`,
+//!   comparing whatever approaches a [`pmcs_analysis::Registry`] holds (by
+//!   default the proposed protocol, the Wasly-Pellizzoni baseline, and
+//!   the two non-preemptive variants);
+//! * [`figures`] — the concrete configurations of Figure 2 insets
+//!   (a)–(f), the ablation study and the Figure 1 scenario;
+//! * [`multicore`] — the cores × budgets × heuristics sweep;
+//! * [`campaign`] — streaming Monte-Carlo falsification campaigns;
 //! * [`report`] — CSV output and ASCII line charts for terminal viewing.
 //!
 //! Binaries:
@@ -17,7 +20,13 @@
 //!   NPS meet, plus the proposed protocol rescuing the task);
 //! * `fig2 <a..f>` — regenerates one inset of Figure 2;
 //! * `runtime_table` — the analysis-runtime measurements reported in
-//!   prose in Section VII.
+//!   prose in Section VII;
+//! * `ablation` — splits the proposed approach's gain over WP into
+//!   analysis tightening and latency-sensitive support;
+//! * `multicore` — schedulability under shared-bus bandwidth regulation
+//!   per partitioning heuristic;
+//! * `campaign` — Monte-Carlo falsification campaigns that check every
+//!   simulated job response against the analytical WCRT bounds.
 //!
 //! All binaries resolve their execution knobs through
 //! [`pmcs_analysis::AnalysisConfig::resolve`] at the CLI edge — `--jobs N`
@@ -47,11 +56,11 @@ pub use campaign::{
 };
 pub use certs::{certify_set, CertSummary};
 pub use experiment::{
-    evaluate_set, evaluate_set_with_reports, evaluate_set_with_stats, sweep, sweep_with,
-    SetOutcome, SweepOutcome, SweepPoint, SweepRow,
+    evaluate_set_with_reports, sweep, sweep_cold, sweep_with, SetOutcome, SweepOutcome, SweepPoint,
+    SweepRow,
 };
-pub use figures::{fig1_task_set, fig2_inset, Fig2Inset};
-pub use multicore::{sweep_multicore, MulticoreConfig, MulticoreOutcome, MulticoreRow};
+pub use figures::{ablation_points, ablation_registry, fig1_task_set, fig2_inset, Fig2Inset};
+pub use multicore::{sweep_multicore, MulticoreConfig, MulticoreOutcome};
 pub use parallel::{parallel_map, parallel_map_with};
 pub use perf::{finish_run, PerfPoint, PerfRecord};
 pub use report::{ascii_chart, csv_string, write_csv};

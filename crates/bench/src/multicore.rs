@@ -12,20 +12,19 @@
 //! adversarial plans plus the coupled bus-arbiter replay, any refutation
 //! reported upward.
 //!
-//! The sweep runs on the shared worker pool ([`parallel_map_with`]) with
-//! one shared delay cache; every per-item seed derives from
-//! `(base seed, point, set)`, so results are byte-identical for any
-//! `--jobs` value.
+//! The sweep is one closure over the shared `(point, set)` driver
+//! (`sweep_items`): every per-item seed derives from `(base seed,
+//! point, set)`, so results are byte-identical for any `--jobs` value.
+//! A heuristic whose partitioning fails counts as a failed analysis in
+//! [`SweepRow::failures`](crate::SweepRow); a cross-validation that
+//! cannot run reports an `ERROR` refutation line.
 
-use std::sync::Arc;
-use std::time::Instant;
+use pmcs_analysis::{cross_validate_platform, AnalysisConfig, AnalysisContext};
+use pmcs_core::{partition_regulated, Heuristic};
+use pmcs_model::{BusModel, Platform, Time};
+use pmcs_workload::{derive_seed, TaskSetConfig};
 
-use pmcs_analysis::{cross_validate_platform, AnalysisConfig, AnalysisContext, SimCounters};
-use pmcs_core::{partition_regulated, CacheStats, DpStats, Heuristic, SharedDelayCache};
-use pmcs_model::{BusModel, Time};
-use pmcs_workload::{derive_seed, TaskSetConfig, TaskSetGenerator};
-
-use crate::parallel::parallel_map_with;
+use crate::experiment::{sweep_items, Item, SetOutcome, SweepOutcome, SweepPoint};
 
 /// Seed-stream tag separating cross-validation seeds from generation
 /// seeds (same idiom as the single-core sweeps).
@@ -86,65 +85,23 @@ impl Default for MulticoreConfig {
     }
 }
 
-/// One budget level of the sweep result.
-#[derive(Debug, Clone)]
-pub struct MulticoreRow {
-    /// Budget as a fraction of the fair share `P / cores`.
-    pub fraction: f64,
-    /// The resulting per-core budget `Q` in ticks.
-    pub budget: Time,
-    /// Schedulability ratio per heuristic (parallel to
-    /// [`MulticoreOutcome::labels`]).
-    pub ratios: Vec<f64>,
-    /// Analysis failures (engine errors) at this level.
-    pub failures: u64,
-    /// Workloads evaluated.
-    pub sets: usize,
-}
-
 /// Result of [`sweep_multicore`].
 #[derive(Debug, Clone)]
 pub struct MulticoreOutcome {
-    /// Heuristic names, in ratio order.
-    pub labels: Vec<String>,
-    /// One row per budget level, most generous first.
-    pub rows: Vec<MulticoreRow>,
-    /// Per-level compute seconds.
-    pub point_secs: Vec<(String, f64)>,
-    /// Merged delay-cache statistics of all workers.
-    pub cache: CacheStats,
-    /// Merged solver-effort statistics of all workers.
-    pub solver: DpStats,
-    /// Merged cross-validation counters (per-core and bus layers).
-    pub sim: SimCounters,
+    /// One row per budget level, most generous first (`x` is the budget
+    /// as a fraction of the fair share `P / cores`), one column per
+    /// heuristic, with the sweep's telemetry.
+    pub sweep: SweepOutcome,
+    /// The per-core budget `Q` of each level, in row order.
+    pub budgets: Vec<Time>,
     /// DMA transfers replayed through the shared-bus arbiter.
     pub transfers: u64,
-    /// Refutation lines (`point=.. set=.. REFUTATION ..`), in
-    /// deterministic `(point, set)` order. Must be empty.
-    pub refutations: Vec<String>,
-    /// End-to-end wall-clock seconds.
-    pub wall_secs: f64,
-    /// Worker threads used.
-    pub jobs: usize,
-}
-
-/// Per-item result collected by the workers.
-struct ItemOutcome {
-    point: usize,
-    schedulable: Vec<bool>,
-    failed: bool,
-    secs: f64,
-    sim: SimCounters,
-    transfers: u64,
-    refutations: Vec<String>,
 }
 
 /// Runs the cores × budgets × heuristics sweep described in the module
 /// docs and returns the aggregate outcome. Deterministic for a given
 /// config, independent of `analysis.jobs`.
 pub fn sweep_multicore(cfg: &MulticoreConfig) -> MulticoreOutcome {
-    let started = Instant::now();
-    let labels: Vec<String> = Heuristic::ALL.iter().map(ToString::to_string).collect();
     let share = (cfg.period.as_ticks() / cfg.cores as i64).max(1);
     let budgets: Vec<Time> = BUDGET_FRACTIONS
         .iter()
@@ -156,126 +113,75 @@ pub fn sweep_multicore(cfg: &MulticoreConfig) -> MulticoreOutcome {
         gamma: cfg.gamma,
         ..TaskSetConfig::default()
     };
-
-    let items: Vec<(usize, usize)> = (0..budgets.len())
-        .flat_map(|pi| (0..cfg.sets).map(move |si| (pi, si)))
-        .collect();
-    let shared_cache = Arc::new(SharedDelayCache::default());
-    let analysis = cfg.analysis.clone();
-    let (outcomes, contexts) = parallel_map_with(
-        &items,
-        cfg.analysis.jobs,
-        || AnalysisContext::with_shared_cache(&analysis, Arc::clone(&shared_cache)),
-        |ctx, _, &(pi, si)| {
-            let item_started = Instant::now();
-            let seed = derive_seed(cfg.seed, pi as u64, si as u64);
-            let set = TaskSetGenerator::new(workload.clone(), seed).generate();
-            let tasks = set.tasks().to_vec();
-            let bus = BusModel::uniform(cfg.period, cfg.cores, budgets[pi])
-                .expect("budget levels respect ΣQ ≤ P");
-            let mut out = ItemOutcome {
-                point: pi,
-                schedulable: Vec::with_capacity(Heuristic::ALL.len()),
-                failed: false,
-                secs: 0.0,
-                sim: SimCounters::default(),
-                transfers: 0,
-                refutations: Vec::new(),
-            };
-            for h in Heuristic::ALL {
-                match partition_regulated(tasks.clone(), cfg.cores, &bus, h, ctx.engine()) {
-                    Ok(Ok(p)) => {
-                        let sched = p.schedulable();
-                        out.schedulable.push(sched);
-                        if sched && h == Heuristic::FirstFit && cfg.plans > 0 {
-                            let cv_seed = derive_seed(seed, CV_SEED_STREAM, 0);
-                            match cross_validate_platform(
-                                &p.platform,
-                                "proposed",
-                                cfg.plans,
-                                cv_seed,
-                                ctx,
-                            ) {
-                                Ok(pv) => {
-                                    out.sim.merge(&pv.counters());
-                                    out.transfers += pv.transfers_checked;
-                                    out.refutations.extend(
-                                        pv.refutations()
-                                            .iter()
-                                            .map(|r| format!("point={pi} set={si} {r}")),
-                                    );
-                                }
-                                Err(_) => out.failed = true,
-                            }
-                        }
-                    }
-                    Ok(Err(_)) => out.schedulable.push(false),
-                    Err(_) => {
-                        out.schedulable.push(false);
-                        out.failed = true;
-                    }
-                }
-            }
-            out.secs = item_started.elapsed().as_secs_f64();
-            out
-        },
-    );
-
-    let mut rows: Vec<MulticoreRow> = budgets
+    let points: Vec<SweepPoint> = BUDGET_FRACTIONS
         .iter()
-        .zip(BUDGET_FRACTIONS)
-        .map(|(&q, &(num, den))| MulticoreRow {
-            fraction: num as f64 / den as f64,
-            budget: q,
-            ratios: vec![0.0; labels.len()],
-            failures: 0,
-            sets: cfg.sets,
+        .map(|&(num, den)| SweepPoint {
+            x: num as f64 / den as f64,
+            config: workload.clone(),
         })
         .collect();
-    let mut point_secs = vec![0.0f64; rows.len()];
-    let mut sim = SimCounters::default();
-    let mut transfers = 0u64;
-    let mut refutations = Vec::new();
-    for o in &outcomes {
-        let row = &mut rows[o.point];
-        for (slot, &ok) in row.ratios.iter_mut().zip(&o.schedulable) {
-            if ok {
-                *slot += 1.0;
-            }
-        }
-        row.failures += u64::from(o.failed);
-        point_secs[o.point] += o.secs;
-        sim.merge(&o.sim);
-        transfers += o.transfers;
-        refutations.extend(o.refutations.iter().cloned());
-    }
-    for row in &mut rows {
-        for slot in &mut row.ratios {
-            *slot /= cfg.sets.max(1) as f64;
-        }
-    }
-
-    let mut cache = CacheStats::default();
-    let mut solver = DpStats::default();
-    for ctx in &contexts {
-        cache.merge(ctx.cache_stats());
-        solver.merge(ctx.solver_stats());
-    }
-    MulticoreOutcome {
+    let labels = Heuristic::ALL.iter().map(ToString::to_string).collect();
+    // Certificates prove uniprocessor verdicts, not partitions.
+    let analysis = cfg.analysis.clone().with_emit_certs(false);
+    let (sweep, transfers) = sweep_items(
+        &points,
+        &vec![cfg.sets; points.len()],
+        cfg.seed,
         labels,
-        rows,
-        point_secs: budgets
-            .iter()
-            .zip(point_secs)
-            .map(|(q, s)| (format!("Q={q}"), s))
-            .collect(),
-        cache,
-        solver,
-        sim,
-        transfers,
-        refutations,
-        wall_secs: started.elapsed().as_secs_f64(),
-        jobs: cfg.analysis.jobs,
+        &analysis,
+        |worker, pi, set, seed| {
+            let bus = BusModel::uniform(cfg.period, cfg.cores, budgets[pi])
+                .expect("budget levels respect ΣQ ≤ P");
+            let ctx = &worker.ctx;
+            let mut item = Item::<u64>::default();
+            for h in Heuristic::ALL {
+                let before = ctx.solver_stats();
+                let tasks = set.tasks().to_vec();
+                let outcome = match partition_regulated(tasks, cfg.cores, &bus, h, ctx.engine()) {
+                    Ok(Ok(p)) if p.schedulable() => {
+                        if h == Heuristic::FirstFit && cfg.plans > 0 {
+                            let cv_seed = derive_seed(seed, CV_SEED_STREAM, 0);
+                            cross_validate_into(&mut item, &p.platform, cfg.plans, cv_seed, ctx);
+                        }
+                        SetOutcome::Schedulable
+                    }
+                    Ok(_) => SetOutcome::Unschedulable,
+                    Err(e) => SetOutcome::Failed(e.into()),
+                };
+                item.outcomes
+                    .push((outcome, ctx.solver_stats().since(&before)));
+            }
+            item
+        },
+    );
+    MulticoreOutcome {
+        sweep,
+        budgets,
+        transfers: transfers.iter().flatten().sum(),
+    }
+}
+
+/// Cross-validates a schedulable first-fit partition into `item`:
+/// per-core adversarial plans plus the coupled bus replay. A check that
+/// cannot run becomes an `ERROR` line.
+fn cross_validate_into(
+    item: &mut Item<u64>,
+    platform: &Platform,
+    plans: usize,
+    seed: u64,
+    ctx: &AnalysisContext,
+) {
+    match cross_validate_platform(platform, "proposed", plans, seed, ctx) {
+        Ok(pv) => {
+            item.sim.merge(&pv.counters());
+            item.extra += pv.transfers_checked;
+            item.refutations
+                .extend(pv.refutations().iter().map(ToString::to_string));
+        }
+        Err(e) => item.refutations.push(format!(
+            "ERROR heuristic={} cross-validation failed: {e}",
+            Heuristic::FirstFit
+        )),
     }
 }
 
@@ -299,13 +205,10 @@ mod tests {
             analysis: AnalysisConfig::default().with_jobs(4),
             ..tiny()
         });
-        assert_eq!(serial.labels, parallel.labels);
-        for (a, b) in serial.rows.iter().zip(&parallel.rows) {
-            assert_eq!(a.ratios, b.ratios);
-            assert_eq!(a.budget, b.budget);
-            assert_eq!(a.failures, b.failures);
-        }
-        assert_eq!(serial.refutations, parallel.refutations);
+        assert_eq!(serial.sweep.labels, parallel.sweep.labels);
+        assert_eq!(serial.sweep.rows, parallel.sweep.rows);
+        assert_eq!(serial.budgets, parallel.budgets);
+        assert_eq!(serial.sweep.refutations, parallel.sweep.refutations);
         assert_eq!(serial.transfers, parallel.transfers);
     }
 
@@ -314,11 +217,11 @@ mod tests {
         let out = sweep_multicore(&MulticoreConfig { plans: 0, ..tiny() });
         // Ratio at the fair share must dominate the 25% level for every
         // heuristic (inflation is monotone in the budget).
-        let first = &out.rows.first().expect("rows").ratios;
-        let last = &out.rows.last().expect("rows").ratios;
+        let first = &out.sweep.rows.first().expect("rows").ratios;
+        let last = &out.sweep.rows.last().expect("rows").ratios;
         for (f, l) in first.iter().zip(last) {
             assert!(f >= l, "fair-share ratio {f} below starved ratio {l}");
         }
-        assert!(out.refutations.is_empty());
+        assert!(out.sweep.refutations.is_empty());
     }
 }

@@ -7,14 +7,26 @@
 //! that legacy path verbatim (including its fold-failures-into-false
 //! behavior) and asserts the registry-driven sweep produces byte-identical
 //! CSV rows for the same seeds, on a small fig2 inset-A slice.
+//!
+//! The runtime table and the multicore sweep run on the same `(point,
+//! set)` driver; their rows are checked the same way against a serial
+//! loop of direct calls on the same `derive_seed` sets.
 
-use pmcs_analysis::{AnalysisConfig, Registry};
+use pmcs_analysis::{AnalysisConfig, ProposedAnalyzer, Registry};
 use pmcs_baselines::{NpsAnalysis, WpAnalysis};
-use pmcs_bench::{csv_string, fig2_inset, sweep_with, Fig2Inset, SweepPoint, SweepRow};
+use pmcs_bench::{
+    csv_string, fig2_inset, sweep_cold, sweep_multicore, sweep_with, Fig2Inset, MulticoreConfig,
+    SweepPoint, SweepRow,
+};
 use std::sync::Arc;
 
-use pmcs_core::{analyze_task_set, DelayEngine, ExactEngine, SharedCachedEngine, SharedDelayCache};
-use pmcs_workload::{derive_seed, TaskSetGenerator};
+use pmcs_core::engine::DEFAULT_MAX_STATES;
+use pmcs_core::{
+    analyze_task_set, partition_regulated, DelayEngine, ExactEngine, Heuristic, SharedCachedEngine,
+    SharedDelayCache,
+};
+use pmcs_model::BusModel;
+use pmcs_workload::{derive_seed, TaskSetConfig, TaskSetGenerator};
 
 /// The pre-refactor `evaluate_set`, reproduced exactly — note the
 /// `unwrap_or(false)` that motivated the failure-accounting satellite.
@@ -100,4 +112,101 @@ fn registry_sweep_matches_legacy_on_a_parameter_sweep() {
         &AnalysisConfig::default(),
     );
     assert_eq!(legacy_rows, outcome.rows);
+}
+
+/// The runtime table's cold sweep equals a serial loop that analyses each
+/// `derive_seed` set on a bare engine with the point's memo budget.
+#[test]
+fn cold_sweep_matches_a_serial_loop_of_direct_calls() {
+    let points: Vec<SweepPoint> = [0.2f64, 0.35, 0.5]
+        .iter()
+        .map(|&u| SweepPoint {
+            x: u,
+            config: TaskSetConfig {
+                n: 4,
+                utilization: u,
+                gamma: 0.3,
+                beta: 0.4,
+                ..TaskSetConfig::default()
+            },
+        })
+        .collect();
+    let (sets, memo, seed) = ([3usize, 3, 2], [DEFAULT_MAX_STATES, 2_000, 500], 99u64);
+    let mut registry = Registry::new();
+    registry.register(Box::new(ProposedAnalyzer));
+    let (outcome, _) = sweep_cold(
+        &points,
+        &sets,
+        &memo,
+        seed,
+        &registry,
+        &AnalysisConfig::default().with_jobs(2),
+    );
+    let serial: Vec<SweepRow> = points
+        .iter()
+        .enumerate()
+        .map(|(pi, point)| {
+            let engine = ExactEngine::with_max_states(memo[pi]);
+            let schedulable = (0..sets[pi])
+                .filter(|&si| {
+                    let set = TaskSetGenerator::new(
+                        point.config.clone(),
+                        derive_seed(seed, pi as u64, si as u64),
+                    )
+                    .generate();
+                    analyze_task_set(&set, &engine)
+                        .expect("analysis")
+                        .schedulable()
+                })
+                .count();
+            SweepRow {
+                x: point.x,
+                ratios: vec![schedulable as f64 / sets[pi] as f64],
+                failures: vec![0],
+                sets: sets[pi],
+            }
+        })
+        .collect();
+    assert_eq!(outcome.rows, serial);
+}
+
+/// The multicore sweep equals a serial loop that partitions each
+/// `derive_seed` workload with every heuristic on a bare engine.
+#[test]
+fn multicore_sweep_matches_a_serial_loop_of_direct_calls() {
+    let cfg = MulticoreConfig {
+        sets: 2,
+        seed: 7,
+        plans: 1,
+        analysis: AnalysisConfig::default().with_jobs(2),
+        ..MulticoreConfig::for_cores(2)
+    };
+    let outcome = sweep_multicore(&cfg);
+    let workload = TaskSetConfig {
+        n: 2 * cfg.cores,
+        utilization: cfg.util_per_core * cfg.cores as f64,
+        gamma: cfg.gamma,
+        ..TaskSetConfig::default()
+    };
+    let engine = ExactEngine::default();
+    for (pi, (row, &budget)) in outcome.sweep.rows.iter().zip(&outcome.budgets).enumerate() {
+        let bus = BusModel::uniform(cfg.period, cfg.cores, budget).expect("valid budget");
+        let mut wins = vec![0usize; Heuristic::ALL.len()];
+        for si in 0..cfg.sets {
+            let set = TaskSetGenerator::new(
+                workload.clone(),
+                derive_seed(cfg.seed, pi as u64, si as u64),
+            )
+            .generate();
+            for (w, h) in wins.iter_mut().zip(Heuristic::ALL) {
+                let p = partition_regulated(set.tasks().to_vec(), cfg.cores, &bus, h, &engine)
+                    .expect("partitioning");
+                *w += usize::from(p.is_ok_and(|p| p.schedulable()));
+            }
+        }
+        let ratios: Vec<f64> = wins.iter().map(|&w| w as f64 / cfg.sets as f64).collect();
+        assert_eq!(row.ratios, ratios, "budget level {pi} diverged");
+        assert!(row.failures.iter().all(|&f| f == 0));
+    }
+    assert!(outcome.sweep.refutations.is_empty());
 }

@@ -1,13 +1,18 @@
 //! Determinism contract of the parallel sweep executor: the rows (and the
-//! CSV rendered from them) must be byte-identical for every thread count,
-//! and the cached engine stack must reproduce a bare exact engine.
+//! CSV rendered from them) of every experiment on the `(point, set)`
+//! driver — Figure 2, the ablation study, the runtime table — must be
+//! byte-identical for every thread count, and the cached engine stack
+//! must reproduce a bare exact engine.
 //!
 //! Per-item seeds come from `pmcs_workload::derive_seed(base, point, set)`,
 //! so a task set's content depends only on its coordinates — never on
 //! which worker thread picked the item off the queue.
 
-use pmcs_analysis::{AnalysisConfig, Registry};
-use pmcs_bench::{csv_string, sweep_with, SweepPoint};
+use pmcs_analysis::{AnalysisConfig, ProposedAnalyzer, Registry};
+use pmcs_bench::{
+    ablation_points, ablation_registry, csv_string, sweep_cold, sweep_with, SweepPoint,
+};
+use pmcs_core::engine::DEFAULT_MAX_STATES;
 use pmcs_core::{analyze_task_set, ExactEngine};
 use pmcs_workload::{derive_seed, TaskSetConfig, TaskSetGenerator};
 
@@ -106,6 +111,75 @@ fn csv_output_is_byte_identical_across_configurations() {
             reference,
             csv_string("U", &outcome.labels, &outcome.rows),
             "CSV bytes diverged at jobs={jobs}"
+        );
+    }
+}
+
+/// The ablation study (its three-column registry over its utilization
+/// steps, one set per step) gives the same rows for every thread count.
+#[test]
+fn ablation_rows_are_identical_for_any_thread_count() {
+    let points = ablation_points();
+    let registry = ablation_registry();
+    let run = |jobs: usize| {
+        sweep_with(
+            &points,
+            1,
+            0xAB1A,
+            &registry,
+            &AnalysisConfig::default().with_jobs(jobs),
+        )
+    };
+    let reference = run(1);
+    assert_eq!(reference.labels, ["wp", "wp-milp", "proposed"]);
+    for jobs in [2usize, 8] {
+        assert_eq!(
+            reference.rows,
+            run(jobs).rows,
+            "ablation rows diverged between 1 and {jobs} worker threads"
+        );
+    }
+}
+
+/// The runtime table's cold per-set analyses give the same
+/// schedulable-ratio rows for every thread count, with one timing per set.
+#[test]
+fn runtime_rows_are_identical_for_any_thread_count() {
+    let points: Vec<SweepPoint> = points()
+        .into_iter()
+        .map(|p| SweepPoint {
+            config: TaskSetConfig { n: 4, ..p.config },
+            ..p
+        })
+        .collect();
+    let sets = [3usize, 2, 1];
+    let memo = [
+        DEFAULT_MAX_STATES,
+        DEFAULT_MAX_STATES / 4,
+        DEFAULT_MAX_STATES,
+    ];
+    let mut registry = Registry::new();
+    registry.register(Box::new(ProposedAnalyzer));
+    let run = |jobs: usize| {
+        sweep_cold(
+            &points,
+            &sets,
+            &memo,
+            99,
+            &registry,
+            &AnalysisConfig::default().with_jobs(jobs),
+        )
+    };
+    let (reference, times) = run(1);
+    assert_eq!(
+        times.iter().map(Vec::len).collect::<Vec<_>>(),
+        sets.to_vec()
+    );
+    for jobs in [2usize, 8] {
+        assert_eq!(
+            reference.rows,
+            run(jobs).0.rows,
+            "runtime rows diverged between 1 and {jobs} worker threads"
         );
     }
 }
