@@ -718,10 +718,8 @@ mod tests {
             witness: Some(vec![CertChoice::Idle]),
             upper: UpperProof::DpTable(vec![DpEntry {
                 k: 0,
-                prev: CertChoice::Idle,
-                prev2: CertChoice::Idle,
                 budgets: vec![],
-                value: 15,
+                terms: [10, 13, 10, 13],
             }]),
         };
         // The window is length-independent here (no competitors), so both
@@ -859,18 +857,22 @@ mod tests {
     /// across rounds (`"fresh":false`) still decodes — unknown members
     /// are ignored — and is rejected by its version, not misread.
     #[test]
-    fn v1_bundle_claiming_reuse_is_rejected_by_version() {
-        let v2 = crate::encode_certificate_set(&singleton_bundle());
+    fn v1_and_v2_bundles_are_rejected_by_version() {
+        let v3 = crate::encode_certificate_set(&singleton_bundle());
         let entry = r#"{"task":0,"wcrt":17,"schedulable":true}"#;
-        assert!(v2.starts_with(r#"{"version":2,"#) && v2.contains(entry));
-        let v1 = v2.replacen(r#""version":2"#, r#""version":1"#, 1).replacen(
+        assert!(v3.starts_with(r#"{"version":3,"#) && v3.contains(entry));
+        let v1 = v3.replacen(r#""version":3"#, r#""version":1"#, 1).replacen(
             entry,
             r#"{"task":0,"wcrt":17,"schedulable":true,"fresh":false}"#,
             1,
         );
-        let decoded = crate::decode_certificate_set(&v1).expect("v1 bundle decodes");
-        let report = check_certificate_set(&decoded);
-        let codes: Vec<&str> = report.rejections.iter().map(|r| r.code.as_str()).collect();
-        assert_eq!(codes, ["format.version"]);
+        // A v2 bundle keyed its DP states by (prev, prev2) as well.
+        let v2 = v3.replacen(r#""version":3"#, r#""version":2"#, 1);
+        for old in [v1, v2] {
+            let decoded = crate::decode_certificate_set(&old).expect("old bundle decodes");
+            let report = check_certificate_set(&decoded);
+            let codes: Vec<&str> = report.rejections.iter().map(|r| r.code.as_str()).collect();
+            assert_eq!(codes, ["format.version"]);
+        }
     }
 }

@@ -26,12 +26,12 @@ pub fn corrupt_witness(bundle: &mut CertificateSet) -> Result<(), String> {
     Err("corrupt: no window certificate carries a non-empty witness".to_string())
 }
 
-/// Decrements one recorded optimum in the first DP-table proof —
-/// modelling an unsound dominance rule that pruned the true optimum and
-/// recorded a smaller "best" for the state.
+/// Decrements one recorded term in the first DP-table proof — modelling
+/// an unsound dominance rule that pruned the true optimum and recorded a
+/// smaller "best" for the state.
 ///
 /// The checker rejects the result with `dp.bellman-mismatch`: the
-/// tampered state's stored value no longer matches the one-step Bellman
+/// tampered state's stored terms no longer match the one-step Bellman
 /// re-derivation over its children.
 ///
 /// # Errors
@@ -41,8 +41,8 @@ pub fn corrupt_dominance(bundle: &mut CertificateSet) -> Result<(), String> {
     for cert in &mut bundle.windows {
         if let UpperProof::DpTable(entries) = &mut cert.upper {
             if let Some(entry) = entries.last_mut() {
-                let DpEntry { value, .. } = entry;
-                *value -= 1;
+                let DpEntry { terms, .. } = entry;
+                terms[0] -= 1;
                 return Ok(());
             }
         }
@@ -81,10 +81,8 @@ mod tests {
             witness: Some(vec![CertChoice::Idle]),
             upper: UpperProof::DpTable(vec![DpEntry {
                 k: 0,
-                prev: CertChoice::Idle,
-                prev2: CertChoice::Idle,
                 budgets: vec![],
-                value: 15,
+                terms: [10, 13, 10, 13],
             }]),
         });
         bundle

@@ -417,18 +417,59 @@ pub fn replay_witness(sem: &WindowSem, witness: &[CertChoice]) -> Result<i128, S
     Ok(total + sem.terminal(prev, prev2))
 }
 
-type StateKey = (u64, u64, u64, Vec<u64>);
+type StateKey = (u64, Vec<u64>);
+
+/// The four max-plus terms of a table entry ([`DpEntry::terms`]).
+type Terms = [i128; 4];
 
 /// Re-derives every Bellman equation of a producing DP memo table and
 /// checks that the root state's value equals the claim.
 ///
-/// Soundness argument: by induction on decreasing slot index, every
-/// table entry whose equation verifies holds the *true* optimum of its
-/// state — entries at slot `N−2` are checked against closed-form
-/// terminal values only, and each earlier entry against already-forced
+/// **The state and its value.** Entries are keyed by slot and canonical
+/// budgets `(k, b)` alone. The legal choice set at slot `k` — budgets,
+/// placement constraints, the symmetry order and the idle gate — depends
+/// on nothing else; the two previous choices only enter `Δ_{k−1} =
+/// max(p, in_c + o2)`, where `p` is the CPU demand of slot `k−1`'s choice,
+/// `o1` its copy-out, `o2` the copy-out of `I_{k−1}` (slot `k−2`'s
+/// copy-out, or `max_u` when `k−1 = 0`), and `in_c` the copy-in `I_{k−1}`
+/// carries when slot `k` takes `c` (0 at `k = 0`, which has no `Δ_{−1}`).
+/// An entry stores four terms `X` such that the suffix optimum from the
+/// state is
+///
+/// ```text
+/// V(k, b; p, o1, o2) = max(p + X1, p + o1 + X2, o2 + X3, o1 + o2 + X4).
+/// ```
+///
+/// **The recurrence.** With `Y = X(k+1, b−c)` for each legal `c`,
+/// `P_c = cpu_c + max(Y1, out_c + Y2)` and `Q_c = max(Y3, out_c + Y4)`:
+///
+/// ```text
+/// X(k, b) = (max_c P_c, max_c Q_c, max_c (in_c + P_c), max_c (in_c + Q_c))
+/// X(N−1)  = (C_i, max_l, l_i + C_i, l_i + max_l)
+/// ```
+///
+/// and the window optimum is `max(X1(0), max_u + X2(0))`.
+///
+/// **Proof of the identity.** By induction on decreasing `k`. At the
+/// terminal, `max(p, l_i + o2) + max(C_i, max_l + o1)` = `Δ_{N−2} +
+/// Δ_{N−1}` distributes into exactly the four terms of `X(N−1)`. For
+/// `k < N−1`, the suffix optimum is `max_c [max(p, in_c + o2) + V(k+1,
+/// b−c; cpu_c, out_c, o1)]`: slot `k`'s choice `c` becomes the next
+/// predecessor, and `I_k` copies out `o1` (the copy-out of slot `k−1`'s
+/// choice, as `k ≥ 1`). Since `+` distributes over `max`, each bracket
+/// equals `max(p + P_c, p + o1 + Q_c, o2 + in_c + P_c, o1 + o2 + in_c +
+/// Q_c)`, and exchanging the two maxima gives `V(k, b; p, o1, o2)` with
+/// the `X(k, b)` above. At the root, slot 0 contributes no `Δ_{−1}` and
+/// slot 1 sees `o2 = max_u`, so the optimum is `max_c max(P_c, max_u +
+/// Q_c)` = `max(X1(0), max_u + X2(0))`.
+///
+/// **Soundness of the check.** By induction on decreasing slot index,
+/// every table entry whose equation verifies holds the *true* terms of
+/// its state — entries at slot `N−2` are checked against the closed-form
+/// terminal terms only, and each earlier entry against already-forced
 /// child entries (a missing child is an immediate rejection). The root
-/// `(0, idle, idle, full budgets)` therefore holds the true optimum, and
-/// it must equal the claimed bound.
+/// `(0, full budgets)` therefore holds the true terms, and the optimum
+/// they give must equal the claimed bound.
 ///
 /// # Errors
 ///
@@ -444,7 +485,7 @@ pub fn verify_dp_table(sem: &WindowSem, entries: &[DpEntry], claimed: i128) -> R
             entries.len()
         ));
     }
-    let mut table: HashMap<StateKey, i128> = HashMap::with_capacity(entries.len());
+    let mut table: HashMap<StateKey, Terms> = HashMap::with_capacity(entries.len());
     for e in entries {
         if e.budgets.len() != sem.m {
             return Err(format!(
@@ -460,10 +501,10 @@ pub fn verify_dp_table(sem: &WindowSem, entries: &[DpEntry], claimed: i128) -> R
                 e.k, sem.n
             ));
         }
-        check_choice(sem, e.prev, "dp.malformed-entry")?;
-        check_choice(sem, e.prev2, "dp.malformed-entry")?;
-        let key = (e.k, e.prev.code(), e.prev2.code(), e.budgets.clone());
-        if table.insert(key, i128::from(e.value)).is_some() {
+        if table
+            .insert((e.k, e.budgets.clone()), e.terms.map(i128::from))
+            .is_some()
+        {
             return Err(format!(
                 "dp.duplicate-state: slot {} state recorded twice",
                 e.k
@@ -471,31 +512,40 @@ pub fn verify_dp_table(sem: &WindowSem, entries: &[DpEntry], claimed: i128) -> R
         }
     }
 
-    // Value of a child state: closed-form terminal at slot N−1, table
+    let terminal: Terms = [sem.c_i, sem.max_l, sem.l_i + sem.c_i, sem.l_i + sem.max_l];
+    // Terms of a child state: closed-form terminal at slot N−1, table
     // entry (under the canonical budget key) otherwise.
-    let child_value =
-        |k1: usize, prev: CertChoice, prev2: CertChoice, budgets: &[u64]| -> Result<i128, String> {
-            if k1 == sem.n - 1 {
-                return Ok(sem.terminal(prev, prev2));
-            }
-            table
-                .get(&(
-                    k1 as u64,
-                    prev.code(),
-                    prev2.code(),
-                    sem.canon_budgets(budgets, k1),
-                ))
-                .copied()
-                .ok_or_else(|| {
-                    format!("dp.missing-state: slot {k1} successor state absent from the table")
-                })
-        };
+    let child_terms = |k1: usize, budgets: &[u64]| -> Result<Terms, String> {
+        if k1 == sem.n - 1 {
+            return Ok(terminal);
+        }
+        table
+            .get(&(k1 as u64, sem.canon_budgets(budgets, k1)))
+            .copied()
+            .ok_or_else(|| {
+                format!("dp.missing-state: slot {k1} successor state absent from the table")
+            })
+    };
+    // Folds choice `c` with copy-in `input` and child terms `y` into `x`.
+    let fold = |x: &mut Option<Terms>, c: CertChoice, input: i128, y: Terms| {
+        let p = sem.cpu(c) + y[0].max(sem.out_of(c) + y[1]);
+        let q = y[2].max(sem.out_of(c) + y[3]);
+        let t = [p, q, input + p, input + q];
+        *x = Some(x.map_or(t, |x| std::array::from_fn(|i| x[i].max(t[i]))));
+    };
+    // The copy-in `I_{k−1}` carries when slot `k` takes `c`; 0 at the
+    // window start, `None` when infeasible.
+    let input = |k: usize, c: CertChoice| {
+        if k == 0 {
+            Some(0)
+        } else {
+            sem.in_at(k - 1, c)
+        }
+    };
 
     for e in entries {
         let k = e.k as usize;
-        let prev = e.prev;
-        let prev2 = e.prev2;
-        let mut best: Option<i128> = None;
+        let mut x: Option<Terms> = None;
         let mut any_candidate = false;
         let mut budgets = e.budgets.clone();
         for task in 0..sem.m {
@@ -513,14 +563,14 @@ pub fn verify_dp_table(sem: &WindowSem, entries: &[DpEntry], claimed: i128) -> R
                     continue;
                 }
                 let cand = CertChoice::Run { task, urgent };
-                let Some(d) = sem.score(k, prev, prev2, cand) else {
+                let Some(input) = input(k, cand) else {
                     continue;
                 };
                 any_candidate = true;
                 budgets[task] -= 1;
-                let v = d + child_value(k + 1, cand, prev, &budgets)?;
+                let y = child_terms(k + 1, &budgets)?;
                 budgets[task] += 1;
-                best = Some(best.map_or(v, |b: i128| b.max(v)));
+                fold(&mut x, cand, input, y);
             }
         }
         // The engine explores idling only when it is not dominated by
@@ -537,31 +587,33 @@ pub fn verify_dp_table(sem: &WindowSem, entries: &[DpEntry], claimed: i128) -> R
             .sum();
         let surplus_slot = (sem.n - 1 - k) as u64 > usable;
         if !any_candidate || idle_useful || surplus_slot {
-            if let Some(d) = sem.score(k, prev, prev2, CertChoice::Idle) {
-                let v = d + child_value(k + 1, CertChoice::Idle, prev, &budgets)?;
-                best = Some(best.map_or(v, |b: i128| b.max(v)));
+            if let Some(input) = input(k, CertChoice::Idle) {
+                fold(
+                    &mut x,
+                    CertChoice::Idle,
+                    input,
+                    child_terms(k + 1, &budgets)?,
+                );
             }
         }
-        let best = best.ok_or_else(|| {
+        let x = x.ok_or_else(|| {
             format!("dp.bellman-mismatch: slot {k} state has no legal choice at all")
         })?;
-        if best != i128::from(e.value) {
+        if x != e.terms.map(i128::from) {
             return Err(format!(
-                "dp.bellman-mismatch: slot {k} state claims {} but the choice set yields {best}",
-                e.value
+                "dp.bellman-mismatch: slot {k} state claims terms {:?} but the choice set \
+                 yields {x:?}",
+                e.terms
             ));
         }
     }
 
-    let root = (
-        0u64,
-        CertChoice::Idle.code(),
-        CertChoice::Idle.code(),
-        sem.canon_budgets(&sem.budget, 0),
-    );
-    let root_value = table.get(&root).copied().ok_or_else(|| {
-        "dp.missing-state: root state (slot 0, idle, idle, full budgets) absent".to_string()
-    })?;
+    let root = (0u64, sem.canon_budgets(&sem.budget, 0));
+    let root_terms = table
+        .get(&root)
+        .copied()
+        .ok_or_else(|| "dp.missing-state: root state (slot 0, full budgets) absent".to_string())?;
+    let root_value = root_terms[0].max(sem.max_u + root_terms[1]);
     if root_value != claimed {
         return Err(format!(
             "dp.root-mismatch: root proves {root_value} but the certificate claims {claimed}"
@@ -725,19 +777,22 @@ mod tests {
     #[test]
     fn dp_table_verifies_empty_window() {
         let sem = WindowSem::new(&empty_window()).expect("valid window");
+        // Slot 0 idles into the terminal terms (10, 3, 13, 6): the root
+        // proves max(10, max_u + 13) = 15.
         let root = DpEntry {
             k: 0,
-            prev: CertChoice::Idle,
-            prev2: CertChoice::Idle,
             budgets: vec![],
-            value: 15,
+            terms: [10, 13, 10, 13],
         };
         verify_dp_table(&sem, std::slice::from_ref(&root), 15).expect("table verifies");
         // Wrong claim.
         let err = verify_dp_table(&sem, std::slice::from_ref(&root), 14).expect_err("wrong claim");
         assert!(err.starts_with("dp.root-mismatch"), "{err}");
-        // Wrong entry value: the Bellman equation itself fails.
-        let bad = DpEntry { value: 14, ..root };
+        // Wrong entry terms: the Bellman equation itself fails.
+        let bad = DpEntry {
+            terms: [10, 12, 10, 13],
+            ..root
+        };
         let err = verify_dp_table(&sem, &[bad], 14).expect_err("wrong value");
         assert!(err.starts_with("dp.bellman-mismatch"), "{err}");
         // Empty table: root missing.
@@ -748,28 +803,24 @@ mod tests {
     #[test]
     fn dp_table_verifies_lp_blocking() {
         let sem = WindowSem::new(&lp_blocking_window()).expect("valid window");
+        // Terminal terms (C_i, max_l, l_i + C_i, l_i + max_l) = (10, 1, 11, 2).
         let root = DpEntry {
             k: 0,
-            prev: CertChoice::Idle,
-            prev2: CertChoice::Idle,
             budgets: vec![1],
-            value: 512,
+            terms: [512, 511, 512, 511],
         };
         // Reachable interior states: slot 1 after running the blocker in
-        // slot 0, and slot 1 after idling (surplus-slot gate).
+        // slot 0 (only idling is left), and slot 1 after idling
+        // (surplus-slot gate), where the blocker runs with copy-in 1.
         let after_run = DpEntry {
             k: 1,
-            prev: run(0),
-            prev2: CertChoice::Idle,
             budgets: vec![0],
-            value: 512,
+            terms: [10, 11, 10, 11],
         };
         let after_idle = DpEntry {
             k: 1,
-            prev: CertChoice::Idle,
-            prev2: CertChoice::Idle,
             budgets: vec![1],
-            value: 512,
+            terms: [510, 11, 511, 12],
         };
         let table = vec![root, after_run.clone(), after_idle];
         verify_dp_table(&sem, &table, 512).expect("table verifies");

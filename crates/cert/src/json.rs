@@ -509,12 +509,8 @@ fn encode_upper(u: &UpperProof) -> Value {
                     entries
                         .iter()
                         .map(|e| {
-                            let mut row = vec![
-                                int(e.k),
-                                int(e.prev.code()),
-                                int(e.prev2.code()),
-                                int(e.value),
-                            ];
+                            let mut row = vec![int(e.k)];
+                            row.extend(e.terms.iter().map(|&t| int(t)));
                             row.extend(e.budgets.iter().map(|&b| int(b)));
                             Value::Arr(row)
                         })
@@ -532,19 +528,22 @@ fn decode_upper(v: &Value, num_tasks: usize) -> Result<UpperProof, String> {
             let mut entries = Vec::new();
             for e in v.req("entries")?.as_arr()? {
                 let row = e.as_arr()?;
-                if row.len() != 4 + num_tasks {
+                if row.len() != 5 + num_tasks {
                     return Err(format!(
                         "json: dp entry has {} fields, expected {}",
                         row.len(),
-                        4 + num_tasks
+                        5 + num_tasks
                     ));
                 }
                 entries.push(DpEntry {
                     k: row[0].as_u64()?,
-                    prev: CertChoice::from_code(row[1].as_u64()?),
-                    prev2: CertChoice::from_code(row[2].as_u64()?),
-                    value: row[3].as_i64()?,
-                    budgets: row[4..]
+                    terms: [
+                        row[1].as_i64()?,
+                        row[2].as_i64()?,
+                        row[3].as_i64()?,
+                        row[4].as_i64()?,
+                    ],
+                    budgets: row[5..]
                         .iter()
                         .map(|b| b.as_u64())
                         .collect::<Result<_, _>>()?,

@@ -11,7 +11,7 @@
 use crate::hash::Fnv64;
 
 /// Format version of [`CertificateSet`]; bumped on incompatible changes.
-pub const CERT_FORMAT_VERSION: u32 = 2;
+pub const CERT_FORMAT_VERSION: u32 = 3;
 
 /// Arrival model of a task, as the checker's independent η re-derivation
 /// needs it (mirrors the paper's arrival curves, not any model-crate
@@ -218,14 +218,14 @@ impl CertChoice {
 pub struct DpEntry {
     /// Slot index.
     pub k: u64,
-    /// Choice taken in slot `k−1` (idle at the window start).
-    pub prev: CertChoice,
-    /// Choice taken in slot `k−2` (idle at the window start).
-    pub prev2: CertChoice,
-    /// Remaining job budgets per window task.
+    /// Remaining job budgets per window task (canonical form).
     pub budgets: Vec<u64>,
-    /// Claimed exact maximum of `Δ_{k−1} + … + Δ_{N−1}` from this state.
-    pub value: i64,
+    /// The four max-plus terms `X` of the claimed exact maximum of
+    /// `Δ_{k−1} + … + Δ_{N−1}` from this state: for a predecessor with
+    /// CPU demand `p` and copy-out `o1`, and a copy-out `o2` of
+    /// `I_{k−1}`, the maximum is `max(p + X1, p + o1 + X2, o2 + X3,
+    /// o1 + o2 + X4)` (see [`crate::dp::verify_dp_table`]).
+    pub terms: [i64; 4],
 }
 
 /// The upper-bound proof of a [`DelayCertificate`].

@@ -180,10 +180,8 @@ pub fn certify_window_dp(
                 .into_iter()
                 .map(|s| DpEntry {
                     k: s.k as u64,
-                    prev: CertChoice::from_code(s.prev),
-                    prev2: CertChoice::from_code(s.prev2),
                     budgets: s.budgets,
-                    value: s.value,
+                    terms: s.terms,
                 })
                 .collect(),
         ),

@@ -12,14 +12,49 @@
 //!   `I_{k-1}` (Constraints 2, 11);
 //! * the interval length is `Δ_k = max(Δ^cpu_k, Δ^in_k + Δ^out_k)` (R6).
 //!
-//! Because `Δ_k` couples only *adjacent* slots, the optimum is computed by
-//! **memoized dynamic programming** over states
-//! `(slot, remaining job budgets, last two slot decisions)` — each state's
-//! suffix value is exact and shared across the exponentially many
-//! interleavings that reach it. This solves the same optimization as the
-//! MILP formulation (`pmcs_analysis::MilpEngine`, an audit-only oracle)
-//! orders of magnitude faster; the equivalence of the two engines is
-//! property-tested in `pmcs-analysis`'s `tests/milp_equivalence.rs`.
+//! The optimum is computed by **memoized dynamic programming** over states
+//! `(slot, remaining job budgets)` — each state's suffix value is exact and
+//! shared across the exponentially many interleavings that reach it. This
+//! solves the same optimization as the MILP formulation
+//! (`pmcs_analysis::MilpEngine`, an audit-only oracle) orders of magnitude
+//! faster; the equivalence of the two engines is property-tested in
+//! `pmcs-analysis`'s `tests/milp_equivalence.rs`, and a brute-force
+//! enumeration in `tests/brute_force_oracle.rs` checks it on tiny windows.
+//!
+//! ## The state and its four-term value
+//!
+//! Which choices are legal at slot `k` (budgets, Constraint 4/8 urgency,
+//! the lp placement region, the symmetry order and the idle gate) depends
+//! only on `k` and the budgets. The two previous slot decisions enter only
+//! through `Δ_{k−1} = max(cpu(prev), in(c) + o2)` — `prev`'s CPU demand
+//! `p`, and `o2`, the copy-out of `I_{k−1}` (`cout(prev2)`, or `max_u` when
+//! `k−1 = 0`) — and through the copy-out `o1 = cout(prev)` that `I_k`
+//! hands on. The suffix optimum is therefore a max-plus form in
+//! `(p, o1, o2)`:
+//!
+//! ```text
+//! V(k, b; p, o1, o2) = max(p + X1, p + o1 + X2, o2 + X3, o1 + o2 + X4)
+//! ```
+//!
+//! and the memo stores `X = X(k, b)` (`Terms`) per `(slot, budgets)`.
+//! For each legal choice `c` at slot `k`, with `Y = X(k+1, b−c)` and
+//! `in_c = in_at(k−1, c)` (0 at `k = 0`):
+//!
+//! ```text
+//! P_c = cpu_c + max(Y1, out_c + Y2)        Q_c = max(Y3, out_c + Y4)
+//! X(k, b) = (max P_c, max Q_c, max(in_c + P_c), max(in_c + Q_c))
+//! ```
+//!
+//! **Identity.** Expanding `max(p, in_c + o2) + V(k+1, b−c; cpu_c, out_c,
+//! o1)` term by term (`+` distributes over `max`) gives
+//! `max(p + P_c, p + o1 + Q_c, o2 + in_c + P_c, o1 + o2 + in_c + Q_c)`;
+//! the maximum over `c` of each term is the corresponding term of `X(k,
+//! b)`. The child's `o2` is `o1` because `I_k`'s copy-out is `cout(prev)`
+//! for `k ≥ 1`. At the terminal slot `X(N−1) = (C_i, max_l, l_i + C_i,
+//! l_i + max_l)`, which expands to `max(p, l_i + o2) + max(C_i, max_l +
+//! o1)` = `Δ_{N−2} + Δ_{N−1}`. At the root the first slot has no `Δ_{−1}`
+//! and slot 1 sees `o2 = max_u`, so the window optimum is
+//! `max(X1(0), max_u + X2(0))`. Every sum is checked (`Search::add`).
 //!
 //! ## Scratch reuse
 //!
@@ -33,8 +68,9 @@
 //! memory footprint. Two rules keep the table small enough to stay in
 //! cache:
 //!
-//! * the key is a `u64` (16-byte buckets) when the window's key layout
-//!   fits in 64 bits, and a `u128` (32-byte buckets) otherwise;
+//! * the key is a `u64` (40-byte buckets with the 32-byte value) when the
+//!   window's key layout fits in 64 bits, and a `u128` (48-byte buckets)
+//!   otherwise;
 //! * a cold solve clears its table and shrinks it to the entries of the
 //!   solve that filled it, so the table tracks recent solve sizes instead
 //!   of the largest solve the engine has seen.
@@ -87,12 +123,14 @@
 //! only on a memo miss. `Search` is generic over its memo table:
 //! production solves hold the packed scratch memo of their key width,
 //! and certificate recording (`ExactEngine::solve_recorded`) a map keyed
-//! by explicit `(k, prev, prev2, canonical budgets)` tuples.
+//! by explicit `(k, canonical budgets)` pairs.
 //! The map has no 128-bit limit, so a window that production solves
 //! unmemoized is still recorded state by state, and it lives only for one
 //! recording, so recording never touches the carried memo. The witness
 //! walk (`Search::traceback`) replays the recorded table through the same
-//! candidate test, idle gate and budget bookkeeping as the search.
+//! candidate test, idle gate and budget bookkeeping as the search, and
+//! evaluates each child's four terms at the concrete `(prev, prev2)` of
+//! the walk.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -132,9 +170,13 @@ impl Hasher for KeyHasher {
     }
 }
 
+/// The four max-plus terms `X` of a state's suffix value (see the module
+/// docs): `V(p, o1, o2) = max(p + X1, p + o1 + X2, o2 + X3, o1 + o2 + X4)`.
+type Terms = [i64; 4];
+
 /// The production memo: packed keys (see [`Search::memo_key`]), `u64`
 /// when the window's key layout fits in 64 bits and `u128` otherwise.
-type PackedMemo<K> = HashMap<K, i64, BuildHasherDefault<KeyHasher>>;
+type PackedMemo<K> = HashMap<K, Terms, BuildHasherDefault<KeyHasher>>;
 
 /// A packed memo key width. Each width has its own table in [`Scratch`].
 trait PackedKey: Copy + Eq + Hash + From<u64> + Shl<u32, Output = Self> + BitOr<Output = Self> {
@@ -157,32 +199,31 @@ impl PackedKey for u128 {
     }
 }
 
-/// The recorder's memo: explicit `(k, prev, prev2, canonical budgets)`
-/// keys, with choices in the wire encoding.
-type RecMemo = HashMap<(usize, u64, u64, Vec<u64>), i64>;
+/// The recorder's memo: explicit `(k, canonical budgets)` keys.
+type RecMemo = HashMap<(usize, Vec<u64>), Terms>;
 
 /// The memo table of a [`Search`]: how a state is keyed and stored. The
 /// recursion, its gates and its budget bookkeeping do not depend on it.
 trait MemoTable: Sized {
     type Key;
-    /// Key of state `(k, prev, prev2)` under the search's current
-    /// budgets; `None` when the state cannot be memoized.
-    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<Self::Key>;
-    fn lookup(&self, key: &Self::Key) -> Option<i64>;
+    /// Key of slot `k` under the search's current budgets; `None` when
+    /// the state cannot be memoized.
+    fn key(search: &Search<'_, Self>, k: usize) -> Option<Self::Key>;
+    fn lookup(&self, key: &Self::Key) -> Option<Terms>;
     fn entries(&self) -> usize;
-    fn store(&mut self, key: Self::Key, value: i64);
+    fn store(&mut self, key: Self::Key, value: Terms);
 }
 
 impl<K: PackedKey> MemoTable for PackedMemo<K> {
     type Key = K;
 
     #[inline]
-    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<K> {
-        search.memo_key(k, prev, prev2)
+    fn key(search: &Search<'_, Self>, k: usize) -> Option<K> {
+        search.memo_key(k)
     }
 
     #[inline]
-    fn lookup(&self, key: &K) -> Option<i64> {
+    fn lookup(&self, key: &K) -> Option<Terms> {
         self.get(key).copied()
     }
 
@@ -192,22 +233,22 @@ impl<K: PackedKey> MemoTable for PackedMemo<K> {
     }
 
     #[inline]
-    fn store(&mut self, key: K, value: i64) {
+    fn store(&mut self, key: K, value: Terms) {
         self.insert(key, value);
     }
 }
 
 impl MemoTable for RecMemo {
-    type Key = (usize, u64, u64, Vec<u64>);
+    type Key = (usize, Vec<u64>);
 
-    fn key(search: &Search<'_, Self>, k: usize, prev: Choice, prev2: Choice) -> Option<Self::Key> {
+    fn key(search: &Search<'_, Self>, k: usize) -> Option<Self::Key> {
         let budgets = (0..search.s.budget.len())
             .map(|j| search.canon_budget(j, k))
             .collect();
-        Some((k, prev.code(), prev2.code(), budgets))
+        Some((k, budgets))
     }
 
-    fn lookup(&self, key: &Self::Key) -> Option<i64> {
+    fn lookup(&self, key: &Self::Key) -> Option<Terms> {
         self.get(key).copied()
     }
 
@@ -215,7 +256,7 @@ impl MemoTable for RecMemo {
         self.len()
     }
 
-    fn store(&mut self, key: Self::Key, value: i64) {
+    fn store(&mut self, key: Self::Key, value: Terms) {
         self.insert(key, value);
     }
 }
@@ -234,8 +275,8 @@ enum Choice {
 }
 
 impl Choice {
-    /// Compact encoding for memo keys and the certificate wire format:
-    /// 0 = idle, else `1 + 2·task + urgent`.
+    /// Compact encoding for the certificate wire format: 0 = idle, else
+    /// `1 + 2·task + urgent`.
     #[inline]
     fn code(self) -> u64 {
         match self {
@@ -438,7 +479,7 @@ impl ExactEngine {
     /// certificate instead of an exact one).
     ///
     /// Runs the production search ([`Search::dp`]) with an explicit
-    /// `(k, prev, prev2, budgets)` map as its memo: no 128-bit packing
+    /// `(k, budgets)` map as its memo: no 128-bit packing
     /// limit, the same `max_states` entry budget and node backstop. The
     /// states come out sorted by key, and the carried production memo is
     /// left as it was.
@@ -463,7 +504,8 @@ impl ExactEngine {
         if search.hopeless(true) {
             return None;
         }
-        let value = search.dp(0, Choice::Idle, Choice::Idle);
+        let root = search.dp(0);
+        let value = search.root_value(root);
         self.nodes.set(self.nodes.get() + search.nodes);
         if search.aborted {
             return None;
@@ -473,17 +515,9 @@ impl ExactEngine {
         // the emitted certificate must not.
         let mut states: Vec<RecordedState> = std::mem::take(&mut search.memo)
             .into_iter()
-            .map(|((k, prev, prev2, budgets), value)| RecordedState {
-                k,
-                prev,
-                prev2,
-                budgets,
-                value,
-            })
+            .map(|((k, budgets), terms)| RecordedState { k, budgets, terms })
             .collect();
-        states.sort_unstable_by(|a, b| {
-            (a.k, a.prev, a.prev2, &a.budgets).cmp(&(b.k, b.prev, b.prev2, &b.budgets))
-        });
+        states.sort_unstable_by(|a, b| (a.k, &a.budgets).cmp(&(b.k, &b.budgets)));
         Some(RecordedSolve {
             value,
             states,
@@ -492,15 +526,13 @@ impl ExactEngine {
     }
 }
 
-/// One memoized DP state captured by [`ExactEngine::solve_recorded`].
-/// Choices use the stable wire encoding `0 = idle, 1 + 2·task + urgent`.
+/// One memoized DP state captured by [`ExactEngine::solve_recorded`]:
+/// slot, canonical budgets and the state's four max-plus terms.
 #[derive(Debug, Clone)]
 pub(crate) struct RecordedState {
     pub k: usize,
-    pub prev: u64,
-    pub prev2: u64,
     pub budgets: Vec<u64>,
-    pub value: i64,
+    pub terms: [i64; 4],
 }
 
 /// A recorded solve: the exact optimum, every memoized state, and one
@@ -590,6 +622,8 @@ struct Search<'a, M> {
     max_u: i64,
     l_i: i64,
     c_i: i64,
+    /// `X(N−1)`: the terms of the terminal slot, `Δ_{N−2} + Δ_{N−1}`.
+    terminal: Terms,
     last_lp_exec: usize,
     /// Total job budget still unplaced (Σ budgets); tracked so the DP can
     /// detect slots that must stay idle (more slots than jobs).
@@ -625,12 +659,10 @@ struct KeyLayout {
     carry: bool,
     /// Bit width of the slot field.
     slot_bits: u32,
-    /// Bit width of each choice field.
-    c_bits: u32,
 }
 
 impl KeyLayout {
-    /// Lays out the packing of `(slot, prev, prev2, budgets)` into a memo
+    /// Lays out the packing of `(slot, budgets)` into a memo
     /// key for `w`, writing the budget field widths into `budget_bits`.
     ///
     /// The carried layout keys the slot by slots remaining plus a two-bit
@@ -645,7 +677,6 @@ impl KeyLayout {
     fn new(w: &WindowModel, max_states: usize, budget_bits: &mut Vec<u32>) -> Self {
         let m = w.tasks.len();
         let n = w.n();
-        let c_bits = bit_width(2 * m as u64 + 1);
         let field = bit_width(n.saturating_sub(1) as u64).max(CARRY_FIELD_BITS);
         budget_bits.clear();
         budget_bits.extend(
@@ -653,9 +684,8 @@ impl KeyLayout {
                 .iter()
                 .map(|t| if t.hp { field } else { bit_width(t.budget) }),
         );
-        let key_bits = |slot_bits: u32, budget_bits: &[u32]| {
-            slot_bits + 2 * c_bits + budget_bits.iter().sum::<u32>()
-        };
+        let key_bits =
+            |slot_bits: u32, budget_bits: &[u32]| slot_bits + budget_bits.iter().sum::<u32>();
         let node_bound = (max_states as u64)
             .saturating_mul(2 * m as u64 + 1)
             .saturating_add(1);
@@ -670,7 +700,6 @@ impl KeyLayout {
             bits: key_bits(slot_bits, budget_bits),
             carry,
             slot_bits,
-            c_bits,
         }
     }
 }
@@ -763,16 +792,22 @@ impl<'a, M: MemoTable> Search<'a, M> {
             .map(|j| scratch.budget[j])
             .sum();
 
+        let (max_l, l_i, c_i) = (
+            w.max_l.as_ticks(),
+            w.copy_in_i.as_ticks(),
+            w.exec_i.as_ticks(),
+        );
         let mut search = Search {
             n,
             s: scratch,
             memo,
             max_cancel_hp,
             max_cancel_i0,
-            max_l: w.max_l.as_ticks(),
+            max_l,
             max_u: w.max_u.as_ticks(),
-            l_i: w.copy_in_i.as_ticks(),
-            c_i: w.exec_i.as_ticks(),
+            l_i,
+            c_i,
+            terminal: [c_i, max_l, 0, 0],
             last_lp_exec: w.last_lp_exec_interval(),
             remaining_budget,
             remaining_lp,
@@ -783,6 +818,10 @@ impl<'a, M: MemoTable> Search<'a, M> {
             overflowed: false,
             layout,
         };
+        if n >= 2 {
+            search.terminal[2] = search.add(l_i, c_i);
+            search.terminal[3] = search.add(l_i, max_l);
+        }
         search.record_signature();
         search
     }
@@ -906,20 +945,13 @@ impl<'a, M: MemoTable> Search<'a, M> {
         }
     }
 
-    /// The candidate test of slot `k`: `Δ_{k−1}`'s contribution when task
-    /// `task` runs there (urgent or not), or `None` when that placement is
-    /// not explored — no budget left, urgent without an LS flag
-    /// (Constraint 4), outside the lp placement region (Constraints
-    /// 3/14), urgent without a victim (Constraint 8), out of the symmetry
-    /// order, or an infeasible copy-in.
-    fn candidate(
-        &mut self,
-        k: usize,
-        prev: Choice,
-        prev2: Choice,
-        task: usize,
-        urgent: bool,
-    ) -> Option<i64> {
+    /// The candidate test of slot `k`: the copy-in `in_c` that `I_{k−1}`
+    /// carries when task `task` runs in slot `k` (urgent or not, see
+    /// [`Search::input`]), or `None` when that placement is not explored —
+    /// no budget left, urgent without an LS flag (Constraint 4), outside
+    /// the lp placement region (Constraints 3/14), urgent without a victim
+    /// (Constraint 8), or out of the symmetry order.
+    fn candidate(&self, k: usize, task: usize, urgent: bool) -> Option<i64> {
         if self.s.budget[task] == 0 {
             return None;
         }
@@ -928,9 +960,6 @@ impl<'a, M: MemoTable> Search<'a, M> {
         }
         if !self.s.hp[task] && k > self.last_lp_exec {
             return None; // Constraints 3 / 14.
-        }
-        if urgent && k > 0 && self.urgent_cancel(k - 1, task).is_none() {
-            return None; // Constraint 8 with an empty victim set.
         }
         // Symmetry breaking: within an interchangeability class, jobs are
         // consumed in canonical (index) order. Any placement violating the
@@ -941,7 +970,18 @@ impl<'a, M: MemoTable> Search<'a, M> {
         if self.s.class_prev[task].is_some_and(|p| self.s.budget[p] > 0) {
             return None;
         }
-        self.score(k, prev, prev2, Choice::Run { task, urgent })
+        self.input(k, Choice::Run { task, urgent })
+    }
+
+    /// The copy-in of `I_{k−1}` when slot `k` takes `c` (`in_c` of the
+    /// module docs); 0 at the window start, `None` if `c` is infeasible.
+    #[inline]
+    fn input(&self, k: usize, c: Choice) -> Option<i64> {
+        if k == 0 {
+            Some(0)
+        } else {
+            self.in_at(k - 1, c)
+        }
     }
 
     /// The idle gate of slot `k`, given whether any run candidate exists.
@@ -1029,39 +1069,37 @@ impl<'a, M: MemoTable> Search<'a, M> {
     }
 
     /// Certified lower bound (saturating) on the number of distinct
-    /// `(slot, prev, prev2, canonical budgets)` states a completed DP run
-    /// visits and memoizes.
+    /// `(slot, canonical budgets)` states a completed DP run visits and
+    /// memoizes.
     ///
     /// Construction: consider only higher-priority interchangeability
     /// classes with total budget `B_c`, and every consumption vector `x`
     /// (`0 ≤ x_c ≤ B_c`) with `t = Σ x_c ≤ S` where
     /// `S = min(N−2, N−1−max_c B_c)`. All-run prefixes are never gated —
     /// hp placements are unconditional candidates, constrained only by
-    /// the within-class consumption order — so for every `x` with `t ≥ 2`
-    /// and every **ordered class pair** `(a, b)` with a job of `a`
-    /// placeable second-to-last and a job of `b` last (`x_a, x_b ≥ 1`;
-    /// `x_a ≥ 2` when `a = b`), some explored prefix consumes exactly `x`
-    /// and ends `…, a, b`. Each such `(x, a, b)` is a distinct memoized
-    /// state: the budgets determine `x` (within-class order is forced, so
-    /// per-task budgets follow from per-class counts), and `(prev, prev2)`
-    /// determine `(b, a)`. Slot capping is provably inactive
+    /// the within-class consumption order — so for every `x` some
+    /// explored prefix consumes exactly `x` and reaches slot `t`. Each
+    /// such `(t, x)` is a distinct memoized state: the budgets determine
+    /// `x` (within-class order is forced, so per-task budgets follow from
+    /// per-class counts), and lp budgets are equal across prefixes of
+    /// one slot. Slot capping is provably inactive
     /// (`N−1−k ≥ N−1−S ≥ max_c B_c`) and evaporation does not apply to hp
     /// tasks, so canonicalization collapses none of them.
     ///
     /// When idling is admissible at every interior slot
     /// (`max_cancel_i0 > 0` and `max_cancel_hp > 0` keep the idle-useful
-    /// gate open), a prefix with `t ≥ 3` placements can additionally park
-    /// idles between the first placement and the final `a, b`, reaching
-    /// every slot `k ∈ [t, S]` with the same `(prev, prev2, budgets)` —
-    /// `S + 1 − t` further distinct states each.
+    /// gate open), a prefix with `t ≥ 1` placements can additionally park
+    /// idles after its first placement, reaching every slot `k ∈ [t, S]`
+    /// with the same budgets — `S + 1 − t` distinct states in all.
     ///
-    /// The count is evaluated by per-class convolution per ordered pair,
-    /// `O(C³·N)` for `C` classes; every clamp is downward (values
-    /// saturate at `LIMIT`, which is monotone and 1-Lipschitz under the
-    /// windowed prefix-sum differences), so the result never exceeds the
-    /// true state count. The cheap short-circuit below the threshold
-    /// returns an *over*-approximation instead — callers only compare
-    /// against `threshold`, and a value below it cannot trip the gate.
+    /// The count is a per-class convolution, `O(C·N)` for `C` classes;
+    /// every clamp is downward (values saturate at `LIMIT`, which is
+    /// monotone and 1-Lipschitz under the windowed prefix-sum
+    /// differences), so the result never exceeds the true state count.
+    /// The cheap short-circuit below `threshold` returns an
+    /// *over*-approximation instead — callers only compare against
+    /// `threshold`, and a value below it cannot trip the gate. A
+    /// `threshold` of 0 always evaluates the certified count.
     fn min_states_lower_bound(&self, threshold: u64) -> u64 {
         let m = self.s.exec.len();
         // Class roots and per-class hp budgets.
@@ -1088,133 +1126,98 @@ impl<'a, M: MemoTable> Search<'a, M> {
             return 1;
         }
         let s_total = s_total as usize;
-        let c = classes.len() as u64;
-        let spread_ok = self.max_cancel_i0 > 0 && self.max_cancel_hp > 0;
-        let spread_max = if spread_ok { s_total as u64 } else { 1 };
-        // Cheap over-approximation (vectors × ordered pairs × slots)
-        // short-circuits the common case; below the threshold it cannot
-        // trip the caller's gate.
+        let spread = self.max_cancel_i0 > 0 && self.max_cancel_hp > 0;
+        // Cheap over-approximation (vectors × slots) short-circuits the
+        // common case; below the threshold it cannot trip the caller's
+        // gate.
         let product = classes
             .iter()
             .try_fold(1u64, |acc, &b| acc.checked_mul(b + 1))
             .unwrap_or(u64::MAX)
-            .saturating_mul(c * c + 1)
-            .saturating_mul(spread_max);
+            .saturating_mul(if spread { s_total as u64 } else { 1 });
         if product < threshold {
             return product.max(1);
         }
         const LIMIT: u64 = 1 << 40;
-        // f[t] = number of consumption vectors with Σx = t under `budgets`,
-        // clamped at LIMIT (downward, so differences stay lower bounds).
-        let count = |budgets: &[u64], cap: usize| -> Vec<u64> {
-            let mut f = vec![0u64; cap + 1];
-            f[0] = 1;
-            let mut pre = vec![0u64; cap + 2];
-            for &b in budgets {
-                for t in 0..=cap {
-                    pre[t + 1] = (pre[t] + f[t]).min(LIMIT);
-                }
-                let width = b.min(cap as u64) as usize;
-                for t in 0..=cap {
-                    f[t] = (pre[t + 1] - pre[t.saturating_sub(width)]).min(LIMIT);
-                }
+        // f[t] = number of consumption vectors with Σx = t, clamped at
+        // LIMIT (downward, so differences stay lower bounds).
+        let mut f = vec![0u64; s_total + 1];
+        f[0] = 1;
+        let mut pre = vec![0u64; s_total + 2];
+        for &b in &classes {
+            for t in 0..=s_total {
+                pre[t + 1] = (pre[t] + f[t]).min(LIMIT);
             }
-            f
-        };
-        if s_total < 2 {
-            // Too short for a pinned (prev, prev2) tail; fall back to one
-            // state per consumption vector.
-            return count(&classes, s_total)
-                .iter()
-                .fold(0u64, |acc, &v| (acc + v).min(LIMIT));
-        }
-        // The root plus the C single-placement states at slot 1.
-        let mut total: u64 = 1 + c;
-        let cap = s_total - 2;
-        let mut work = classes.clone();
-        for a in 0..classes.len() {
-            for b in 0..classes.len() {
-                if a == b && classes[a] < 2 {
-                    continue;
-                }
-                work.copy_from_slice(&classes);
-                work[a] -= 1;
-                work[b] -= 1;
-                let f = count(&work, cap);
-                for (rest, &v) in f.iter().enumerate() {
-                    let t = rest + 2;
-                    let slots = if spread_ok && t >= 3 {
-                        (s_total + 1 - t) as u64
-                    } else {
-                        1
-                    };
-                    total = (total + v.saturating_mul(slots).min(LIMIT)).min(LIMIT);
-                }
-                if total >= threshold {
-                    return total;
-                }
+            let width = b.min(s_total as u64) as usize;
+            for t in 0..=s_total {
+                f[t] = (pre[t + 1] - pre[t.saturating_sub(width)]).min(LIMIT);
             }
         }
-        total
+        f.iter().enumerate().fold(0u64, |total, (t, &v)| {
+            let slots = if spread && t >= 1 {
+                (s_total + 1 - t) as u64
+            } else {
+                1
+            };
+            (total + v.saturating_mul(slots).min(LIMIT)).min(LIMIT)
+        })
     }
 
-    /// Exact maximum of `Δ_{k-1} + … + Δ_{N-1}` over all legal completions
-    /// of slots `k … N-2`, given the previous two slot decisions. The only
-    /// recursion of the engine (with [`Search::expand`]): production solves
-    /// and certificate recording differ only in their memo table (see the
-    /// module docs).
+    /// The terms `X(k, b)` of the exact maximum of `Δ_{k-1} + … + Δ_{N-1}`
+    /// over all legal completions of slots `k … N-2` under the current
+    /// budgets `b` (see the module docs for the value they encode). The
+    /// only recursion of the engine (with [`Search::expand`]): production
+    /// solves and certificate recording differ only in their memo table.
     ///
     /// This is one visit: the abort and node-budget checks, the terminal
     /// slot and the memo lookup. It is inlined into its callers, so a memo
     /// hit costs no call; only a miss calls [`Search::expand`].
     #[inline(always)]
-    fn dp(&mut self, k: usize, prev: Choice, prev2: Choice) -> i64 {
+    fn dp(&mut self, k: usize) -> Terms {
         if self.aborted {
-            return 0;
+            return [0; 4];
         }
         self.nodes += 1;
         if self.nodes > self.node_limit {
             // Backstop for instances too large to memoize.
             self.aborted = true;
-            return 0;
+            return [0; 4];
         }
 
         if k == self.n - 1 {
-            return self.terminal_value(prev, prev2);
+            return self.terminal;
         }
 
-        let key = M::key(self, k, prev, prev2);
-        if let Some(v) = key.as_ref().and_then(|key| self.memo.lookup(key)) {
-            return v;
+        let key = M::key(self, k);
+        if let Some(x) = key.as_ref().and_then(|key| self.memo.lookup(key)) {
+            return x;
         }
-        self.expand(k, prev, prev2, key)
+        self.expand(k, key)
     }
 
-    /// Expands the state `(k, prev, prev2)` that [`Search::dp`] did not
-    /// find in the memo: tries every candidate and the idle gate, and
-    /// stores the best value under `key`.
+    /// Expands slot `k` under the current budgets, which [`Search::dp`]
+    /// did not find in the memo: folds every candidate and the idle gate
+    /// into the four terms, and stores them under `key`.
     #[inline(never)]
-    fn expand(&mut self, k: usize, prev: Choice, prev2: Choice, key: Option<M::Key>) -> i64 {
-        let mut best = i64::MIN;
+    fn expand(&mut self, k: usize, key: Option<M::Key>) -> Terms {
+        let mut x = [i64::MIN; 4];
         let mut any_candidate = false;
         for task in 0..self.s.exec.len() {
             for urgent in [false, true] {
-                let Some(d) = self.candidate(k, prev, prev2, task, urgent) else {
+                let Some(input) = self.candidate(k, task, urgent) else {
                     continue;
                 };
                 any_candidate = true;
                 self.take(task);
-                let child = self.dp(k + 1, Choice::Run { task, urgent }, prev);
-                let v = self.add(d, child);
+                let y = self.dp(k + 1);
                 self.restore(task);
-                best = best.max(v);
+                self.fold(&mut x, Choice::Run { task, urgent }, input, y);
             }
         }
         if self.idle_admissible(k, any_candidate) {
-            if let Some(d) = self.score(k, prev, prev2, Choice::Idle) {
-                let child = self.dp(k + 1, Choice::Idle, prev);
-                let v = self.add(d, child);
-                best = best.max(v);
+            if let Some(input) = self.input(k, Choice::Idle) {
+                let y = self.dp(k + 1);
+                self.fold(&mut x, Choice::Idle, input, y);
             }
         }
 
@@ -1222,50 +1225,63 @@ impl<'a, M: MemoTable> Search<'a, M> {
             if self.memo.entries() >= self.max_states {
                 self.aborted = true;
             } else {
-                self.memo.store(key, best);
+                self.memo.store(key, x);
             }
         }
-        best
+        x
     }
 
-    /// Terminal value at slot `N-1`: Δ_{N-2} (τ_i's copy-in rides this
-    /// interval's DMA) and Δ_{N-1} (τ_i executes; DMA may copy out `prev`
-    /// and load a future task).
+    /// Folds choice `c` (copy-in `input` of `I_{k−1}`, child terms `y`)
+    /// into the terms `x` of its parent: `P_c = cpu_c + max(Y1, out_c +
+    /// Y2)`, `Q_c = max(Y3, out_c + Y4)`, and `x` takes the maxima of
+    /// `(P_c, Q_c, in_c + P_c, in_c + Q_c)`.
     #[inline]
-    fn terminal_value(&mut self, prev: Choice, prev2: Choice) -> i64 {
-        let dma = self.add(self.l_i, self.out_at(self.n - 2, prev2));
-        let d_nm2 = self.cpu(prev).max(dma);
-        let dma = self.add(self.max_l, self.out_of(prev));
-        let d_nm1 = self.c_i.max(dma);
-        self.add(d_nm2, d_nm1)
+    fn fold(&mut self, x: &mut Terms, c: Choice, input: i64, y: Terms) {
+        let out = self.out_of(c);
+        let cpu = self.cpu(c);
+        let y2 = self.add(out, y[1]);
+        let p = self.add(cpu, y[0].max(y2));
+        let q = y[2].max(self.add(out, y[3]));
+        x[0] = x[0].max(p);
+        x[1] = x[1].max(q);
+        x[2] = x[2].max(self.add(input, p));
+        x[3] = x[3].max(self.add(input, q));
     }
 
-    /// Contribution of `Δ_{k-1}` once slot `k`'s choice is fixed (the slot
-    /// `k-1` copy-in serves the execution of `I_k`); `None` if the choice
-    /// is infeasible, `0` at the window start.
+    /// The value `V(p, o1, o2)` of terms `x` for a slot whose predecessor
+    /// has CPU demand `p` and copy-out `o1`, and whose `Δ_{k−1}` copies
+    /// out `o2`.
     #[inline]
-    fn score(&mut self, k: usize, prev: Choice, prev2: Choice, cand: Choice) -> Option<i64> {
-        if k == 0 {
-            return Some(0);
-        }
-        let input = self.in_at(k - 1, cand)?;
-        let dma = self.add(input, self.out_at(k - 1, prev2));
-        Some(self.cpu(prev).max(dma))
+    fn value(&mut self, x: Terms, p: i64, o1: i64, o2: i64) -> i64 {
+        let a = self.add(p, x[0]);
+        let b = self.add(p, o1);
+        let b = self.add(b, x[1]);
+        let c = self.add(o2, x[2]);
+        let d = self.add(o1, o2);
+        let d = self.add(d, x[3]);
+        a.max(b).max(c).max(d)
     }
 
-    /// Packs `(slot, prev, prev2, canonical budgets)` into a memo key of
-    /// width `K` with the [`KeyLayout`] computed before the search; `None`
-    /// when the layout exceeds 128 bits (the caller then runs without
-    /// memoization until the node budget trips). In the carried layout the
-    /// slot is `(N−1−k, min(k, 2))`: slots remaining plus the gate through
-    /// which `k` enters the search (`k = 0`, `k = 1`; every `k ≥ 2` lies
-    /// past the lp placement region, whose last slot is 0 or 1). Budgets
-    /// enter in canonical form ([`Search::canon_budget`]) so states with
-    /// provably equal suffix optima share one entry; canonical values
-    /// never exceed the raw budget or `N−1`, so the precomputed field
-    /// widths still fit.
+    /// The window optimum from the root terms: slot 0 has no `Δ_{−1}`, and
+    /// slot 1's `Δ_0` copies out `max_u` (Constraint 12).
     #[inline]
-    fn memo_key<K: PackedKey>(&self, k: usize, prev: Choice, prev2: Choice) -> Option<K> {
+    fn root_value(&mut self, x: Terms) -> i64 {
+        let b = self.add(self.max_u, x[1]);
+        x[0].max(b)
+    }
+
+    /// Packs `(slot, canonical budgets)` into a memo key of width `K` with
+    /// the [`KeyLayout`] computed before the search; `None` when the
+    /// layout exceeds 128 bits (the caller then runs without memoization
+    /// until the node budget trips). In the carried layout the slot is
+    /// `(N−1−k, min(k, 2))`: slots remaining plus the gate through which
+    /// `k` enters the search (`k = 0`, `k = 1`; every `k ≥ 2` lies past the
+    /// lp placement region, whose last slot is 0 or 1). Budgets enter in
+    /// canonical form ([`Search::canon_budget`]) so states with provably
+    /// equal suffix optima share one entry; canonical values never exceed
+    /// the raw budget or `N−1`, so the precomputed field widths still fit.
+    #[inline]
+    fn memo_key<K: PackedKey>(&self, k: usize) -> Option<K> {
         let layout = self.layout;
         if layout.bits > u128::BITS {
             return None;
@@ -1278,8 +1294,6 @@ impl<'a, M: MemoTable> Search<'a, M> {
         };
         debug_assert!(bit_width(slot) <= layout.slot_bits);
         let mut key = K::from(slot);
-        key = (key << layout.c_bits) | K::from(prev.code());
-        key = (key << layout.c_bits) | K::from(prev2.code());
         for (j, &bits) in self.s.budget_bits.iter().enumerate() {
             key = (key << bits) | K::from(self.canon_budget(j, k));
         }
@@ -1378,14 +1392,15 @@ impl<K: PackedKey> Search<'_, PackedMemo<K>> {
             self.aborted = true;
             return None;
         }
-        let mut v = self.dp(0, Choice::Idle, Choice::Idle);
+        let mut x = self.dp(0);
         if self.aborted && warm && !self.overflowed {
             // The carried entries crowded the memo budget: re-run cold.
             self.memo.clear();
             self.aborted = false;
             self.node_limit = self.nodes + NODE_BUDGET;
-            v = self.dp(0, Choice::Idle, Choice::Idle);
+            x = self.dp(0);
         }
+        let v = self.root_value(x);
         if self.aborted {
             return None;
         }
@@ -1428,11 +1443,12 @@ impl Search<'_, RecMemo> {
         let mut any_candidate = false;
         for task in 0..self.s.exec.len() {
             for urgent in [false, true] {
-                let Some(d) = self.candidate(k, prev, prev2, task, urgent) else {
+                let Some(input) = self.candidate(k, task, urgent) else {
                     continue;
                 };
                 any_candidate = true;
                 let cand = Choice::Run { task, urgent };
+                let d = self.score(k, prev, prev2, input);
                 self.take(task);
                 if self.child_value(k, cand, prev) == Some(v - d) {
                     return Some((cand, d));
@@ -1443,16 +1459,32 @@ impl Search<'_, RecMemo> {
         if !self.idle_admissible(k, any_candidate) {
             return None;
         }
-        let d = self.score(k, prev, prev2, Choice::Idle)?;
+        let d = self.score(k, prev, prev2, self.input(k, Choice::Idle)?);
         (self.child_value(k, Choice::Idle, prev) == Some(v - d)).then_some((Choice::Idle, d))
     }
 
-    /// Recorded value of the state after choosing `cand` at slot `k`.
-    fn child_value(&mut self, k: usize, cand: Choice, prev: Choice) -> Option<i64> {
-        if k + 1 == self.n - 1 {
-            return Some(self.terminal_value(cand, prev));
+    /// Contribution of `Δ_{k-1}` once slot `k`'s choice, whose copy-in
+    /// `I_{k−1}` carries is `input`, is fixed; `0` at the window start.
+    fn score(&mut self, k: usize, prev: Choice, prev2: Choice, input: i64) -> i64 {
+        if k == 0 {
+            return 0;
         }
-        RecMemo::key(self, k + 1, cand, prev).and_then(|key| self.memo.lookup(&key))
+        let dma = self.add(input, self.out_at(k - 1, prev2));
+        self.cpu(prev).max(dma)
+    }
+
+    /// Value of the state after choosing `cand` at slot `k` (budget
+    /// taken), at the concrete `prev` of the walk: its recorded terms
+    /// evaluated at `cand`'s CPU demand and copy-out and `I_k`'s copy-out.
+    fn child_value(&mut self, k: usize, cand: Choice, prev: Choice) -> Option<i64> {
+        let y = if k + 1 == self.n - 1 {
+            self.terminal
+        } else {
+            let key = RecMemo::key(self, k + 1)?;
+            self.memo.lookup(&key)?
+        };
+        let (p, o1, o2) = (self.cpu(cand), self.out_of(cand), self.out_at(k, prev));
+        Some(self.value(y, p, o1, o2))
     }
 }
 
@@ -1691,12 +1723,12 @@ mod tests {
         assert_eq!(rec.value, fresh.delay.as_ticks());
     }
 
-    /// Seven hp tasks ahead of the lowest-priority `τ7` (`n = 8`), in two
+    /// `n − 1` hp tasks ahead of the lowest-priority `τ_{n−1}`, in two
     /// shapes plus one LS task, so the window stays cheap to solve.
-    fn eight_task_set() -> TaskSet {
-        let tasks = (0..8u32)
+    fn chain_set(n: u32) -> TaskSet {
+        let tasks = (0..n)
             .map(|i| {
-                let exec = 20 + 5 * i64::from(i % 2) + 40 * i64::from(i / 7);
+                let exec = 20 + 5 * i64::from(i % 2) + 40 * i64::from(i + 1 == n);
                 test_task(i, exec, 2, 2, 400 + 150 * i64::from(i), i, i == 0)
             })
             .collect();
@@ -1706,16 +1738,17 @@ mod tests {
     #[test]
     fn key_width_follows_the_layout() {
         let long_lived = ExactEngine::default();
-        // The lowest-priority task of an n = 8 set: a 9-bit slot field,
-        // two 4-bit choices and seven 7-bit hp budgets, 66 bits.
-        let set = eight_task_set();
-        let wide = WindowModel::build(&set, TaskId(7), WindowCase::Nls, Time::from_ticks(100))
+        // The lowest-priority task of an n = 9 set: a 9-bit slot field
+        // and eight 7-bit hp budgets, 65 bits.
+        let set = chain_set(9);
+        let wide = WindowModel::build(&set, TaskId(8), WindowCase::Nls, Time::from_ticks(100))
+            .expect("τ8 is in the set");
+        assert_eq!(key_bits(&wide), 65);
+        // The next task up (the lowest-priority task of an n = 8 set,
+        // with one lp blocker) fits a u64 key: 9 + 7·7 + 1 bits.
+        let narrow = WindowModel::build(&set, TaskId(7), WindowCase::Nls, Time::from_ticks(300))
             .expect("τ7 is in the set");
-        assert_eq!(key_bits(&wide), 66);
-        // A mid-priority window of the same set fits a u64 key.
-        let narrow = WindowModel::build(&set, TaskId(3), WindowCase::Nls, Time::from_ticks(300))
-            .expect("τ3 is in the set");
-        assert!(key_bits(&narrow) <= 64, "{} bits", key_bits(&narrow));
+        assert_eq!(key_bits(&narrow), 59);
         for w in [&wide, &narrow, &wide, &narrow] {
             assert_engines_agree(&long_lived, w);
         }
@@ -1734,7 +1767,7 @@ mod tests {
             let scratch = engine.scratch.borrow();
             (scratch.memo64.len(), scratch.memo64.capacity())
         };
-        let set = eight_task_set();
+        let set = chain_set(8);
         let (large, _) = solve(&set, 5, 900);
         let (small, _) = solve(&set, 1, 60);
         assert!(small * 16 < large, "small {small} vs large {large} states");
@@ -1787,5 +1820,75 @@ mod tests {
             .max_total_delay(&w)
             .expect("engine result");
         assert!(b.exact, "budget 41 must still pack into the memo key");
+    }
+
+    /// The hopeless gate's certified state count of `w` (no
+    /// short-circuit) and the memo entries of a cold solve of `w`.
+    fn bound_and_entries(w: &WindowModel) -> (u64, usize) {
+        let mut scratch = Scratch::default();
+        let layout = KeyLayout::new(w, DEFAULT_MAX_STATES, &mut scratch.budget_bits);
+        let search = Search::new(
+            w,
+            layout,
+            DEFAULT_MAX_STATES,
+            true,
+            &mut scratch,
+            RecMemo::new(),
+        );
+        let bound = search.min_states_lower_bound(0);
+        let engine = ExactEngine::default();
+        assert!(engine.max_total_delay(w).expect("engine result").exact);
+        let scratch = engine.scratch.borrow();
+        (bound, scratch.memo64.len() + scratch.memo128.len())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The hopeless gate never fires on a window that fits: its
+        /// certified count is at most the states a cold solve memoizes.
+        #[test]
+        fn state_lower_bound_never_exceeds_a_cold_solve(
+            specs in proptest::collection::vec(
+                (1i64..=30, 0i64..=10, 0i64..=10, 30i64..=120, proptest::prelude::any::<bool>()),
+                2..=5,
+            ),
+            under in 0usize..5,
+            ls_case in proptest::prelude::any::<bool>(),
+            t in 1i64..=200,
+        ) {
+            let tasks = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, l, u, period, ls))| test_task(i as u32, c, l, u, period, i as u32, ls))
+                .collect();
+            let set = TaskSet::new(tasks).expect("valid task set");
+            let case = if ls_case { WindowCase::LsCaseA } else { WindowCase::Nls };
+            let under = TaskId((under % specs.len()) as u32);
+            let w = WindowModel::build(&set, under, case, Time::from_ticks(t)).expect("task in set");
+            let (bound, entries) = bound_and_entries(&w);
+            proptest::prop_assert!(bound <= entries as u64, "bound {} > {} entries", bound, entries);
+        }
+    }
+
+    #[test]
+    fn state_lower_bound_counts_vectors_and_idle_spread() {
+        // Three hp classes of two jobs each ahead of τ4, one LS task
+        // keeping free cancellations (and so the idle spread) open: the
+        // certified count is well above one state per slot, and a cold
+        // solve memoizes at least that many.
+        let set = TaskSet::new(vec![
+            test_task(0, 10, 4, 2, 60, 0, true),
+            test_task(1, 12, 3, 3, 70, 1, false),
+            test_task(2, 14, 5, 1, 80, 2, false),
+            test_task(3, 9, 6, 2, 90, 3, false),
+            test_task(4, 30, 2, 2, 1_000, 4, false),
+        ])
+        .expect("valid task set");
+        let w = WindowModel::build(&set, TaskId(4), WindowCase::Nls, Time::from_ticks(100))
+            .expect("τ4 is in the set");
+        let (bound, entries) = bound_and_entries(&w);
+        assert!(bound > w.n() as u64, "bound {bound} for N = {}", w.n());
+        assert!(bound <= entries as u64, "bound {bound} > {entries} entries");
     }
 }
