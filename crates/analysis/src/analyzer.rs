@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pmcs_core::{CacheStats, DpStats, SharedDelayCache};
+use pmcs_core::{DpStats, SharedDelayCache};
 use pmcs_model::TaskSet;
 
 use crate::config::AnalysisConfig;
@@ -13,11 +13,12 @@ use crate::report::ApproachReport;
 /// Per-worker analysis state: the resolved configuration plus the engine
 /// stack built from it.
 ///
-/// The stack holds scratch and cache state behind interior mutability,
-/// so a context is cheap to call into but not `Sync`. Sweep drivers
-/// build **one context per worker thread** and reuse it across task
-/// sets — that is what makes the window-level delay cache pay off across
-/// sets, exactly as the old `WorkerEngine` did.
+/// The stack holds scratch and the exact engine's DP memo behind
+/// interior mutability, so a context is cheap to call into but not
+/// `Sync`. Sweep drivers build **one context per worker thread** and
+/// reuse it across task sets, so the memo's tables are allocated once
+/// per worker rather than once per set. Nothing a context keeps changes
+/// a result: a fresh context analyses every set identically.
 #[derive(Debug)]
 pub struct AnalysisContext {
     cfg: AnalysisConfig,
@@ -33,19 +34,15 @@ impl AnalysisContext {
         }
     }
 
-    /// Builds a context whose cache layer shares `cache` with every
-    /// other context built from the same `Arc` (see
-    /// [`EngineStack::build_with_cache`]). Parallel drivers create one
-    /// process-wide [`SharedDelayCache`] and hand a clone of the `Arc`
-    /// to each worker's context, so a window solved by any worker is a
-    /// hit for all. [`cache_stats`](AnalysisContext::cache_stats) still
-    /// reports only *this* context's lookups, so merging per-worker
-    /// stats never double-counts.
-    pub fn with_shared_cache(cfg: &AnalysisConfig, cache: Arc<SharedDelayCache>) -> Self {
-        AnalysisContext {
-            cfg: cfg.clone(),
-            engine: EngineStack::build_with_cache(cfg, cache),
-        }
+    /// The same as [`new`](AnalysisContext::new); the cache is ignored.
+    ///
+    /// Kept so that callers written when the stack had a shared
+    /// window-cache layer still compile. Batch analysis no longer caches
+    /// windows (see [`EngineStack`]); a long-lived service that repeats
+    /// windows wraps its engine in a
+    /// [`SharedCachedEngine`](pmcs_core::SharedCachedEngine) directly.
+    pub fn with_shared_cache(cfg: &AnalysisConfig, _cache: Arc<SharedDelayCache>) -> Self {
+        Self::new(cfg)
     }
 
     /// The configuration this context was built from.
@@ -56,11 +53,6 @@ impl AnalysisContext {
     /// The engine stack (for analyzers that run the delay maximization).
     pub fn engine(&self) -> &EngineStack {
         &self.engine
-    }
-
-    /// Hit/miss counters accumulated by the stack's caching layers.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats()
     }
 
     /// Cumulative exact-DP effort accumulated by the stack's engine.
@@ -84,8 +76,8 @@ pub trait Analyzer: Send + Sync {
 
     /// Analyzes `set` using a caller-provided context.
     ///
-    /// Sweeps call this with a long-lived per-worker context so delay
-    /// bounds cache across task sets.
+    /// Sweeps call this with a long-lived per-worker context, so the
+    /// engine's tables are reused across task sets.
     ///
     /// # Errors
     ///
@@ -124,7 +116,7 @@ mod tests {
         let cfg = AnalysisConfig::default();
         let ctx = AnalysisContext::new(&cfg);
         assert_eq!(ctx.config(), &cfg);
-        assert_eq!(ctx.engine().layers(), "cached(exact)");
-        assert_eq!(ctx.cache_stats(), CacheStats::default());
+        assert_eq!(ctx.engine().layers(), "exact");
+        assert!(ctx.solver_stats().is_empty());
     }
 }

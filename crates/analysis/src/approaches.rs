@@ -27,7 +27,7 @@ use crate::report::ApproachReport;
 /// plus the greedy latency-sensitivity marking of Section VI.
 ///
 /// Runs on the context's engine stack, so it honors the configured
-/// cache/audit layers and solver limits.
+/// audit layer and solver limits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProposedAnalyzer;
 

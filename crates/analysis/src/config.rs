@@ -178,7 +178,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_single_threaded_cached_unaudited() {
+    fn defaults_are_single_threaded_unaudited() {
         let cfg = AnalysisConfig::default();
         assert_eq!(cfg.jobs, 1);
         assert!(!cfg.audit);

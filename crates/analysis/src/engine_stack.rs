@@ -7,38 +7,32 @@
 //! place, from one [`AnalysisConfig`], as plain decorator layers:
 //!
 //! ```text
-//! SharedCachedEngine     (always — window-level delay-bound memo)
-//!   └─ AuditedEngine     (cfg.audit — cross-check vs audited MILP)
-//!        └─ ExactEngine  (always — memoized-DP base, cfg.max_states)
+//! AuditedEngine     (cfg.audit — cross-check vs audited MILP)
+//!   └─ ExactEngine  (always — memoized-DP base, cfg.max_states)
 //! ```
 //!
-//! The cache sits outermost so that audited solves only run on cache
-//! misses. Each layer implements [`StackEngine`] — [`DelayEngine`] plus
-//! cache-statistics observability — so the stack composes without any
-//! enum dispatch and a new layer is one `impl` away.
+//! There is no window-cache layer: batch analysis almost never meets a
+//! window twice outside a fixed point's confirming iteration, which the
+//! WCRT iteration answers itself, and the exact engine's carried DP memo
+//! already reuses the states of growing windows. With `cfg.audit` every
+//! window the analysis solves is therefore audited. (`pmcs-serve`, whose
+//! connections do repeat windows, wraps its engines in a
+//! [`SharedCachedEngine`](pmcs_core::SharedCachedEngine) itself.) Each
+//! layer implements [`StackEngine`] — [`DelayEngine`] plus DP-effort
+//! observability — so the stack composes without any enum dispatch and a
+//! new layer is one `impl` away.
 
 use std::fmt;
-use std::sync::Arc;
 
-use pmcs_core::cache::DEFAULT_CAPACITY;
 use pmcs_core::wcrt::DelayBound;
-use pmcs_core::{
-    CacheStats, CoreError, DelayEngine, DpStats, ExactEngine, SharedCachedEngine, SharedDelayCache,
-    WindowModel,
-};
+use pmcs_core::{CoreError, DelayEngine, DpStats, ExactEngine, WindowModel};
 
 use crate::config::AnalysisConfig;
 use crate::formulation::MilpEngine;
 
 /// A delay engine usable as a stack layer: a [`DelayEngine`] that can be
-/// moved to a worker thread and reports cache statistics (zero for
-/// layers that do not cache) plus the cumulative exact-DP effort.
+/// moved to a worker thread and reports the cumulative exact-DP effort.
 pub trait StackEngine: DelayEngine + Send {
-    /// Hit/miss counters of every cache in this layer and below.
-    fn cache_stats(&self) -> CacheStats {
-        CacheStats::default()
-    }
-
     /// Cumulative exact-DP effort (search nodes, budget fallbacks) of
     /// this layer and below.
     fn solver_stats(&self) -> DpStats {
@@ -52,21 +46,6 @@ impl StackEngine for ExactEngine {
     }
 }
 
-impl<E: StackEngine> StackEngine for SharedCachedEngine<E> {
-    /// Local counters only (this stack's lookups into the shared cache),
-    /// so per-worker merging never double-counts — see
-    /// [`SharedDelayCache::stats`] for the global view.
-    fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.stats();
-        stats.merge(self.inner().cache_stats());
-        stats
-    }
-
-    fn solver_stats(&self) -> DpStats {
-        self.inner().solver_stats()
-    }
-}
-
 impl DelayEngine for Box<dyn StackEngine> {
     fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
         (**self).max_total_delay(w)
@@ -74,10 +53,6 @@ impl DelayEngine for Box<dyn StackEngine> {
 }
 
 impl StackEngine for Box<dyn StackEngine> {
-    fn cache_stats(&self) -> CacheStats {
-        (**self).cache_stats()
-    }
-
     fn solver_stats(&self) -> DpStats {
         (**self).solver_stats()
     }
@@ -149,10 +124,6 @@ impl<E: DelayEngine> DelayEngine for AuditedEngine<E> {
 }
 
 impl<E: StackEngine> StackEngine for AuditedEngine<E> {
-    fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
-    }
-
     fn solver_stats(&self) -> DpStats {
         self.inner.solver_stats()
     }
@@ -161,7 +132,7 @@ impl<E: StackEngine> StackEngine for AuditedEngine<E> {
 /// The assembled engine stack: a boxed pile of [`StackEngine`] layers
 /// built by [`EngineStack::build`] from one [`AnalysisConfig`].
 ///
-/// Holds per-call scratch and cache state behind interior mutability, so
+/// Holds per-call scratch and the DP memo behind interior mutability, so
 /// it is cheap to call but not `Sync`: parallel drivers build one stack
 /// per worker (see [`AnalysisContext`](crate::AnalysisContext)).
 pub struct EngineStack {
@@ -170,19 +141,8 @@ pub struct EngineStack {
 }
 
 impl EngineStack {
-    /// Assembles the stack described by `cfg`; the window-cache layer
-    /// gets a private one-shard cache.
+    /// Assembles the stack described by `cfg`.
     pub fn build(cfg: &AnalysisConfig) -> Self {
-        let private = SharedDelayCache::with_config(1, DEFAULT_CAPACITY);
-        Self::build_with_cache(cfg, Arc::new(private))
-    }
-
-    /// Like [`build`](EngineStack::build), but the window-cache layer
-    /// reads and writes `shared`, so every stack handed the same `Arc` —
-    /// bench workers, server threads — shares one warm cache. Bounds are
-    /// content-addressed, so results are identical either way; only
-    /// hit/miss telemetry depends on who solved a window first.
-    pub fn build_with_cache(cfg: &AnalysisConfig, shared: Arc<SharedDelayCache>) -> Self {
         // Each layer wraps the pile once and names itself around the
         // name of what it wraps, so the description cannot drift from
         // the composition.
@@ -193,15 +153,7 @@ impl EngineStack {
             engine = Box::new(AuditedEngine::new(engine));
             layers = format!("audited({layers})");
         }
-        EngineStack {
-            engine: Box::new(SharedCachedEngine::new(engine, shared)),
-            layers: format!("cached({layers})"),
-        }
-    }
-
-    /// Hit/miss counters of every caching layer in the stack.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats()
+        EngineStack { engine, layers }
     }
 
     /// Cumulative exact-DP effort of the stack's base engine.
@@ -263,18 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_stack_reports_hits_on_repeat_solves() {
-        let cfg = AnalysisConfig::default();
-        let stack = EngineStack::build(&cfg);
-        let w = demo_window();
-        let _ = stack.max_total_delay(&w).expect("stack result");
-        let _ = stack.max_total_delay(&w).expect("stack result");
-        let stats = stack.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
     fn audited_layer_passes_agreeing_bounds() {
         let audited = AuditedEngine::new(ExactEngine::default());
         let bound = audited.max_total_delay(&demo_window()).expect("agreement");
@@ -304,7 +244,7 @@ mod tests {
 
     #[test]
     fn layer_names_follow_the_wrapping_order() {
-        for (audit, expected) in [(false, "cached(exact)"), (true, "cached(audited(exact))")] {
+        for (audit, expected) in [(false, "exact"), (true, "audited(exact)")] {
             let cfg = AnalysisConfig {
                 audit,
                 ..AnalysisConfig::default()
@@ -316,30 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_is_reused_across_stacks() {
-        let cfg = AnalysisConfig::default();
-        let shared = Arc::new(SharedDelayCache::default());
-        let a = EngineStack::build_with_cache(&cfg, Arc::clone(&shared));
-        let b = EngineStack::build_with_cache(&cfg, Arc::clone(&shared));
-        let w = demo_window();
-        let first = a.max_total_delay(&w).expect("stack result");
-        let second = b.max_total_delay(&w).expect("stack result");
-        assert_eq!(first.delay, second.delay);
-        assert_eq!(b.cache_stats().hits, 1, "the second stack hits");
-        assert_eq!(shared.len(), 1);
-    }
-
-    #[test]
     fn solver_stats_flow_through_the_stack() {
-        let cached = EngineStack::build(&AnalysisConfig::default());
-        assert!(cached.solver_stats().is_empty());
+        let stack = EngineStack::build(&AnalysisConfig::default());
+        assert!(stack.solver_stats().is_empty());
         let w = demo_window();
-        let _ = cached.max_total_delay(&w).expect("stack result");
-        let solved = cached.solver_stats();
+        let _ = stack.max_total_delay(&w).expect("stack result");
+        let solved = stack.solver_stats();
         assert!(solved.nodes > 0, "stats not threaded: {solved:?}");
-        // A cache hit runs no search.
-        let _ = cached.max_total_delay(&w).expect("stack result");
-        assert_eq!(cached.solver_stats(), solved);
         // The audit layer reports the production DP's counts only.
         for audit in [false, true] {
             let stack = EngineStack::build(&AnalysisConfig {

@@ -17,7 +17,7 @@
 //!                        │                 │
 //!        EngineStack::build (per worker)   │
 //!                        ▼                 ▼
-//! SharedCachedEngine ▸ AuditedEngine ▸ ExactEngine  Registry::standard()
+//!          AuditedEngine ▸ ExactEngine     Registry::standard()
 //!                        │                 │
 //!                        └── AnalysisContext ── Analyzer::analyze_with
 //!                                          │

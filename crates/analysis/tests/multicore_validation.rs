@@ -1,6 +1,6 @@
 //! Integration tests for the multi-core contention layer: degeneracy
 //! differentials (contention-free and `M = 1` platforms are
-//! byte-identical to the legacy single-core path, down to cache
+//! byte-identical to the legacy single-core path, down to DP effort
 //! counters and certificates), zero-refutation cross-validation of a
 //! regulated two-core platform, a negative test
 //! showing the arbiter refutes a deliberately weakened inflation
@@ -49,8 +49,8 @@ fn canonical_certs(mut certs: CertificateSet) -> String {
 
 /// Asserts that analyzing `set` through a [`ContentionAware`] decorator
 /// over `bus` is indistinguishable from the undecorated analyzer: same
-/// approach name, byte-identical report, identical cache counters from
-/// fresh contexts, and an identical certificate bundle.
+/// approach name, byte-identical report, identical DP effort from fresh
+/// contexts, and an identical certificate bundle.
 fn assert_degenerate(set: &TaskSet, bus: &BusModel) {
     let inflation = Inflation::for_core(bus, CoreId(0));
     assert!(inflation.is_identity(), "expected a degenerate platform");
@@ -70,9 +70,9 @@ fn assert_degenerate(set: &TaskSet, bus: &BusModel) {
 
     assert_eq!(plain, wrapped, "identity decorator changed the report");
     assert_eq!(
-        plain_ctx.cache_stats(),
-        wrapped_ctx.cache_stats(),
-        "identity decorator changed the cache behaviour"
+        plain_ctx.solver_stats(),
+        wrapped_ctx.solver_stats(),
+        "identity decorator changed the DP effort"
     );
 
     // The inflated set is the same set, so its certificate bundle must

@@ -19,9 +19,9 @@
 //! `(step, set)` item runs on the worker pool (`--jobs N` /
 //! `PMCS_JOBS`, resolved at this CLI edge), seeded
 //! `derive_seed(0xAB1A, step, set)`, so the table is identical for every
-//! thread count. The workers share one delay-bound cache, which pays off
-//! doubly here: the all-NLS pass and the greedy pass solve many
-//! identical windows. A failed analysis counts as unschedulable, is
+//! thread count. The all-NLS pass and the greedy pass solve many windows
+//! of the same shape; each worker's exact engine carries its DP memo
+//! from one to the next. A failed analysis counts as unschedulable, is
 //! reported on stderr and lands in `analysis_failures`. A perf record
 //! goes to `BENCH_ablation.json`.
 //!
@@ -102,7 +102,6 @@ fn main() -> ExitCode {
     let mut perf = PerfRecord::new("ablation");
     perf.jobs = out.jobs;
     perf.wall_secs = out.wall_secs;
-    perf.cache = out.cache;
     for (point, secs) in points.iter().zip(&out.point_secs) {
         perf.points.push(PerfPoint {
             label: format!("U={:.2}", point.x),
@@ -111,11 +110,13 @@ fn main() -> ExitCode {
     }
     perf.extra_num("sets_per_step", sets as f64);
     perf.extra_num("analysis_failures", failures as f64);
+    for (label, stats) in out.labels.iter().zip(&out.solver) {
+        perf.extra_solver(&format!("solver_{label}"), *stats);
+    }
     perf.extra_sim(&out.sim);
     if let Some(certs) = &out.certs {
         println!("certificates: {certs}");
     }
     perf.extra_cert(out.certs.as_ref());
-    let note = format!(" (cache: {})", perf.cache);
-    finish_run(&perf, &note, out.certs.as_ref(), &out.refutations)
+    finish_run(&perf, out.certs.as_ref(), &out.refutations)
 }

@@ -139,5 +139,5 @@ fn main() -> ExitCode {
         println!("fig1: certificates — {certs}");
     }
     perf.extra_cert(certs.as_ref());
-    finish_run(&perf, "", certs.as_ref(), &[])
+    finish_run(&perf, certs.as_ref(), &[])
 }

@@ -41,7 +41,7 @@ use pmcs_bench::{
     ascii_chart, fig2_inset, finish_run, sweep_with, write_csv, CertSummary, Fig2Inset, PerfPoint,
     PerfRecord,
 };
-use pmcs_core::{CacheStats, DpStats};
+use pmcs_core::DpStats;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,7 +98,6 @@ fn main() -> ExitCode {
 
     let mut perf = PerfRecord::new("fig2");
     perf.jobs = cfg.jobs;
-    let mut cache_stats = CacheStats::default();
     let mut failures = 0usize;
     let mut sim = pmcs_analysis::SimCounters::default();
     let mut refutations: Vec<String> = Vec::new();
@@ -127,10 +126,9 @@ fn main() -> ExitCode {
         let path = PathBuf::from(format!("target/experiments/fig2{}.csv", inset.letter()));
         write_csv(&path, inset.x_label(), &outcome.labels, &outcome.rows).expect("write csv");
         println!(
-            "wrote {} ({:.1}s wall, cache: {})\n",
+            "wrote {} ({:.1}s wall)\n",
             path.display(),
             inset_started.elapsed().as_secs_f64(),
-            outcome.cache,
         );
         if outcome.total_failures() > 0 {
             eprintln!(
@@ -152,7 +150,6 @@ fn main() -> ExitCode {
                 .iter()
                 .map(|line| format!("fig2{} {line}", inset.letter())),
         );
-        cache_stats.merge(outcome.cache);
         failures += outcome.total_failures();
         for (label, stats) in outcome.labels.iter().zip(&outcome.solver) {
             match solver_by_label.iter_mut().find(|(l, _)| l == label) {
@@ -174,7 +171,6 @@ fn main() -> ExitCode {
         }
     }
     perf.wall_secs = started.elapsed().as_secs_f64();
-    perf.cache = cache_stats;
     perf.extra_num("sets_per_point", sets_per_point as f64);
     perf.extra_num("analysis_failures", failures as f64);
     for (label, stats) in &solver_by_label {
@@ -192,5 +188,5 @@ fn main() -> ExitCode {
         total
     });
     perf.extra_cert(certs.as_ref());
-    finish_run(&perf, "", certs.as_ref(), &refutations)
+    finish_run(&perf, certs.as_ref(), &refutations)
 }

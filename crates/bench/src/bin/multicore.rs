@@ -163,7 +163,6 @@ fn main() -> ExitCode {
     let mut perf = PerfRecord::new("multicore");
     perf.jobs = sweep.jobs;
     perf.wall_secs = sweep.wall_secs;
-    perf.cache = sweep.cache;
     for (q, secs) in out.budgets.iter().zip(&sweep.point_secs) {
         perf.points.push(PerfPoint {
             label: format!("multicore:Q={q}"),
@@ -179,5 +178,5 @@ fn main() -> ExitCode {
     perf.extra_num("bus_transfers_checked", out.transfers as f64);
     perf.extra_solver("solver_total", solver);
     perf.extra_sim(&sweep.sim);
-    finish_run(&perf, "", None, &sweep.refutations)
+    finish_run(&perf, None, &sweep.refutations)
 }

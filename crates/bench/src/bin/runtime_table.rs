@@ -168,7 +168,6 @@ fn main() -> ExitCode {
 
     perf.jobs = out.jobs;
     perf.wall_secs = out.wall_secs;
-    perf.cache = out.cache;
     perf.extra_solver("solver", out.solver[0]);
     perf.extra_num("sets_per_config", sets as f64);
     let schedule = |values: &[usize]| {
@@ -187,5 +186,5 @@ fn main() -> ExitCode {
         println!("certificates: {certs}");
     }
     perf.extra_cert(out.certs.as_ref());
-    finish_run(&perf, "", out.certs.as_ref(), &out.refutations)
+    finish_run(&perf, out.certs.as_ref(), &out.refutations)
 }

@@ -96,7 +96,7 @@ pub struct CampaignConfig {
     pub history: usize,
     /// Upper bound on fresh-allocation baseline simulations.
     pub baseline_cap: usize,
-    /// Engine-stack configuration (jobs, cache, audit, …).
+    /// Engine-stack configuration (jobs, audit, …).
     pub analysis: AnalysisConfig,
 }
 

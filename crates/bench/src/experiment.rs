@@ -5,14 +5,14 @@
 //! ([`crate::parallel`]); every item derives its RNG stream from
 //! `(base_seed, point_index, set_index)` via [`derive_seed`], so the
 //! measured ratios — and the CSVs derived from them — are byte-identical
-//! for every thread count. Each worker owns an [`AnalysisContext`] on a
-//! sweep-wide window cache plus a [`SimScratch`]; a per-item closure
-//! analyses the set and reports one verdict per column. Three closures
-//! cover the experiments: [`sweep_with`] analyses through the worker's
-//! context with every approach of a [`Registry`] (Figure 2, the
-//! ablation), [`sweep_cold`] times one cold analysis per set (the runtime
-//! table), and [`crate::sweep_multicore`] partitions each set onto a
-//! regulated platform.
+//! for every thread count. Each worker owns an [`AnalysisContext`] plus
+//! a [`SimScratch`]; a per-item closure analyses the set and reports one
+//! verdict per column. Three closures cover the experiments:
+//! [`sweep_with`] analyses through the worker's context with every
+//! approach of a [`Registry`] (Figure 2, the ablation), [`sweep_cold`]
+//! times one cold analysis per set (the runtime table), and
+//! [`crate::sweep_multicore`] partitions each set onto a regulated
+//! platform.
 //!
 //! The approaches under comparison come from a [`Registry`] — sweep
 //! columns are whatever is registered, in registration order; nothing in
@@ -37,14 +37,13 @@
 //! set right after analysing it ([`certify_set`]), outside the item's
 //! timed region; the merged counters land in [`SweepOutcome::certs`].
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pmcs_analysis::{
     cross_validate_report_in, AnalysisConfig, AnalysisContext, AnalysisError, ApproachReport,
     Registry, SimCounters, SimScratch,
 };
-use pmcs_core::{CacheStats, DpStats, SharedDelayCache};
+use pmcs_core::DpStats;
 use pmcs_model::TaskSet;
 use pmcs_workload::{adversarial_specs, derive_seed, TaskSetConfig, TaskSetGenerator};
 
@@ -114,8 +113,6 @@ pub struct SweepOutcome {
     /// Aggregate compute seconds per point (summed across workers, so
     /// with `jobs > 1` this exceeds the wall-clock share).
     pub point_secs: Vec<f64>,
-    /// Delay-cache statistics merged over all workers.
-    pub cache: CacheStats,
     /// Worker threads used.
     pub jobs: usize,
     /// End-to-end wall-clock seconds.
@@ -176,8 +173,7 @@ pub fn evaluate_set_with_reports(
 /// Per-worker state of [`sweep_items`], built once on each worker thread.
 #[derive(Debug)]
 pub(crate) struct Worker {
-    /// Analysis context on the sweep's shared window cache: a window
-    /// solved on any worker is a hit for all.
+    /// Analysis context reused for every set the worker analyses.
     pub ctx: AnalysisContext,
     /// Simulation buffers that every cross-validated plan of the worker
     /// reuses instead of allocating per run.
@@ -193,9 +189,6 @@ pub(crate) struct Item<X = ()> {
     pub sim: SimCounters,
     /// Refutation lines; the driver prefixes each with `point=… set=…`.
     pub refutations: Vec<String>,
-    /// Window-cache lookups made on contexts other than the worker's (a
-    /// closure that analyses on its own cold context reports them here).
-    pub cache: CacheStats,
     /// Caller-specific payload, handed back per point in set order.
     pub extra: X,
 }
@@ -241,7 +234,6 @@ fn registry_item<X>(
         outcomes: reports.into_iter().map(|(o, s, _)| (o, s)).collect(),
         sim,
         refutations,
-        cache: CacheStats::default(),
         extra,
     }
 }
@@ -251,13 +243,13 @@ fn registry_item<X>(
 /// Point `pi` gets `sets[pi]` task sets; set `si` is generated from the
 /// point's config with seed `derive_seed(base_seed, pi, si)` and handed
 /// to `item(worker, pi, set, seed)`. The items fan out over `cfg.jobs`
-/// workers, each with one [`Worker`] on a sweep-wide window cache. The
-/// driver times each item (certification, with `cfg.emit_certs`, runs
-/// right after and outside the timed region), labels refutation and
-/// rejection lines `point=… set=…` in item order, folds the verdicts
-/// into one [`SweepRow`] per point under the column `labels`, merges
-/// cache, solver, simulation and certificate counters, and measures the
-/// wall time. The rows depend only on the inputs, never on `cfg.jobs`.
+/// workers, each with one [`Worker`]. The driver times each item
+/// (certification, with `cfg.emit_certs`, runs right after and outside
+/// the timed region), labels refutation and rejection lines `point=…
+/// set=…` in item order, folds the verdicts into one [`SweepRow`] per
+/// point under the column `labels`, merges solver, simulation and
+/// certificate counters, and measures the wall time. The rows depend
+/// only on the inputs, never on `cfg.jobs`.
 ///
 /// Returns the outcome plus every item's [`Item::extra`], per point in
 /// set order. Panics unless there is one set count per point.
@@ -280,15 +272,11 @@ where
         .flat_map(|(pi, &n)| (0..n).map(move |si| (pi, si)))
         .collect();
     let started = Instant::now();
-    // Bounds are content-addressed, so sharing the cache cannot change a
-    // row; each context reports only its own lookups, so the merge below
-    // counts every lookup once.
-    let shared_cache = Arc::new(SharedDelayCache::default());
-    let (evaluated, workers) = parallel_map_with(
+    let (evaluated, _) = parallel_map_with(
         &items,
         cfg.jobs,
         || Worker {
-            ctx: AnalysisContext::with_shared_cache(cfg, Arc::clone(&shared_cache)),
+            ctx: AnalysisContext::new(cfg),
             scratch: SimScratch::new(),
         },
         |worker, _, &(pi, si)| {
@@ -322,7 +310,6 @@ where
     let mut sim = SimCounters::default();
     let mut refutations = Vec::new();
     let mut certs = CertSummary::default();
-    let mut cache = CacheStats::default();
     for (&(pi, si), (out, secs, item_certs)) in items.iter().zip(evaluated) {
         let row = &mut rows[pi];
         for (ai, (o, stats)) in out.outcomes.iter().enumerate() {
@@ -338,7 +325,6 @@ where
                 .iter()
                 .map(|line| format!("point={pi} set={si} {line}")),
         );
-        cache.merge(out.cache);
         point_secs[pi] += secs;
         if let Some(item) = item_certs {
             certs.merge(&item);
@@ -349,14 +335,10 @@ where
         let sets = row.sets.max(1) as f64;
         row.ratios.iter_mut().for_each(|r| *r /= sets);
     }
-    for worker in workers {
-        cache.merge(worker.ctx.cache_stats());
-    }
     let outcome = SweepOutcome {
         labels,
         rows,
         point_secs,
-        cache,
         jobs: cfg.jobs,
         wall_secs,
         solver,
@@ -407,9 +389,9 @@ pub fn sweep_with(
 
 /// The `(point, set)` driver measuring one cold analysis per set: every set is
 /// analysed on a fresh [`AnalysisContext`] built from `cfg` with the
-/// point's memo budget `max_states[point]`, so caching spans only that
-/// analysis (fixed-point iterations and greedy rounds), never sets. Each
-/// set's extra is the time from building the context to the last
+/// point's memo budget `max_states[point]`, so the DP memo spans only
+/// that analysis (fixed-point iterations and greedy rounds), never sets.
+/// Each set's extra is the time from building the context to the last
 /// report; cross-validation runs after it, outside the measurement.
 ///
 /// # Panics
@@ -439,7 +421,7 @@ pub fn sweep_cold(
             let ctx = AnalysisContext::new(&point_cfg);
             let reports = evaluate_set_with_reports(set, registry, &ctx);
             let elapsed = t0.elapsed();
-            let mut item = registry_item(
+            registry_item(
                 set,
                 registry,
                 reports,
@@ -447,14 +429,12 @@ pub fn sweep_cold(
                 seed,
                 &mut worker.scratch,
                 elapsed,
-            );
-            item.cache = ctx.cache_stats();
-            item
+            )
         },
     )
 }
 
-/// Single-threaded, cached [`sweep_with`] over the standard registry,
+/// Single-threaded [`sweep_with`] over the standard registry,
 /// returning only the rows.
 pub fn sweep(points: &[SweepPoint], sets_per_point: usize, base_seed: u64) -> Vec<SweepRow> {
     sweep_with(
@@ -541,8 +521,6 @@ mod tests {
         assert_eq!(out.jobs, 2);
         assert!(out.wall_secs >= 0.0);
         assert_eq!(out.total_failures(), 0);
-        // 4 sets × 2 points: the fixed points alone guarantee lookups.
-        assert!(out.cache.hits + out.cache.misses > 0);
         // Solver effort: one entry per approach; the engine-backed
         // "proposed" column spends search nodes, closed-form columns none.
         assert_eq!(out.solver.len(), out.labels.len());

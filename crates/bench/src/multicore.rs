@@ -53,7 +53,7 @@ pub struct MulticoreConfig {
     /// Adversarial plans per schedulable first-fit partition
     /// (`0` disables cross-validation).
     pub plans: usize,
-    /// Engine-stack configuration (jobs, cache, audit, …).
+    /// Engine-stack configuration (jobs, audit, …).
     pub analysis: AnalysisConfig,
 }
 

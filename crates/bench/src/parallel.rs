@@ -33,9 +33,9 @@ where
 }
 
 /// [`parallel_map`] with per-worker state: `init` runs once on each
-/// worker thread (e.g. to build an engine with its own cache and scratch)
+/// worker thread (e.g. to build an analysis context and scratch buffers)
 /// and the final states are returned alongside the results, in no
-/// particular order (e.g. to merge per-worker cache statistics).
+/// particular order (e.g. to merge per-worker counters).
 pub fn parallel_map_with<T, R, S, I, F>(items: &[T], jobs: usize, init: I, f: F) -> (Vec<R>, Vec<S>)
 where
     T: Sync,

@@ -1,7 +1,7 @@
 //! Machine-readable performance records (`BENCH_<bin>.json`).
 //!
 //! Every bench binary drops a small JSON file at the repository root
-//! recording wall-clock time, worker count, cache statistics, and
+//! recording wall-clock time, worker count, solver effort, and
 //! per-point timings, so performance changes leave a comparable trail
 //! across commits. The format is hand-rolled (the container is offline —
 //! no serde): flat object, stable key order, finite numbers only.
@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pmcs_analysis::SimCounters;
-use pmcs_core::{CacheStats, DpStats};
+use pmcs_core::DpStats;
 
 use crate::certs::CertSummary;
 
@@ -35,8 +35,6 @@ pub struct PerfRecord {
     pub wall_secs: f64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Merged delay-cache statistics (zeros when caching is disabled).
-    pub cache: CacheStats,
     /// Per-point timings.
     pub points: Vec<PerfPoint>,
     /// Extra key/value pairs; values must already be valid JSON
@@ -51,7 +49,6 @@ impl PerfRecord {
             bin: bin.to_string(),
             wall_secs: 0.0,
             jobs: 1,
-            cache: CacheStats::default(),
             points: Vec::new(),
             extras: Vec::new(),
         }
@@ -107,21 +104,6 @@ impl PerfRecord {
         let _ = writeln!(o, "  \"bin\": {},", json_str(&self.bin));
         let _ = writeln!(o, "  \"wall_secs\": {},", json_num(self.wall_secs));
         let _ = writeln!(o, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(o, "  \"cache_hits\": {},", self.cache.hits);
-        let _ = writeln!(o, "  \"cache_misses\": {},", self.cache.misses);
-        let _ = writeln!(
-            o,
-            "  \"cache_hit_rate\": {},",
-            json_num(self.cache.hit_rate())
-        );
-        // The workers of one run share a single SharedDelayCache, so the
-        // merged per-worker counters are the shared-cache view.
-        let _ = writeln!(
-            o,
-            "  \"shared_cache_hit_rate\": {},",
-            json_num(self.cache.hit_rate())
-        );
-        let _ = writeln!(o, "  \"shared_cache_evictions\": {},", self.cache.evictions);
         for (k, v) in &self.extras {
             let _ = writeln!(o, "  {}: {},", json_str(k), v);
         }
@@ -156,7 +138,7 @@ impl PerfRecord {
 }
 
 /// The ending every bench binary shares: writes `perf` to
-/// `BENCH_<bin>.json` and prints `perf record: <path><note>`, then fails
+/// `BENCH_<bin>.json` and prints `perf record: <path>`, then fails
 /// the run when a certificate was rejected (printing the rejection lines)
 /// or, failing that, when cross-validation refuted an analytical bound
 /// (printing the refutation lines). `certs` is `None` when nothing was
@@ -167,12 +149,11 @@ impl PerfRecord {
 /// Panics if the record cannot be written.
 pub fn finish_run(
     perf: &PerfRecord,
-    note: &str,
     certs: Option<&CertSummary>,
     refutations: &[String],
 ) -> ExitCode {
     let path = perf.write().expect("write perf record");
-    println!("perf record: {}{note}", path.display());
+    println!("perf record: {}", path.display());
     if let Some(certs) = certs.filter(|c| !c.ok()) {
         for line in &certs.rejections {
             eprintln!("{line}");
@@ -244,11 +225,6 @@ mod tests {
         let mut r = PerfRecord::new("fig2");
         r.wall_secs = 1.5;
         r.jobs = 4;
-        r.cache = CacheStats {
-            hits: 30,
-            misses: 10,
-            evictions: 2,
-        };
         r.extra_num("speedup", 3.2);
         r.extra_str("note", "a \"quoted\"\nline");
         r.points.push(PerfPoint {
@@ -263,10 +239,7 @@ mod tests {
         assert!(j.contains("\"bin\": \"fig2\""));
         assert!(j.contains("\"wall_secs\": 1.5"));
         assert!(j.contains("\"jobs\": 4"));
-        assert!(j.contains("\"cache_hits\": 30"));
-        assert!(j.contains("\"cache_hit_rate\": 0.75"));
-        assert!(j.contains("\"shared_cache_hit_rate\": 0.75"));
-        assert!(j.contains("\"shared_cache_evictions\": 2"));
+        assert!(!j.contains("cache"));
         assert!(j.contains("\"speedup\": 3.2"));
         assert!(j.contains("\\\"quoted\\\"\\nline"));
         assert!(j.contains("{\"label\": \"fig2a\", \"secs\": 0.25},"));
@@ -321,13 +294,13 @@ mod tests {
             ..CertSummary::default()
         };
         let refuted = ["REFUTATION approach=proposed".to_string()];
-        assert_eq!(finish_run(&r, "", None, &[]), ExitCode::SUCCESS);
+        assert_eq!(finish_run(&r, None, &[]), ExitCode::SUCCESS);
         assert_eq!(
-            finish_run(&r, "", Some(&CertSummary::default()), &[]),
+            finish_run(&r, Some(&CertSummary::default()), &[]),
             ExitCode::SUCCESS
         );
-        assert_eq!(finish_run(&r, "", Some(&rejected), &[]), ExitCode::FAILURE);
-        assert_eq!(finish_run(&r, "", None, &refuted), ExitCode::FAILURE);
+        assert_eq!(finish_run(&r, Some(&rejected), &[]), ExitCode::FAILURE);
+        assert_eq!(finish_run(&r, None, &refuted), ExitCode::FAILURE);
         let _ = fs::remove_file(repo_root().join("BENCH_perf_finish_selftest.json"));
     }
 

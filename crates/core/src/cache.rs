@@ -1,13 +1,19 @@
-//! Window-level delay-bound caching.
+//! Window-level delay-bound caching for long-lived services.
 //!
-//! The hot path of every experiment is the delay-maximization call
-//! [`DelayEngine::max_total_delay`]: the WCRT fixed point re-solves a
-//! window per iteration, the greedy LS-marking loop re-runs the whole
-//! fixed point after every promotion, and the ablation study analyzes the
-//! same task set under several markings. Many of those windows are
-//! *semantically identical* — the window model depends on the tentative
-//! window length only through the per-task job budgets `η_j(t) + 1`, which
-//! plateau between iterations — so their bounds can be memoized.
+//! The hot path of every analysis is the delay-maximization call
+//! [`DelayEngine::max_total_delay`]. The window model depends on the
+//! tentative window length only through the per-task job budgets
+//! `η_j(t) + 1`, so windows of equal content have equal bounds and can be
+//! memoized. Within one batch analysis that buys nothing: the fixed point
+//! already skips the solve when it rebuilds its previous window (see
+//! [`WcrtAnalyzer`](crate::WcrtAnalyzer)), and other repeats are rare —
+//! a promotion changes the LS flag of a competitor in nearly every
+//! window of the next greedy round, and across independently generated
+//! task sets windows almost never coincide. Batch drivers therefore run
+//! the bare engine. The cache pays off where the *same* windows come back
+//! across requests: `pmcs-serve` shares one cache between all its
+//! connections, whose sessions keep re-analyzing sets that differ by one
+//! task.
 //!
 //! [`SharedCachedEngine`] wraps any [`DelayEngine`] with a
 //! [`SharedDelayCache`]: a sharded map from a canonical [`WindowKey`] to
@@ -231,7 +237,7 @@ impl Shard {
 /// its entry budget is exceeded, so a long-running server keeps its
 /// hottest window shapes warm indefinitely. A one-shard cache
 /// (`with_config(1, DEFAULT_CAPACITY)`) is the private cache of a single
-/// engine stack.
+/// engine.
 ///
 /// Sharing is sound for the same reason per-worker caching is: keys are
 /// content-addressed, so a bound stored by one thread is exactly the
@@ -366,12 +372,13 @@ impl SharedDelayCache {
 /// A [`DelayEngine`] adapter memoizing bounds in a [`SharedDelayCache`].
 ///
 /// Works with any inner engine ([`ExactEngine`](crate::ExactEngine) or
-/// an audit layer around it). Multi-threaded drivers wrap each worker's
-/// own inner engine around one shared `Arc<SharedDelayCache>`, so a
-/// window solved by any worker is a hit for all of them. Each adapter additionally keeps *local* hit/miss/
-/// eviction counters (its own lookups only); parallel drivers merge
-/// those per-worker locals, which sums to exactly the shared cache's
-/// own [`SharedDelayCache::stats`] — counting each lookup once.
+/// an audit layer around it). A multi-threaded server wraps each
+/// connection's own inner engine around one shared
+/// `Arc<SharedDelayCache>`, so a window solved for any connection is a
+/// hit for all of them. Each adapter additionally keeps *local*
+/// hit/miss/eviction counters (its own lookups only); merging those
+/// per-engine locals sums to exactly the shared cache's own
+/// [`SharedDelayCache::stats`] — counting each lookup once.
 ///
 /// # Example
 ///
@@ -387,11 +394,14 @@ impl SharedDelayCache {
 /// ])?;
 /// let cache = Arc::new(SharedDelayCache::default());
 /// let engine = SharedCachedEngine::new(ExactEngine::default(), cache);
-/// let report = analyze_task_set(&set, &engine)?;
-/// assert!(report.schedulable());
-/// // The fixed point's confirming iteration re-solves a window the
-/// // cache already holds.
-/// assert!(engine.stats().hits > 0);
+/// let first = analyze_task_set(&set, &engine)?;
+/// assert!(first.schedulable());
+/// let cold = engine.stats();
+/// // A second analysis of the same set finds every window in the cache.
+/// let second = analyze_task_set(&set, &engine)?;
+/// assert_eq!(first, second);
+/// assert_eq!(engine.stats().misses, cold.misses);
+/// assert!(engine.stats().hits > cold.hits);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]

@@ -8,19 +8,22 @@
 //! that is *already* LS misses its deadline, the set is deemed
 //! unschedulable.
 //!
-//! Every round re-runs the fixed point of every task it scans. The
-//! windows a promotion leaves unchanged still repeat, and a
-//! [`SharedCachedEngine`](crate::SharedCachedEngine) answers those from its
-//! cache: its key drops the LS flags that
-//! [`WindowModel::ls_inert`](crate::window::WindowModel::ls_inert) proves
-//! inert.
+//! Every round re-runs the fixed point of every task it scans, and batch
+//! analysis ([`analyze_task_set`]) memoizes nothing itself. A promotion
+//! changes a non-inert LS flag in nearly every window of the re-scanned
+//! tasks, so windows and per-task verdicts almost never repeat within one
+//! run; the repeats that do occur — a fixed point's confirming iteration —
+//! are answered inside [`WcrtAnalyzer`], and the exact engine's carried
+//! memo reuses DP states across the growing windows of one task shape.
+//! Incremental [`AnalysisSession`](crate::AnalysisSession)s keep a verdict
+//! cache, because their edits do leave most verdicts unchanged.
 
 use std::fmt;
 
 use pmcs_model::{Sensitivity, TaskId, TaskSet, Time};
 
 use crate::error::CoreError;
-use crate::session::{AnalysisSession, VerdictCache, VerdictKey};
+use crate::session::{VerdictCache, VerdictKey};
 use crate::wcrt::{DelayEngine, TaskTrace, WcrtAnalyzer};
 
 /// Per-task verdict in a [`SchedulabilityReport`].
@@ -97,8 +100,8 @@ impl SchedulabilityReport {
         self.rounds
     }
 
-    /// The report of an empty [`AnalysisSession`]: no verdicts, no LS
-    /// tasks, trivially schedulable, zero rounds.
+    /// The report of an empty [`AnalysisSession`](crate::AnalysisSession):
+    /// no verdicts, no LS tasks, trivially schedulable, zero rounds.
     pub(crate) fn empty() -> Self {
         SchedulabilityReport {
             verdicts: Vec::new(),
@@ -139,9 +142,9 @@ impl fmt::Display for SchedulabilityReport {
 /// Runs the greedy LS-marking schedulability analysis of Section VI on a
 /// task set (initial markings are ignored: the algorithm starts all-NLS).
 ///
-/// This is the trivial [`AnalysisSession`] use: admit every task into a
-/// fresh session and read its report — batch and incremental analysis
-/// share one code path.
+/// Runs the greedy loop that [`AnalysisSession`](crate::AnalysisSession)
+/// operations share, without the session's verdict cache: within one run
+/// no verdict key repeats.
 ///
 /// # Errors
 ///
@@ -154,9 +157,7 @@ pub fn analyze_task_set(
     set: &TaskSet,
     engine: &impl DelayEngine,
 ) -> Result<SchedulabilityReport, CoreError> {
-    let mut session = AnalysisSession::new(engine);
-    session.admit_all(set.iter().cloned())?;
-    Ok(session.into_report())
+    greedy_analyze(set, engine, Analyses::Plain)
 }
 
 /// One per-task entry of a greedy round transcript.
@@ -205,6 +206,8 @@ pub fn analyze_task_set_traced(
 
 /// How [`greedy_analyze`] obtains each per-task analysis.
 pub(crate) enum Analyses<'a> {
+    /// Run every fixed point once, recording nothing.
+    Plain,
     /// Run every fixed point traced and record it in the transcript.
     Traced(&'a mut GreedyTrace),
     /// Look every fixed point up in a session-lifetime content-addressed
@@ -214,9 +217,10 @@ pub(crate) enum Analyses<'a> {
 }
 
 /// The greedy LS-marking loop shared by every analysis entry point:
-/// batch ([`analyze_task_set`]) and incremental
-/// [`AnalysisSession`](crate::AnalysisSession) operations run it
-/// [`Cached`](Analyses::Cached), [`analyze_task_set_traced`] runs it
+/// batch analysis ([`analyze_task_set`]) runs it
+/// [`Plain`](Analyses::Plain), incremental
+/// [`AnalysisSession`](crate::AnalysisSession) operations
+/// [`Cached`](Analyses::Cached), [`analyze_task_set_traced`]
 /// [`Traced`](Analyses::Traced).
 pub(crate) fn greedy_analyze(
     set: &TaskSet,
@@ -237,6 +241,7 @@ pub(crate) fn greedy_analyze(
         let mut failing: Option<TaskId> = None;
         for task in current.iter() {
             let analysis = match &mut analyses {
+                Analyses::Plain => analyzer.analyze_task(&current, task.id(), engine)?,
                 Analyses::Traced(tr) => {
                     let (a, task_trace) =
                         analyzer.analyze_task_traced(&current, task.id(), engine)?;
@@ -350,7 +355,6 @@ pub fn analyze_fixed_marking(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{SharedCachedEngine, SharedDelayCache};
     use crate::engine::ExactEngine;
     use crate::window::test_task;
 
@@ -419,38 +423,6 @@ mod tests {
         let r = analyze_fixed_marking(&set, &ExactEngine::default()).unwrap();
         assert_eq!(r.assignment().promoted, vec![TaskId(0)]);
         assert_eq!(r.verdict(TaskId(0)).unwrap().sensitivity, Sensitivity::Ls);
-    }
-
-    #[test]
-    fn greedy_rounds_hit_the_delay_cache() {
-        // Across fixed-point iterations and greedy rounds many windows
-        // repeat; a cached engine must observe a non-zero hit-rate.
-        let set = TaskSet::new(vec![
-            {
-                let t = test_task(0, 10, 2, 2, 10_000, 0, false);
-                pmcs_model::Task::builder(t.id())
-                    .exec(t.exec())
-                    .copy_in(t.copy_in())
-                    .copy_out(t.copy_out())
-                    .sporadic(Time::from_ticks(10_000))
-                    .deadline(Time::from_ticks(600))
-                    .priority(t.priority())
-                    .build()
-                    .unwrap()
-            },
-            test_task(1, 300, 2, 2, 10_000, 1, false),
-            test_task(2, 400, 2, 2, 10_000, 2, false),
-        ])
-        .unwrap();
-        let engine = SharedCachedEngine::new(
-            ExactEngine::default(),
-            std::sync::Arc::new(SharedDelayCache::default()),
-        );
-        let cached = analyze_task_set(&set, &engine).unwrap();
-        let stats = engine.stats();
-        assert!(stats.hits > 0, "expected cache hits, got {stats}");
-        let plain = analyze_task_set(&set, &ExactEngine::default()).unwrap();
-        assert_eq!(cached, plain, "caching must not change the report");
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //! or fixed point of the analyzed task ever reads them — so a
 //! deadline-only edit of one task invalidates nothing else.
 //!
-//! ## One code path
+//! ## One greedy loop
 //!
-//! [`analyze_task_set`] is the trivial session: admit every task into a
-//! fresh session and read the report. Batch and incremental analysis
-//! therefore exercise the same greedy loop
-//! ([`schedulability::greedy_analyze`](crate::schedulability)), and the
-//! differential property test in `tests/session_differential.rs` drives
-//! random edit sequences against the from-scratch analyzer.
+//! Batch ([`analyze_task_set`]) and incremental analysis run the same
+//! greedy loop ([`schedulability::greedy_analyze`](crate::schedulability));
+//! only sessions consult the verdict cache, since within one batch run a
+//! promotion changes every later key. The differential property test in
+//! `tests/session_differential.rs` drives random edit sequences against
+//! the from-scratch analyzer.
 //!
 //! [`analyze_task_set`]: crate::analyze_task_set
 

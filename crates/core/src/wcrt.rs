@@ -7,6 +7,9 @@
 //! undelayed at the start of interval `N_i(t)`, rule R2). The iteration
 //! starts from the interference-free response `l_i + C_i + u_i` and stops
 //! at the first fixed point, or as soon as the bound exceeds the deadline.
+//! An iteration that rebuilds the previous window (same budgets) reuses
+//! the previous bound instead of asking the engine again: that
+//! confirming iteration is where the fixed point usually ends.
 
 use pmcs_model::{Sensitivity, TaskId, TaskSet, Time};
 
@@ -230,11 +233,19 @@ impl WcrtAnalyzer {
         // Interference-free response: copy-in + execute + copy-out.
         let mut response = add(t.copy_in(), base)?;
         let mut exact = true;
+        let mut last: Option<(WindowModel, DelayBound)> = None;
         for iteration in 1..=self.max_iterations {
             let window_len = response - base;
             debug_assert!(window_len.is_duration());
             let window = WindowModel::build(set, task, case, window_len)?;
-            let bound = engine.max_total_delay(&window)?;
+            // The window sees `t` only through the budgets `η_j(t) + 1`:
+            // rebuilding the last window means the previous bound repeats,
+            // so this iteration confirms the fixed point without a solve.
+            let bound = match last.take() {
+                Some((prev, bound)) if prev == window => bound,
+                _ => engine.max_total_delay(&window)?,
+            };
+            last = Some((window, bound));
             exact &= bound.exact;
             if let Some(steps) = trace.as_deref_mut() {
                 steps.push(TraceStep {
@@ -403,6 +414,69 @@ mod tests {
                     .expect("task id is in the set")
                     .deadline()
         );
+    }
+
+    /// An exact engine that counts the solves reaching it.
+    #[derive(Default)]
+    struct Counting {
+        inner: ExactEngine,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl DelayEngine for Counting {
+        fn max_total_delay(&self, w: &WindowModel) -> Result<DelayBound, CoreError> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.max_total_delay(w)
+        }
+    }
+
+    #[test]
+    fn each_distinct_window_is_solved_once() {
+        // τ0's short period lets the window cross an arrival boundary
+        // before the fixed point settles.
+        let set = TaskSet::new(vec![
+            test_task(0, 3, 1, 1, 8, 0, false),
+            test_task(1, 20, 4, 4, 400, 1, false),
+        ])
+        .expect("valid task set");
+        let engine = Counting::default();
+        let (a, trace) = WcrtAnalyzer::default()
+            .analyze_task_traced(&set, TaskId(1), &engine)
+            .expect("two-task analysis converges");
+        assert!(a.schedulable);
+        assert_eq!(a.iterations, trace.steps.len());
+        let windows: Vec<WindowModel> = trace
+            .steps
+            .iter()
+            .map(|s| {
+                WindowModel::build(&set, TaskId(1), trace.case, s.window_len)
+                    .expect("task id is in the set")
+            })
+            .collect();
+        let distinct = 1 + windows.windows(2).filter(|p| p[0] != p[1]).count();
+        assert!(distinct >= 2, "one window only: {:?}", trace.steps);
+        assert_eq!(engine.calls.get(), distinct);
+        // The transcript is the one an engine call per iteration records:
+        // every step holds its window's optimum, each window length follows
+        // from the previous delay, and the confirming step repeats the
+        // previous delay on the same window.
+        let t = set.get(TaskId(1)).expect("task id is in the set");
+        assert_eq!(trace.steps[0].window_len, t.copy_in());
+        for (step, w) in trace.steps.iter().zip(&windows) {
+            let fresh = ExactEngine::default()
+                .max_total_delay(w)
+                .expect("engine result");
+            assert_eq!((step.delay, step.exact), (fresh.delay, fresh.exact));
+        }
+        for pair in trace.steps.windows(2) {
+            assert_eq!(pair[1].window_len, pair[0].delay - t.exec());
+        }
+        let [.., prev, last] = trace.steps.as_slice() else {
+            panic!("expected at least two steps, got {:?}", trace.steps);
+        };
+        assert_eq!(last.delay, prev.delay);
+        assert_eq!(windows[windows.len() - 1], windows[windows.len() - 2]);
+        assert_eq!(a.wcrt, last.delay + t.copy_out());
     }
 
     #[test]

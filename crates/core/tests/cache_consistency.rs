@@ -99,8 +99,14 @@ proptest! {
 fn cache_consistency_smoke() {
     let set = build_set(&[(10, 2, 100, false), (20, 4, 200, false), (15, 3, 150, true)]);
     let engine = cached_engine();
-    let cached = analyze_task_set(&set, &engine).unwrap();
+    let cold = analyze_task_set(&set, &engine).unwrap();
+    let first = engine.stats();
+    // The second pass re-solves every window of the first from the cache.
+    let warm = analyze_task_set(&set, &engine).unwrap();
     let plain = analyze_task_set(&set, &ExactEngine::default()).unwrap();
-    assert_eq!(cached, plain);
-    assert!(engine.stats().hits > 0, "{}", engine.stats());
+    assert_eq!(cold, plain);
+    assert_eq!(warm, plain);
+    let second = engine.stats();
+    assert_eq!(second.misses, first.misses, "{second}");
+    assert_eq!(second.hits - first.hits, first.hits + first.misses);
 }
